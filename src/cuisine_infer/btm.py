@@ -269,3 +269,24 @@ def topic_cuisine_map(model: BtmModel, min_posterior: float = 0.8) -> dict[int, 
         if mass[best] / total >= min_posterior:
             out[t] = cols[idx[best]]
     return out
+
+
+def topic_labels(model: BtmModel, names: dict[str, str], labels: LabelSet) -> int:
+    """Add a "topic" label to each unlabeled name whose most probable topic
+    (prior x product of its in-vocabulary token probabilities) maps to a
+    cuisine; returns how many were added."""
+    mapping = topic_cuisine_map(model)
+    column = {w: i for i, w in enumerate(model.vocab)}
+    added = 0
+    for rid, name in sorted(names.items()):
+        if rid in labels:
+            continue
+        idx = [column[t] for t in tokenize_name(name) if t in column]
+        if not idx:
+            continue
+        scores = model.topic_prior * np.prod(model.topic_word[:, idx], axis=1)
+        top = int(np.argmax(scores))
+        if top in mapping:
+            labels.add(rid, mapping[top], "topic")
+            added += 1
+    return added

@@ -172,8 +172,8 @@ CUISINE_SUMMARY_COLUMNS = [
 
 
 def cuisine_summary(labels: dict[str, CuisineClass],
-                    stat_features: dict) -> list[dict]:
-    """Per-cuisine aggregate of the statistical blocks.
+                    stat_blocks: dict[str, dict[str, np.ndarray]]) -> list[dict]:
+    """Per-cuisine aggregate of restaurant id -> block name -> block vector.
 
     One row per cuisine: median of per-restaurant median price (d5), median
     tip, mean capacity, 90th-percentile revisits (d9), median loyalty tally,
@@ -183,11 +183,10 @@ def cuisine_summary(labels: dict[str, CuisineClass],
     """
     groups: dict[CuisineClass, list] = {c: [] for c in CuisineClass}
     for rid, cuisine in labels.items():
-        if rid in stat_features:
-            groups[cuisine].append(stat_features[rid])
+        if rid in stat_blocks:
+            groups[cuisine].append(stat_blocks[rid])
     rows = []
-    for cuisine in CuisineClass:
-        blocks_list = [f.blocks for f in groups[cuisine]]
+    for cuisine, blocks_list in groups.items():
         if not blocks_list:
             rows.append({"cuisine": cuisine.name, "empty": True})
             continue

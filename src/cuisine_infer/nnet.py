@@ -10,12 +10,11 @@ with analytic gradients.
 from __future__ import annotations
 
 import itertools
-import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .txn_core import N_CLASSES
+from .txn_core import N_CLASSES, derive_seed
 
 VARIANTS = ("residual_deep", "deep", "shallow", "logistic")
 
@@ -72,7 +71,7 @@ DEFAULT_GRIDS = {
 
 
 def _branch_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng((seed << 32) ^ zlib.crc32(name.encode()))
+    return np.random.default_rng(derive_seed(seed, name))
 
 
 def _he(rng, fan_out: int, fan_in: int) -> np.ndarray:

@@ -12,14 +12,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import time
-import zlib
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import btm, embed, eval_harness, nnet, stat_features, synthgen, weak_label
-from .txn_core import CuisineClass, build_index, parse_transactions
+from .txn_core import build_index, derive_seed, merchant_names, parse_transactions
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
@@ -44,7 +43,6 @@ DEFAULT_CONFIG: dict = {
         "btm": {"k": 10, "gibbs_iters": 50, "top_n": 5, "strata": 4, "cap_ratio": 4.0},
         "coherence_sweep": False,
     },
-    "features": {"gmm_kmax": 6},
     "embed": {
         "micro": {"dim": 64, "window": 10, "negative": 10, "epochs": 3,
                   "min_count": 2, "learning_rate": 0.025},
@@ -63,7 +61,7 @@ DEFAULT_CONFIG: dict = {
         "class_weights": False,
         "train_frac": 0.8,
     },
-    "eval": {"folds": 5, "ablation": False},
+    "eval": {"ablation": False},
 }
 
 
@@ -118,6 +116,7 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"{where}: {msg}")
 
     check(isinstance(cfg["seed"], int), "seed", "must be an integer")
+    check(cfg["seed"] >= 0, "seed", "must be >= 0")
     check(cfg["synth"]["n_restaurants"] >= 0, "synth.n_restaurants", "must be >= 0")
     check(0 <= cfg["synth"]["p_kw"] <= 1, "synth.p_kw", "must be in [0, 1]")
     check(0 < cfg["label"]["theta_f"] <= 1, "label.theta_f", "must be in (0, 1]")
@@ -134,7 +133,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def stage_seed(cfg: dict, stage: str) -> int:
-    return (int(cfg["seed"]) << 32) ^ zlib.crc32(stage.encode())
+    return derive_seed(int(cfg["seed"]), stage)
 
 
 def _out(cfg: dict) -> Path:
@@ -191,30 +190,19 @@ def run_synth(cfg: dict) -> dict:
     labels_path = out / "truth_labels.tsv"
     party_path = out / "truth_party.tsv"
     synthgen.write_outputs(result, txn_path, labels_path, party_path)
-    names: dict[str, str] = {}
-    for t in result.transactions:
-        names.setdefault(t.merchant_id, t.merchant_name)
     vec_path = _vectors_path(cfg)
     synthgen.write_pretrained_vectors(
-        vec_path, names, cfg["embed"]["name_dim"], seed)
+        vec_path, merchant_names(result.transactions), cfg["embed"]["name_dim"], seed)
     _write_manifest(cfg, "synth", [], [txn_path, labels_path, party_path, vec_path],
                     started, {"n_transactions": len(result.transactions)})
     return {"transactions": txn_path, "truth_labels": labels_path}
 
 
-def _load_names(cfg: dict) -> dict[str, str]:
-    txn_path = _require(_txn_path(cfg), "transactions")
-    parsed = parse_transactions(txn_path)
-    names: dict[str, str] = {}
-    for t in parsed.transactions:
-        names.setdefault(t.merchant_id, t.merchant_name)
-    return names
-
-
 def run_label(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
-    names = _load_names(cfg)
+    txn_path = _require(_txn_path(cfg), "transactions")
+    names = merchant_names(parse_transactions(txn_path).transactions)
     taxonomy = weak_label.load_taxonomy(cfg["paths"]["taxonomy"])
     th = weak_label.BootstrapThresholds(
         cfg["label"]["theta_f"], cfg["label"]["theta_p"], cfg["label"]["theta_s"])
@@ -241,29 +229,13 @@ def run_label(cfg: dict) -> dict:
             outputs.append(coherence_path)
         if cfg["label"]["topic_augment"]:
             model = btm.btm_fit(biterms, bcfg)
-            mapping = btm.topic_cuisine_map(model)
-            added = 0
-            for rid, name in sorted(names.items()):
-                if rid in labels:
-                    continue
-                toks = weak_label.tokenize_name(name)
-                in_vocab = [t for t in toks if t in model.vocab]
-                if not in_vocab:
-                    continue
-                idx = [model.vocab.index(t) for t in in_vocab]
-                topic_scores = model.topic_prior * np.prod(
-                    model.topic_word[:, idx], axis=1)
-                top_topic = int(np.argmax(topic_scores))
-                if top_topic in mapping:
-                    labels.add(rid, mapping[top_topic], "topic")
-                    added += 1
-            extra["n_topic_labels"] = added
+            extra["n_topic_labels"] = btm.topic_labels(model, names, labels)
 
     labels_path = out / "labels.tsv"
     labels.write_tsv(labels_path)
     boot_path = out / "bootstrap_report.tsv"
     weak_label.write_bootstrap_report(boot_path, bootstrapped)
-    _write_manifest(cfg, "label", [_txn_path(cfg)],
+    _write_manifest(cfg, "label", [txn_path],
                     [labels_path, boot_path] + outputs, started, extra)
     return {"labels": labels_path, "bootstrap_report": boot_path}
 
@@ -309,12 +281,9 @@ def run_embed(cfg: dict) -> dict:
                     labeling_words.add(line.split("\t")[0])
     pretrained = embed.load_pretrained_vectors(
         _require(_vectors_path(cfg), "pretrained vectors"))
-    names: dict[str, str] = {}
-    for t in parsed.transactions:
-        names.setdefault(t.merchant_id, t.merchant_name)
     name_vecs = {}
-    for rid in sorted(names):
-        vec, _matched = embed.name_embedding(names[rid], labeling_words, pretrained)
+    for rid, bucket in index.restaurants.items():
+        vec, _matched = embed.name_embedding(bucket.name, labeling_words, pretrained)
         name_vecs[rid] = vec
     name_path = out / "name_embed.txt"
     embed.EmbeddingMatrix(name_vecs).write(name_path)
@@ -322,15 +291,6 @@ def run_embed(cfg: dict) -> dict:
     _write_manifest(cfg, "embed", [txn_path, labels_path],
                     [micro_path, macro_path, name_path], started)
     return {"micro": micro_path, "macro": macro_path, "name": name_path}
-
-
-def _split_stat_blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
-    blocks = {}
-    pos = 0
-    for name, dim in stat_features.STAT_BLOCK_DIMS.items():
-        blocks[name] = vec[pos:pos + dim]
-        pos += dim
-    return blocks
 
 
 def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.FeatureDataset:
@@ -356,7 +316,7 @@ def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.F
     block_mats["name_embed"] = []
     y = []
     for rid in ids:
-        for bname, vec in _split_stat_blocks(stat_vecs[rid]).items():
+        for bname, vec in stat_features.split_blocks(stat_vecs[rid]).items():
             block_mats[bname].append(vec)
         block_mats["micro_embed"].append(
             micro.vectors.get(rid, np.zeros(micro_dim)))
@@ -483,17 +443,16 @@ def run_eval(cfg: dict) -> dict:
 def run_report(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
-    txn_path = _require(_txn_path(cfg), "transactions")
+    stat_path = _require(out / "features_stat.tsv", "statistical features")
     labels_path = _require(out / "labels.tsv", "labels")
-    parsed = parse_transactions(txn_path)
-    index = build_index(parsed.transactions)
-    feats = stat_features.extract_all(index, seed=stage_seed(cfg, "features"))
+    blocks = {rid: stat_features.split_blocks(vec)
+              for rid, vec in stat_features.read_features(stat_path).items()}
     labels = weak_label.LabelSet.read_tsv(labels_path)
     rows = eval_harness.cuisine_summary(
-        {rid: c for rid, (c, _src) in labels.items()}, feats)
+        {rid: c for rid, (c, _src) in labels.items()}, blocks)
     path = out / "cuisine_summary.tsv"
     eval_harness.write_cuisine_summary_tsv(path, rows)
-    _write_manifest(cfg, "report", [txn_path, labels_path], [path], started)
+    _write_manifest(cfg, "report", [stat_path, labels_path], [path], started)
     return {"cuisine_summary": path}
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, Transaction
+from .txn_core import RestaurantIndex, Transaction, derive_seed
 
 STAT_BLOCK_DIMS = {
     "price_deciles": 9,
@@ -27,6 +27,8 @@ STAT_BLOCK_DIMS = {
     "zip_onehot": 50,
 }
 STAT_DIM = sum(STAT_BLOCK_DIMS.values())  # 162
+# Largest mixture tried per restaurant: one component per party-size slot.
+GMM_KMAX = STAT_BLOCK_DIMS["party_prop"]
 
 
 def deciles(values) -> np.ndarray:
@@ -122,8 +124,18 @@ class GmmModel:
         return len(self.mu)
 
 
-def _log_gauss(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    return -0.5 * np.log(2 * np.pi) - np.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
+def gmm_log_joint(x: np.ndarray, phi: np.ndarray, mu: np.ndarray,
+                  sigma: np.ndarray) -> np.ndarray:
+    """(K, n) matrix of log phi_k + log N(x_i | mu_k, sigma_k)."""
+    mu, sigma = mu[:, None], sigma[:, None]
+    return np.log(phi)[:, None] + (
+        -0.5 * np.log(2 * np.pi) - np.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2)
+
+
+def _logsumexp(log_p: np.ndarray) -> np.ndarray:
+    """Column-wise log(sum(exp(log_p))), shifted by the column maximum."""
+    m = log_p.max(axis=0)
+    return m + np.log(np.exp(log_p - m).sum(axis=0))
 
 
 def _kmeanspp_init(x: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -157,10 +169,8 @@ def gmm_fit(x, K: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-6) ->
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         # E step
-        log_p = np.log(phi)[:, None] + np.stack(
-            [_log_gauss(x, mu[k], sigma[k]) for k in range(K)])
-        m = log_p.max(axis=0)
-        log_total = m + np.log(np.exp(log_p - m).sum(axis=0))
+        log_p = gmm_log_joint(x, phi, mu, sigma)
+        log_total = _logsumexp(log_p)
         ll = float(log_total.sum())
         if ll + 1e-9 < prev_ll:
             raise GmmError(f"log-likelihood decreased: {prev_ll} -> {ll}")
@@ -179,10 +189,7 @@ def gmm_fit(x, K: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-6) ->
 
     order = np.argsort(mu)
     phi, mu, sigma = phi[order], mu[order], sigma[order]
-    log_p = np.log(phi)[:, None] + np.stack(
-        [_log_gauss(x, mu[k], sigma[k]) for k in range(K)])
-    m = log_p.max(axis=0)
-    loglik = float((m + np.log(np.exp(log_p - m).sum(axis=0))).sum())
+    loglik = float(_logsumexp(gmm_log_joint(x, phi, mu, sigma)).sum())
     aic = 2.0 * (3 * K - 1) - 2.0 * loglik
     return GmmModel(phi, mu, sigma, loglik, aic, n_iter)
 
@@ -209,9 +216,7 @@ def party_features(model: GmmModel, x) -> tuple[np.ndarray, np.ndarray]:
     price = np.zeros(6)
     if len(x) == 0:
         return prop, price
-    log_p = np.log(model.phi)[:, None] + np.stack(
-        [_log_gauss(x, model.mu[k], model.sigma[k]) for k in range(model.K)])
-    assign = np.argmax(log_p, axis=0)
+    assign = np.argmax(gmm_log_joint(x, model.phi, model.mu, model.sigma), axis=0)
     for k in range(min(model.K, 6)):
         mask = assign == k
         prop[k] = mask.mean()
@@ -250,15 +255,24 @@ class StatFeatureBlock:
         return np.concatenate([self.blocks[name] for name in STAT_BLOCK_DIMS])
 
 
-def extract_restaurant(rid: str, index: RestaurantIndex,
-                       seed: int = 0, gmm_kmax: int = 6) -> StatFeatureBlock:
+def split_blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Inverse of StatFeatureBlock.concat: block name -> slice of `vec`."""
+    blocks = {}
+    pos = 0
+    for name, dim in STAT_BLOCK_DIMS.items():
+        blocks[name] = vec[pos:pos + dim]
+        pos += dim
+    return blocks
+
+
+def extract_restaurant(rid: str, index: RestaurantIndex, seed: int = 0) -> StatFeatureBlock:
     """All 11 statistical blocks for one restaurant."""
     bucket = index.restaurants[rid]
     txns = bucket.txns
     amounts = [t.auth_amount for t in txns]
     dow, wd, we = temporal_dists(txns)
     if txns:
-        model = select_k_aic(amounts, K_max=gmm_kmax, seed=seed)
+        model = select_k_aic(amounts, K_max=GMM_KMAX, seed=seed)
         party_prop, party_price = party_features(model, amounts)
     else:
         party_prop, party_price = np.zeros(6), np.zeros(6)
@@ -278,14 +292,8 @@ def extract_restaurant(rid: str, index: RestaurantIndex,
     return StatFeatureBlock(blocks, empty=not txns)
 
 
-def _derive_seed(base_seed: int, rid: str) -> int:
-    import zlib
-
-    return (base_seed << 32) ^ zlib.crc32(rid.encode())
-
-
 def extract_all(index: RestaurantIndex, seed: int = 0) -> dict[str, StatFeatureBlock]:
-    return {rid: extract_restaurant(rid, index, seed=_derive_seed(seed, rid))
+    return {rid: extract_restaurant(rid, index, seed=derive_seed(seed, rid))
             for rid in index.restaurants}
 
 
@@ -308,9 +316,11 @@ def read_features(path) -> dict[str, np.ndarray]:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
-        if not header.startswith("restaurant_id"):
+        if header.rstrip("\n").split("\t") != feature_header():
             raise ValueError("bad feature file header")
         for line in fh:
             parts = line.rstrip("\n").split("\t")
+            if len(parts) != 1 + STAT_DIM:
+                raise ValueError(f"{path}: {parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
             out[parts[0]] = np.array([float(x) for x in parts[1:]])
     return out

@@ -8,13 +8,13 @@ the whole pipeline can be validated at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .txn_core import CuisineClass, Transaction, write_transactions
-from .weak_label import LabelSet, load_taxonomy
+from .txn_core import CuisineClass, Transaction, derive_seed, write_transactions
+from .weak_label import LabelSet, load_taxonomy, tokenize_name
 
 START_DATE = datetime(2025, 1, 6)  # a Monday
 
@@ -337,15 +337,10 @@ def write_pretrained_vectors(path, names: dict[str, str], dim: int, seed: int) -
     One random unit vector per lowercase name token, so name embeddings are
     well-defined without shipping a third-party resource.
     """
-    import zlib
-
-    from .weak_label import tokenize_name
-
     vocab = sorted({t.lower() for name in names.values() for t in tokenize_name(name)})
     with open(path, "w", encoding="utf-8") as fh:
         for tok in vocab:
-            tok_seed = zlib.crc32(tok.encode())
-            v = np.random.default_rng((seed << 32) ^ tok_seed).normal(size=dim)
+            v = np.random.default_rng(derive_seed(seed, tok)).normal(size=dim)
             v /= np.linalg.norm(v)
             fh.write(tok + " " + " ".join(f"{x:.6f}" for x in v) + "\n")
 

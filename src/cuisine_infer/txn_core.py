@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import zlib
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
@@ -139,6 +140,19 @@ def parse_transactions(path, strict: bool = False) -> ParseResult:
                     raise IngestError(f"{path}:{line_no}: {result}")
                 rejects.append((line_no, result))
     return ParseResult(txns, rejects)
+
+
+def merchant_names(txns: Iterable[Transaction]) -> dict[str, str]:
+    """Merchant id -> name, taking the name of each merchant's first transaction."""
+    names: dict[str, str] = {}
+    for t in txns:
+        names.setdefault(t.merchant_id, t.merchant_name)
+    return names
+
+
+def derive_seed(seed: int, name: str) -> int:
+    """Seed of the named sub-stream under `seed`, independent of other names."""
+    return (seed << 32) ^ zlib.crc32(name.encode())
 
 
 def write_transactions(path, txns: Iterable[Transaction]) -> None:

@@ -6,12 +6,14 @@ import pytest
 
 from cuisine_infer.btm import (
     BtmConfig,
+    BtmModel,
     btm_fit,
     coherence_sweep,
     extract_biterms,
     sprinkle_token,
     stratified_sample_biterms,
     topic_cuisine_map,
+    topic_labels,
     umass_coherence,
 )
 from cuisine_infer.txn_core import CuisineClass
@@ -220,3 +222,21 @@ def test_topic_cuisine_map():
     mapping = topic_cuisine_map(model, min_posterior=0.8)
     assert set(mapping.values()) == {CuisineClass.Bar, CuisineClass.Dessert}
     assert sprinkle_token(CuisineClass.Bar) == "#BAR"
+
+
+def test_topic_labels_by_most_probable_mapped_topic():
+    # topic 0 maps to Bar, topic 1 to Dessert; topic 2 splits its sprinkle
+    # mass evenly and maps to nothing
+    vocab = ["#BAR", "#DESSERT", "CAKE", "MIXED", "TAVERN"]
+    topic_word = np.array([[0.40, 0.00, 0.05, 0.05, 0.50],
+                           [0.00, 0.40, 0.50, 0.05, 0.05],
+                           [0.20, 0.20, 0.05, 0.50, 0.05]])
+    model = BtmModel(vocab, topic_word, np.full(3, 1 / 3), BtmConfig(k=3))
+    names = {"r1": "TAVERN ROW", "r2": "CAKE SHOP", "r3": "MIXED GRILL",
+             "r4": "ZZ TOP", "r5": "CAKE HOUSE"}
+    labels = LabelSet()
+    labels.add("r5", CuisineClass.Bar, "seed")
+    assert topic_labels(model, names, labels) == 2
+    assert labels.labels == {"r1": (CuisineClass.Bar, "topic"),
+                             "r2": (CuisineClass.Dessert, "topic"),
+                             "r5": (CuisineClass.Bar, "seed")}

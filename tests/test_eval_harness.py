@@ -180,7 +180,7 @@ def summary_rows():
     index = build_index(res.transactions)
     feats = extract_all(index, seed=0)
     labels = {rid: c for rid, (c, _) in res.truth.items() if rid in feats}
-    return cuisine_summary(labels, feats)
+    return cuisine_summary(labels, {rid: f.blocks for rid, f in feats.items()})
 
 
 class TestCuisineSummary:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -5,6 +7,7 @@ from click.testing import CliRunner
 
 from cuisine_infer import pipeline
 from cuisine_infer.cli import main
+from cuisine_infer.eval_harness import CUISINE_SUMMARY_COLUMNS, cuisine_summary
 from cuisine_infer.pipeline import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -15,6 +18,9 @@ from cuisine_infer.pipeline import (
     run_pipeline,
     stage_seed,
 )
+from cuisine_infer.stat_features import extract_all
+from cuisine_infer.txn_core import build_index, parse_transactions
+from cuisine_infer.weak_label import LabelSet
 
 TINY = {
     "seed": 1,
@@ -148,6 +154,63 @@ class TestPipeline:
             pipeline.run_label(cfg)
 
 
+def _read_summary(path: Path) -> dict[str, list[str]]:
+    lines = path.read_text().splitlines()
+    assert lines[0].split("\t") == CUISINE_SUMMARY_COLUMNS
+    return {parts[0]: parts[1:] for parts in (line.split("\t") for line in lines[1:])}
+
+
+class TestReport:
+    def _upstream(self, tmp_path, stages):
+        cfg = _tiny_cfg(tmp_path)
+        for stage in stages:
+            pipeline.STAGES[stage](cfg)
+        return cfg, Path(cfg["out_dir"])
+
+    def _report(self, tmp_path, out):
+        return CliRunner().invoke(main, [
+            "report", "--config", str(tmp_path / "config.yaml"), "--out-dir", str(out)])
+
+    def test_reads_features_not_transactions(self, tmp_path):
+        cfg, out = self._upstream(tmp_path, ("synth", "label", "features"))
+        txn_path = out / "transactions.csv"
+        index = build_index(parse_transactions(txn_path).transactions)
+        txn_path.unlink()
+        result = self._report(tmp_path, out)
+        assert result.exit_code == 0, result.output
+
+        feats = extract_all(index, seed=stage_seed(cfg, "features"))
+        labels = LabelSet.read_tsv(out / "labels.tsv")
+        expected = cuisine_summary({rid: c for rid, (c, _src) in labels.items()},
+                                   {rid: f.blocks for rid, f in feats.items()})
+        got = _read_summary(out / "cuisine_summary.tsv")
+        assert list(got) == [row["cuisine"] for row in expected]
+        for row in expected:
+            if row["empty"]:
+                assert got[row["cuisine"]] == ["NA"] * 8
+                continue
+            values = [float(v) for v in got[row["cuisine"]]]
+            oracle = [row[c] for c in CUISINE_SUMMARY_COLUMNS[1:]]
+            assert values == pytest.approx(oracle, abs=1e-4), row["cuisine"]
+
+    def test_missing_features_exit_code(self, tmp_path):
+        _, out = self._upstream(tmp_path, ("synth", "label"))
+        result = self._report(tmp_path, out)
+        assert result.exit_code == 3
+        assert "features_stat.tsv" in result.output
+
+    def test_truncated_feature_row_exit_code(self, tmp_path):
+        _, out = self._upstream(tmp_path, ("synth", "label", "features"))
+        path = out / "features_stat.tsv"
+        lines = path.read_text().splitlines()
+        rid, *values = lines[3].split("\t")
+        lines[3] = "\t".join([rid] + values[:99])
+        path.write_text("\n".join(lines) + "\n")
+        result = self._report(tmp_path, out)
+        assert result.exit_code == 4
+        assert f"{rid}: 99 values" in result.output
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         digests = []
@@ -185,6 +248,18 @@ class TestCli:
     def test_config_error_exit_code(self):
         result = CliRunner().invoke(main, ["synth", "--set", "nope=1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("override", ["features.gmm_kmax=2", "eval.folds=3"])
+    def test_deleted_field_exit_code(self, override):
+        result = CliRunner().invoke(main, ["synth", "--set", override])
+        assert result.exit_code == 2
+        assert "unknown config field" in result.output
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        result = CliRunner().invoke(main, [
+            "synth", "--out-dir", str(tmp_path / "out"), "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "seed" in result.output
 
     def test_bad_override_format_exit_code(self):
         result = CliRunner().invoke(main, ["synth", "--set", "seed"])

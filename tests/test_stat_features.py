@@ -14,12 +14,14 @@ from cuisine_infer.stat_features import (
     extract_all,
     extract_restaurant,
     gmm_fit,
+    gmm_log_joint,
     hourly_capacity,
     loyalty_counts,
     party_features,
     read_features,
     revisit_counts,
     select_k_aic,
+    split_blocks,
     temporal_dists,
     tip_series,
     write_features,
@@ -130,6 +132,18 @@ class TestGmm:
         assert (m.sigma >= 1.0).all()
         assert np.isfinite(m.loglik)
 
+    def test_log_joint_matches_per_component_formula(self):
+        rng = np.random.default_rng(5)
+        for K in range(1, 7):
+            x = rng.integers(100, 20000, size=60).astype(float)
+            phi = rng.dirichlet(np.ones(K))
+            mu = np.sort(rng.normal(3000, 1500, K))
+            sigma = rng.uniform(1, 2000, K)
+            expected = np.log(phi)[:, None] + np.stack(
+                [-0.5 * np.log(2 * np.pi) - np.log(sigma[k])
+                 - 0.5 * ((x - mu[k]) / sigma[k]) ** 2 for k in range(K)])
+            assert np.array_equal(gmm_log_joint(x, phi, mu, sigma), expected)
+
     def test_too_few_points(self):
         with pytest.raises(GmmError):
             gmm_fit([1.0, 2.0], K=3)
@@ -205,6 +219,14 @@ class TestAssembly:
         vec = block.concat()
         assert len(vec) == STAT_DIM == 162
         assert np.isfinite(vec).all()
+
+    def test_split_blocks_inverts_concat(self):
+        rng = np.random.default_rng(2)
+        blocks = {name: rng.normal(size=dim) for name, dim in STAT_BLOCK_DIMS.items()}
+        back = split_blocks(StatFeatureBlock(blocks).concat())
+        assert list(back) == list(STAT_BLOCK_DIMS)
+        for name, arr in blocks.items():
+            assert np.array_equal(back[name], arr)
 
     def test_wrong_dim_rejected(self):
         blocks = {name: np.zeros(dim) for name, dim in STAT_BLOCK_DIMS.items()}
