@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +116,17 @@ def _validate(cfg: dict) -> None:
         if not cond:
             raise ConfigError(f"{where}: {msg}")
 
+    def check_count(where, value, low):
+        check(isinstance(value, int) and not isinstance(value, bool), where,
+              "must be an integer")
+        check(value >= low, where, f"must be >= {low}")
+
     check(isinstance(cfg["seed"], int), "seed", "must be an integer")
     check(cfg["seed"] >= 0, "seed", "must be >= 0")
-    check(cfg["synth"]["n_restaurants"] >= 0, "synth.n_restaurants", "must be >= 0")
+    for key in ("n_restaurants", "n_customers", "days"):
+        check_count(f"synth.{key}", cfg["synth"][key], 0)
+    for key in ("epochs", "batch_size"):
+        check_count(f"train.{key}", cfg["train"][key], 1)
     check(0 <= cfg["synth"]["p_kw"] <= 1, "synth.p_kw", "must be in [0, 1]")
     check(0 < cfg["label"]["theta_f"] <= 1, "label.theta_f", "must be in (0, 1]")
     check(0 < cfg["label"]["theta_p"] <= 1, "label.theta_p", "must be in (0, 1]")
@@ -249,8 +258,12 @@ def run_features(cfg: dict) -> dict:
     feats = stat_features.extract_all(index, seed=stage_seed(cfg, "features"))
     path = out / "features_stat.tsv"
     stat_features.write_features(path, feats)
-    _write_manifest(cfg, "features", [txn_path], [path], started,
-                    {"n_restaurants": len(feats)})
+    models = [f.gmm for f in feats.values() if f.gmm is not None]
+    k_hist = Counter(m.K for m in models)
+    _write_manifest(cfg, "features", [txn_path], [path], started, {
+        "n_restaurants": len(feats),
+        "gmm_k_hist": ",".join(f"{k}:{k_hist[k]}" for k in sorted(k_hist)),
+        "gmm_iter_cap_hits": sum(m.iter_cap_hits for m in models)})
     return {"features_stat": path}
 
 
@@ -258,8 +271,7 @@ def run_embed(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
-    labels_path = _require(out / "labels.tsv", "labels")
-    boot_path = out / "bootstrap_report.tsv"
+    boot_path = _require(out / "bootstrap_report.tsv", "bootstrap report")
     parsed = parse_transactions(txn_path)
     index = build_index(parsed.transactions)
     seed = stage_seed(cfg, "embed")
@@ -274,13 +286,12 @@ def run_embed(cfg: dict) -> dict:
 
     taxonomy = weak_label.load_taxonomy(cfg["paths"]["taxonomy"])
     labeling_words = taxonomy.all_keywords()
-    if boot_path.exists():
-        with open(boot_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    labeling_words.add(line.split("\t")[0])
-    pretrained = embed.load_pretrained_vectors(
-        _require(_vectors_path(cfg), "pretrained vectors"))
+    with open(boot_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                labeling_words.add(line.split("\t")[0])
+    vec_path = _require(_vectors_path(cfg), "pretrained vectors")
+    pretrained = embed.load_pretrained_vectors(vec_path)
     name_vecs = {}
     for rid, bucket in index.restaurants.items():
         vec, _matched = embed.name_embedding(bucket.name, labeling_words, pretrained)
@@ -288,9 +299,15 @@ def run_embed(cfg: dict) -> dict:
     name_path = out / "name_embed.txt"
     embed.EmbeddingMatrix(name_vecs).write(name_path)
 
-    _write_manifest(cfg, "embed", [txn_path, labels_path],
+    _write_manifest(cfg, "embed", [txn_path, boot_path, vec_path],
                     [micro_path, macro_path, name_path], started)
     return {"micro": micro_path, "macro": macro_path, "name": name_path}
+
+
+def _dataset_inputs(out: Path) -> list[Path]:
+    """The files load_dataset reads when it uses the weak labels."""
+    return [out / name for name in ("features_stat.tsv", "labels.tsv", "micro.txt",
+                                     "macro.txt", "name_embed.txt")]
 
 
 def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.FeatureDataset:
@@ -377,7 +394,7 @@ def run_train(cfg: dict) -> dict:
             fh.write(f"{labeled.ids[i]}\ttrain\n")
         for i in test_idx:
             fh.write(f"{labeled.ids[i]}\ttest\n")
-    _write_manifest(cfg, "train", [out / "features_stat.tsv", out / "labels.tsv"],
+    _write_manifest(cfg, "train", _dataset_inputs(out),
                     [model_path, curve_path, split_path], started,
                     {"n_train": len(train_idx), "n_test": len(test_idx)})
     return {"model": model_path, "loss_curve": curve_path, "split": split_path}
@@ -410,11 +427,13 @@ def run_eval(cfg: dict) -> dict:
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(report.render() + "\n")
 
+    inputs = [model_path, split_path] + _dataset_inputs(out)
     outputs = [metrics_path, confusion_path, text_path]
     extra = {"test_accuracy": f"{report.accuracy:.4f}"}
 
     truth_path = out / "truth_labels.tsv"
     if truth_path.exists():
+        inputs.append(truth_path)
         truth = weak_label.LabelSet.read_tsv(truth_path)
         unlabeled_idx = [i for i, rid in enumerate(dataset.ids)
                         if dataset.labels[i] < 0 and rid in truth]
@@ -436,7 +455,7 @@ def run_eval(cfg: dict) -> dict:
         eval_harness.write_ablation_tsv(ablation_path, rows)
         outputs.append(ablation_path)
 
-    _write_manifest(cfg, "eval", [model_path, split_path], outputs, started, extra)
+    _write_manifest(cfg, "eval", inputs, outputs, started, extra)
     return {"metrics": metrics_path, "confusion": confusion_path}
 
 

@@ -118,6 +118,9 @@ class GmmModel:
     loglik: float
     aic: float
     n_iter: int = 0
+    # EM fits behind this model that stopped at max_iter before converging:
+    # 0 or 1 for one fit, summed over every K tried when chosen by AIC.
+    iter_cap_hits: int = 0
 
     @property
     def K(self) -> int:
@@ -126,19 +129,25 @@ class GmmModel:
 
 def gmm_log_joint(x: np.ndarray, phi: np.ndarray, mu: np.ndarray,
                   sigma: np.ndarray) -> np.ndarray:
-    """(K, n) matrix of log phi_k + log N(x_i | mu_k, sigma_k)."""
-    mu, sigma = mu[:, None], sigma[:, None]
-    return np.log(phi)[:, None] + (
-        -0.5 * np.log(2 * np.pi) - np.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2)
+    """(..., K, n) array of log phi_k + log N(x_i | mu_k, sigma_k).
+
+    `x` is (..., n) and the parameters are (..., K); leading axes are a batch.
+    """
+    mu, sigma = mu[..., :, None], sigma[..., :, None]
+    return np.log(phi)[..., :, None] + (
+        -0.5 * np.log(2 * np.pi) - np.log(sigma)
+        - 0.5 * ((x[..., None, :] - mu) / sigma) ** 2)
 
 
 def _logsumexp(log_p: np.ndarray) -> np.ndarray:
-    """Column-wise log(sum(exp(log_p))), shifted by the column maximum."""
-    m = log_p.max(axis=0)
-    return m + np.log(np.exp(log_p - m).sum(axis=0))
+    """log(sum(exp(log_p))) over the component axis (-2), shifted by its maximum."""
+    m = log_p.max(axis=-2)
+    return m + np.log(np.exp(log_p - m[..., None, :]).sum(axis=-2))
 
 
-def _kmeanspp_init(x: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_centres(x: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """K k-means++ centres in draw order. The first J of them are the centres
+    a J-centre draw from the same RNG state would give."""
     centers = [x[int(rng.integers(0, len(x)))]]
     for _ in range(K - 1):
         d2 = np.min([(x - c) ** 2 for c in centers], axis=0)
@@ -146,52 +155,109 @@ def _kmeanspp_init(x: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarra
             centers.append(x[int(rng.integers(0, len(x)))])
             continue
         centers.append(x[int(np.searchsorted(np.cumsum(d2), rng.random() * d2.sum()))])
-    return np.sort(np.asarray(centers, dtype=float))
+    return np.asarray(centers, dtype=float)
+
+
+def _em(X: np.ndarray, mu: np.ndarray, sd: np.ndarray, floor: np.ndarray,
+        max_iter: int, tol: float) -> list[GmmModel]:
+    """EM fits of a K-component 1-D mixture to each row of X (B, n), in lockstep.
+
+    `mu` (B, K) holds the sorted initial means, `sd` and `floor` (B,) each
+    row's initial sigma and sigma floor. Every row runs exactly the
+    iterations a batch of one would: it stops once its log-likelihood gains
+    less than `tol` after the first iteration, or after `max_iter`. Raises
+    GmmError when any running row's log-likelihood decreases.
+
+    Rows are neither padded nor mixed with other K: numpy's pairwise sums
+    group by the row length and BLAS matrix-vector products by the number of
+    components, so either would change the result in the last bits.
+    """
+    B, n = X.shape
+    K = mu.shape[1]
+    phi = np.full((B, K), 1.0 / K)
+    sigma = np.repeat(sd[:, None], K, axis=1)
+    out_phi, out_mu, out_sigma = np.empty((B, K)), np.empty((B, K)), np.empty((B, K))
+    n_iter = np.full(B, max_iter)
+    rows = np.arange(B)
+    x, x2, fl = X, X ** 2, floor[:, None]
+    prev = np.full(B, -np.inf)
+    for it in range(1, max_iter + 1):
+        # E step
+        log_p = gmm_log_joint(x, phi, mu, sigma)
+        log_total = _logsumexp(log_p)
+        ll = log_total.sum(axis=1)
+        worse = ll + 1e-9 < prev
+        if worse.any():
+            b = np.argmax(worse)
+            raise GmmError(f"log-likelihood decreased: {prev[b]} -> {ll[b]}")
+        resp = np.exp(log_p - log_total[:, None, :])
+        # M step
+        nk = np.maximum(resp.sum(axis=2), 1e-12)
+        phi = nk / n
+        mu = np.matmul(resp, x[:, :, None])[:, :, 0] / nk
+        var = np.matmul(resp, x2[:, :, None])[:, :, 0] / nk - mu ** 2
+        sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), fl)
+        stop = (ll - prev < tol) & (it > 1)
+        prev = ll
+        if stop.any():
+            done = rows[stop]
+            out_phi[done], out_mu[done], out_sigma[done] = phi[stop], mu[stop], sigma[stop]
+            n_iter[done] = it
+            keep = ~stop
+            rows, x, x2, fl, prev, phi, mu, sigma = (
+                a[keep] for a in (rows, x, x2, fl, prev, phi, mu, sigma))
+            if not len(rows):
+                break
+    out_phi[rows], out_mu[rows], out_sigma[rows] = phi, mu, sigma
+    capped = np.zeros(B, dtype=int)
+    capped[rows] = 1
+
+    order = np.argsort(out_mu, axis=1)
+    phi, mu, sigma = (np.take_along_axis(a, order, axis=1)
+                      for a in (out_phi, out_mu, out_sigma))
+    loglik = _logsumexp(gmm_log_joint(X, phi, mu, sigma)).sum(axis=1)
+    aic = 2.0 * (3 * K - 1) - 2.0 * loglik
+    return [GmmModel(phi[b], mu[b], sigma[b], float(loglik[b]), float(aic[b]),
+                     int(n_iter[b]), int(capped[b])) for b in range(B)]
+
+
+def _fit_rows(X: np.ndarray, seeds, Ks: range, max_iter: int = 200,
+              tol: float = 1e-6) -> list[GmmModel]:
+    """For each row of X (B, n), the minimum-AIC EM fit over the mixture
+    sizes `Ks` (ascending; ties: the smaller K).
+
+    Each row draws its k-means++ centres once, for the largest K, from an RNG
+    seeded with its seed; a K-component fit starts from the first K of them,
+    sorted. sigma starts at std(x), floored at max(1, 1e-3 * std(x)).
+    """
+    centres, sd, floor = [], [], []
+    for x, seed in zip(X, seeds):
+        std = float(np.std(x))
+        centres.append(_kmeanspp_centres(x, Ks[-1], np.random.default_rng(seed)))
+        floor.append(max(1.0, 1e-3 * std))
+        sd.append(max(std, floor[-1]))
+    centres, sd, floor = np.array(centres), np.array(sd), np.array(floor)
+    best, hits = None, np.zeros(len(X), dtype=int)
+    for K in Ks:
+        fits = _em(X, np.sort(centres[:, :K], axis=1), sd, floor, max_iter, tol)
+        hits += [fit.iter_cap_hits for fit in fits]
+        best = fits if best is None else [
+            fit if fit.aic < prior.aic else prior for fit, prior in zip(fits, best)]
+    for model, h in zip(best, hits):
+        model.iter_cap_hits = int(h)
+    return best
 
 
 def gmm_fit(x, K: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
-    """EM fit of a K-component 1-D Gaussian mixture.
+    """EM fit of a K-component 1-D Gaussian mixture: a batch of one.
 
     k-means++-style initialization; sigma floored at max(1, 1e-3 * std(x));
-    log-likelihood asserted nondecreasing across iterations.
+    raises GmmError if the log-likelihood decreases across iterations.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < K:
         raise GmmError(f"need at least {K} points for K={K}, got {len(x)}")
-    rng = np.random.default_rng(seed)
-    sigma_floor = max(1.0, 1e-3 * float(np.std(x)))
-
-    mu = _kmeanspp_init(x, K, rng)
-    sigma = np.full(K, max(float(np.std(x)), sigma_floor))
-    phi = np.full(K, 1.0 / K)
-
-    prev_ll = -np.inf
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        # E step
-        log_p = gmm_log_joint(x, phi, mu, sigma)
-        log_total = _logsumexp(log_p)
-        ll = float(log_total.sum())
-        if ll + 1e-9 < prev_ll:
-            raise GmmError(f"log-likelihood decreased: {prev_ll} -> {ll}")
-        resp = np.exp(log_p - log_total)
-        # M step
-        nk = resp.sum(axis=1)
-        nk = np.maximum(nk, 1e-12)
-        phi = nk / len(x)
-        mu = (resp @ x) / nk
-        var = (resp @ x**2) / nk - mu**2
-        sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), sigma_floor)
-        if ll - prev_ll < tol and n_iter > 1:
-            prev_ll = ll
-            break
-        prev_ll = ll
-
-    order = np.argsort(mu)
-    phi, mu, sigma = phi[order], mu[order], sigma[order]
-    loglik = float(_logsumexp(gmm_log_joint(x, phi, mu, sigma)).sum())
-    aic = 2.0 * (3 * K - 1) - 2.0 * loglik
-    return GmmModel(phi, mu, sigma, loglik, aic, n_iter)
+    return _fit_rows(x[None], [seed], range(K, K + 1), max_iter, tol)[0]
 
 
 def select_k_aic(x, K_max: int = 6, seed: int = 0) -> GmmModel:
@@ -200,12 +266,7 @@ def select_k_aic(x, K_max: int = 6, seed: int = 0) -> GmmModel:
     x = np.asarray(x, dtype=float)
     if len(x) < 1:
         raise GmmError("select_k_aic requires at least one point")
-    best = None
-    for K in range(1, min(K_max, len(x)) + 1):
-        model = gmm_fit(x, K, seed=seed)
-        if best is None or model.aic < best.aic:
-            best = model
-    return best
+    return _fit_rows(x[None], [seed], range(1, min(K_max, len(x)) + 1))[0]
 
 
 def party_features(model: GmmModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -243,6 +304,7 @@ def zip_feature(zip5: str) -> np.ndarray:
 class StatFeatureBlock:
     blocks: dict[str, np.ndarray]
     empty: bool = False
+    gmm: GmmModel | None = None   # the party-size mixture; None without transactions
 
     def __post_init__(self):
         if set(self.blocks) != set(STAT_BLOCK_DIMS):
@@ -265,14 +327,19 @@ def split_blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
     return blocks
 
 
-def extract_restaurant(rid: str, index: RestaurantIndex, seed: int = 0) -> StatFeatureBlock:
-    """All 11 statistical blocks for one restaurant."""
+def _amounts(bucket) -> np.ndarray:
+    return np.array([t.auth_amount for t in bucket.txns], dtype=float)
+
+
+def _restaurant_blocks(rid: str, index: RestaurantIndex,
+                       model: GmmModel | None) -> StatFeatureBlock:
+    """All 11 statistical blocks for one restaurant, given its fitted
+    party-size mixture (None when it has no transactions)."""
     bucket = index.restaurants[rid]
     txns = bucket.txns
-    amounts = [t.auth_amount for t in txns]
+    amounts = _amounts(bucket)
     dow, wd, we = temporal_dists(txns)
-    if txns:
-        model = select_k_aic(amounts, K_max=GMM_KMAX, seed=seed)
+    if model is not None:
         party_prop, party_price = party_features(model, amounts)
     else:
         party_prop, party_price = np.zeros(6), np.zeros(6)
@@ -289,11 +356,35 @@ def extract_restaurant(rid: str, index: RestaurantIndex, seed: int = 0) -> StatF
         "party_price": party_price,
         "zip_onehot": zip_feature(bucket.zip5),
     }
-    return StatFeatureBlock(blocks, empty=not txns)
+    return StatFeatureBlock(blocks, empty=not txns, gmm=model)
+
+
+def extract_restaurant(rid: str, index: RestaurantIndex, seed: int = 0) -> StatFeatureBlock:
+    """All 11 statistical blocks for one restaurant."""
+    amounts = _amounts(index.restaurants[rid])
+    model = select_k_aic(amounts, K_max=GMM_KMAX, seed=seed) if len(amounts) else None
+    return _restaurant_blocks(rid, index, model)
 
 
 def extract_all(index: RestaurantIndex, seed: int = 0) -> dict[str, StatFeatureBlock]:
-    return {rid: extract_restaurant(rid, index, seed=derive_seed(seed, rid))
+    """extract_restaurant for every restaurant, each seeded by its id.
+
+    The party-size mixtures of all restaurants with the same transaction
+    count are fitted as one batch, which gives the same models as fitting
+    them one at a time.
+    """
+    amounts = {rid: _amounts(bucket) for rid, bucket in index.restaurants.items()}
+    by_count: dict[int, list[str]] = {}
+    for rid, x in amounts.items():
+        if len(x):
+            by_count.setdefault(len(x), []).append(rid)
+    models: dict[str, GmmModel] = {}
+    for n, rids in by_count.items():
+        fits = _fit_rows(np.stack([amounts[rid] for rid in rids]),
+                         [derive_seed(seed, rid) for rid in rids],
+                         range(1, min(GMM_KMAX, n) + 1))
+        models.update(zip(rids, fits))
+    return {rid: _restaurant_blocks(rid, index, models.get(rid))
             for rid in index.restaurants}
 
 

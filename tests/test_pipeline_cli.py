@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,27 @@ class TestPipeline:
         assert int(lines["seed"]) == stage_seed(cfg, "train")
         assert float(lines["duration_s"]) >= 0
 
+    def test_manifest_inputs_list_every_file_read(self, pipeline_run):
+        _, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        dataset = {out / name for name in ("features_stat.tsv", "labels.tsv", "micro.txt",
+                                           "macro.txt", "name_embed.txt")}
+        assert _manifest_inputs(out / "manifest_train.txt") == dataset
+        assert _manifest_inputs(out / "manifest_eval.txt") == dataset | {
+            out / "model.txt", out / "split.tsv", out / "truth_labels.tsv"}
+
+    def test_features_manifest_gmm_counts(self, pipeline_run):
+        cfg, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        lines = dict(line.split("\t", 1)
+                     for line in (out / "manifest_features.txt").read_text().splitlines())
+        index = build_index(parse_transactions(out / "transactions.csv").transactions)
+        models = [f.gmm for f in extract_all(
+            index, seed=stage_seed(cfg, "features")).values()]
+        hist = Counter(m.K for m in models)
+        assert lines["gmm_k_hist"] == ",".join(f"{k}:{hist[k]}" for k in sorted(hist))
+        assert int(lines["gmm_iter_cap_hits"]) == sum(m.iter_cap_hits for m in models)
+
     def test_dataset_block_layout(self, pipeline_run):
         cfg, _, _ = pipeline_run
         ds = load_dataset(cfg)
@@ -152,6 +174,40 @@ class TestPipeline:
         cfg = _tiny_cfg(tmp_path)
         with pytest.raises(MissingArtifactError):
             pipeline.run_label(cfg)
+
+
+def _manifest_inputs(path: Path) -> set[Path]:
+    return {Path(line.split("\t", 1)[1]) for line in path.read_text().splitlines()
+            if line.startswith("input\t")}
+
+
+class TestEmbedInputs:
+    @pytest.fixture
+    def upstream(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path)
+        for stage in ("synth", "label"):
+            pipeline.STAGES[stage](cfg)
+        return tmp_path, Path(cfg["out_dir"])
+
+    def _embed(self, tmp_path, out):
+        return CliRunner().invoke(main, [
+            "embed", "--config", str(tmp_path / "config.yaml"), "--out-dir", str(out)])
+
+    def test_runs_without_labels(self, upstream):
+        tmp_path, out = upstream
+        (out / "labels.tsv").unlink()
+        result = self._embed(tmp_path, out)
+        assert result.exit_code == 0, result.output
+        assert _manifest_inputs(out / "manifest_embed.txt") == {
+            out / "transactions.csv", out / "bootstrap_report.tsv",
+            out / "pretrained_vectors.txt"}
+
+    def test_missing_bootstrap_report_exit_code(self, upstream):
+        tmp_path, out = upstream
+        (out / "bootstrap_report.tsv").unlink()
+        result = self._embed(tmp_path, out)
+        assert result.exit_code == 3
+        assert "bootstrap_report.tsv" in result.output
 
 
 def _read_summary(path: Path) -> dict[str, list[str]]:
@@ -254,6 +310,16 @@ class TestCli:
         result = CliRunner().invoke(main, ["synth", "--set", override])
         assert result.exit_code == 2
         assert "unknown config field" in result.output
+
+    @pytest.mark.parametrize("override", [
+        "synth.days=x", "synth.n_restaurants=x", "synth.n_customers=-5",
+        "train.epochs=-1", "train.batch_size=0"])
+    def test_bad_count_exit_code(self, override, tmp_path):
+        result = CliRunner().invoke(main, [
+            "synth", "--out-dir", str(tmp_path / "out"), "--set", override])
+        assert result.exit_code == 2
+        assert override.split("=")[0] in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, [

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuisine_infer.stat_features import (
+    GMM_KMAX,
     STAT_BLOCK_DIMS,
     STAT_DIM,
     GmmError,
+    _fit_rows,
     StatFeatureBlock,
     deciles,
     extract_all,
@@ -28,7 +30,7 @@ from cuisine_infer.stat_features import (
     zip_feature,
 )
 from cuisine_infer.synthgen import SynthConfig, generate
-from cuisine_infer.txn_core import Transaction, build_index
+from cuisine_infer.txn_core import Transaction, build_index, derive_seed
 
 
 def txn(mid="R1", chid="C1", ts="2025-01-06T12:00", auth=1000, settle=1100,
@@ -169,6 +171,47 @@ class TestGmm:
         assert best.K <= 3
 
 
+def same_model(a, b) -> bool:
+    return (np.array_equal(a.phi, b.phi) and np.array_equal(a.mu, b.mu)
+            and np.array_equal(a.sigma, b.sigma) and a.loglik == b.loglik
+            and a.aic == b.aic and a.n_iter == b.n_iter
+            and a.iter_cap_hits == b.iter_cap_hits)
+
+
+class TestBatchedEm:
+    """Each row of a batched fit equals the same fit as a batch of one."""
+
+    @staticmethod
+    def batch(n, rows=6, constant_rows=1, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(300, 20000, size=(rows, n)).astype(float)
+        X[:constant_rows] = 1500.0
+        seeds = [int(s) for s in rng.integers(0, 2**40, size=rows)]
+        return X, seeds
+
+    @pytest.mark.parametrize("n", [1, 2, GMM_KMAX - 1, GMM_KMAX, 9, 40])
+    def test_select_k_rows_equal_batch_of_one(self, n):
+        X, seeds = self.batch(n, seed=n)
+        fits = _fit_rows(X, seeds, range(1, min(GMM_KMAX, n) + 1))
+        assert len(fits) == len(X)
+        for x, seed, fit in zip(X, seeds, fits):
+            assert same_model(fit, select_k_aic(x, K_max=GMM_KMAX, seed=seed))
+
+    def test_sigma_floor_rows(self):
+        X, seeds = self.batch(12, rows=4, constant_rows=4)
+        for fit, x, seed in zip(_fit_rows(X, seeds, range(2, 3)), X, seeds):
+            assert same_model(fit, gmm_fit(x, K=2, seed=seed))
+            assert np.array_equal(fit.sigma, np.ones(2))
+
+    def test_iteration_cap_hit_by_some_rows(self):
+        X, seeds = self.batch(40, rows=8, constant_rows=3)
+        fits = _fit_rows(X, seeds, range(3, 4), max_iter=5)
+        assert {f.iter_cap_hits for f in fits} == {0, 1}
+        for fit, x, seed in zip(fits, X, seeds):
+            assert fit.iter_cap_hits == 0 or fit.n_iter == 5
+            assert same_model(fit, gmm_fit(x, K=3, seed=seed, max_iter=5))
+
+
 class TestPartyFeatures:
     def test_k1_all_mass_first_slot(self):
         x = np.random.default_rng(0).normal(1000, 50, 100)
@@ -244,6 +287,17 @@ class TestAssembly:
         assert sorted(f1) == sorted(f2)
         for rid in f1:
             assert np.array_equal(f1[rid].concat(), f2[rid].concat())
+
+    def test_extract_all_equals_extract_restaurant(self):
+        res = generate(SynthConfig(n_restaurants=40, n_customers=300, days=10, seed=11))
+        index = build_index(res.transactions)
+        feats = extract_all(index, seed=5)
+        assert list(feats) == list(index.restaurants)
+        for rid, got in feats.items():
+            one = extract_restaurant(rid, index, seed=derive_seed(5, rid))
+            assert np.array_equal(got.concat(), one.concat())
+            assert got.empty == one.empty
+            assert same_model(got.gmm, one.gmm)
 
     def test_write_read_round_trip(self, tmp_path):
         res = generate(SynthConfig(n_restaurants=10, n_customers=80, days=8, seed=10))
