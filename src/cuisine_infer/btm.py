@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,24 +100,24 @@ def stratified_sample_biterms(
     return out
 
 
+# Topic-word density. The document-topic density alpha is 50 / k.
+BETA = 0.1
+
+
 @dataclass(frozen=True)
 class BtmConfig:
     k: int = 10
-    alpha: float | None = None   # document-topic density; defaults to 50/k
-    beta: float = 0.1            # topic-word density
     gibbs_iters: int = 200
     top_n: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 2 and self.k != 1:
-            raise ValueError("k must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-
-    @property
-    def effective_alpha(self) -> float:
-        return 50.0 / self.k if self.alpha is None else self.alpha
+        if self.k < 1:
+            raise ValueError("k: must be >= 1")
+        if self.gibbs_iters < 0:
+            raise ValueError("gibbs_iters: must be >= 0")
+        if self.top_n < 2:
+            raise ValueError("top_n: must be >= 2")
 
 
 @dataclass
@@ -150,8 +150,8 @@ def btm_fit(biterms: Counter, cfg: BtmConfig) -> BtmModel:
     w_index = {w: i for i, w in enumerate(vocab)}
     V = len(vocab)
     k = cfg.k
-    alpha = cfg.effective_alpha
-    beta = cfg.beta
+    alpha = 50.0 / k
+    beta = BETA
     pairs = []
     for (a, b), n in sorted(biterms.items()):
         pairs.extend([(w_index[a], w_index[b])] * n)
@@ -228,14 +228,7 @@ def coherence_sweep(
     """Fit one model per k and report mean UMass coherence, rows sorted by k."""
     rows = []
     for k in sorted(k_values):
-        cfg = BtmConfig(
-            k=k,
-            alpha=None if base_cfg.alpha is None else base_cfg.alpha,
-            beta=base_cfg.beta,
-            gibbs_iters=base_cfg.gibbs_iters,
-            top_n=base_cfg.top_n,
-            seed=base_cfg.seed,
-        )
+        cfg = replace(base_cfg, k=k)
         model = btm_fit(biterms, cfg)
         scores = umass_coherence(model, docs, cfg.top_n)
         rows.append((k, float(np.mean(scores))))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 import click
+import yaml
 
 from . import pipeline
 from .txn_core import IngestError
@@ -21,12 +22,9 @@ def _parse_overrides(pairs: tuple[str, ...], seed, out_dir) -> dict:
             raise pipeline.ConfigError(f"override must be key=value: {pair!r}")
         key, raw = pair.split("=", 1)
         try:
-            import yaml
-
-            value = yaml.safe_load(raw)
-        except Exception:
-            value = raw
-        overrides[key] = value
+            overrides[key] = yaml.safe_load(raw)
+        except yaml.YAMLError:
+            overrides[key] = raw
     if seed is not None:
         overrides["seed"] = seed
     if out_dir is not None:

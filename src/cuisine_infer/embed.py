@@ -57,13 +57,18 @@ class EmbedConfig:
     negative: int = 20
     epochs: int = 5
     learning_rate: float = 0.025
-    min_lr: float = 1e-4
     min_count: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.window < 1 or self.negative < 1:
-            raise ValueError("dim, window, and negative must all be >= 1")
+        for name in ("dim", "window", "negative", "epochs", "min_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
+        if not self.learning_rate >= 0:
+            raise ValueError("learning_rate: must be >= 0")
+
+
+MIN_LR = 1e-4  # floor of the linearly decaying learning rate
 
 
 MICRO_DEFAULTS = EmbedConfig(dim=200, window=20, negative=20, min_count=2)
@@ -136,8 +141,7 @@ def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     vocab, _, docs = _pruned_docs(corpus, cfg.min_count)
     V = len(vocab)
     rng = np.random.default_rng(cfg.seed)
-    table = NegativeTable(vocab, corpus.counts if cfg.min_count <= 1 else
-                          Counter({w: corpus.counts[w] for w in vocab}))
+    table = NegativeTable(vocab, corpus.counts)
     vin = (rng.random((V, cfg.dim)) - 0.5) / cfg.dim
     vout = np.zeros((V, cfg.dim))
 
@@ -151,7 +155,7 @@ def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
         for _, ids in docs:
             n = len(ids)
             for i in range(n):
-                lr = max(cfg.min_lr,
+                lr = max(MIN_LR,
                          cfg.learning_rate * (1 - step / max(1, total_centers)))
                 step += 1
                 lo, hi = max(0, i - cfg.window), min(n, i + cfg.window + 1)
@@ -191,7 +195,7 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     V = len(vocab)
     D = len(docs)
     rng = np.random.default_rng(cfg.seed)
-    table = NegativeTable(vocab, Counter({w: corpus.counts[w] for w in vocab}))
+    table = NegativeTable(vocab, corpus.counts)
     win = (rng.random((V, cfg.dim)) - 0.5) / cfg.dim
     dvec = (rng.random((D, cfg.dim)) - 0.5) / cfg.dim
     wout = np.zeros((V, cfg.dim))
@@ -205,7 +209,7 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
         for d_idx, (_, ids) in enumerate(docs):
             n = len(ids)
             for i in range(n):
-                lr = max(cfg.min_lr,
+                lr = max(MIN_LR,
                          cfg.learning_rate * (1 - step / max(1, total_centers)))
                 step += 1
                 lo, hi = max(0, i - cfg.window), min(n, i + cfg.window + 1)

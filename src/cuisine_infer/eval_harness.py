@@ -4,7 +4,7 @@ stability comparison, and the per-cuisine summary report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,13 +131,7 @@ def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
     base_acc = nnet.accuracy(params, spec, te)
     rows = [("none", base_acc, 0.0)]
     for name, _ in spec.branches:
-        sub_spec = NetworkSpec(
-            branches=tuple(b for b in spec.branches if b[0] != name),
-            branch_hidden=spec.branch_hidden,
-            trunk_hidden=spec.trunk_hidden,
-            n_classes=spec.n_classes,
-            variant=spec.variant,
-        )
+        sub_spec = replace(spec, branches=tuple(b for b in spec.branches if b[0] != name))
         tr_sub, te_sub = nnet.standardize(
             train_ds.drop_block(name), test_ds.drop_block(name))
         sub_params, _ = nnet.train(tr_sub, sub_spec, cfg)

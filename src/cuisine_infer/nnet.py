@@ -29,9 +29,11 @@ class NetworkSpec:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.branch_hidden < 1 or any(h < 1 for h in self.trunk_hidden):
-            raise ValueError("hidden dims must be positive")
+            raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
+        if self.branch_hidden < 1:
+            raise ValueError("branch_hidden: must be >= 1")
+        if not self.trunk_hidden or any(h < 1 for h in self.trunk_hidden):
+            raise ValueError("trunk_hidden: must be a nonempty list of values >= 1")
         for name, dim in self.branches:
             if dim < 1:
                 raise ValueError(f"branch {name}: nonpositive input dim {dim}")
@@ -57,9 +59,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0 <= self.dropout < 1):
-            raise ValueError("dropout must be in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
-            raise ValueError("invalid training config")
+            raise ValueError("dropout: must be in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size: must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs: must be >= 1")
+        if not self.learning_rate >= 0:
+            raise ValueError("learning_rate: must be >= 0")
 
 
 # Table-style default grids for the hyperparameter search.

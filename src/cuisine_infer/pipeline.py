@@ -74,22 +74,50 @@ class MissingArtifactError(Exception):
     pass
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _check_type(where: str, default, value) -> None:
+    """Reject a value whose type is not its default's. Nothing is coerced, so
+    a config that loads keeps its config_hash."""
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok, kind = is_int(value) or isinstance(value, float), "a number"
+    elif isinstance(default, list):
+        ok, kind = isinstance(value, list) and all(map(is_int, value)), "a list of integers"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:  # a path whose default is derived from out_dir or bundled
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    if not ok:
+        raise ConfigError(f"{where}: must be {kind}, got {value!r}")
+
+
+def _merge(base: dict, override: dict, path: str = "",
+           defaults: dict = DEFAULT_CONFIG) -> dict:
+    """`base` with the fields of `override`, each checked against its default."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in defaults:
             raise ConfigError(f"unknown config field: {where}")
-        if isinstance(base[key], dict) and base[key]:
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected a mapping")
-            out[key] = _merge(base[key], value, where)
+            out[key] = _merge(base[key], value, where, defaults[key])
         else:
+            _check_type(where, defaults[key], value)
             out[key] = value
     return out
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
+    """DEFAULT_CONFIG merged with the YAML file at `path`, then with each
+    dotted-path override (`{"train.epochs": 5}`); raises ConfigError unless
+    every field has its default's type and is in range."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,42 +126,40 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"{path}: top level must be a mapping")
         cfg = _merge(cfg, user)
     for dotted, value in (overrides or {}).items():
-        node = cfg
-        parts = dotted.split(".")
-        for p in parts[:-1]:
-            if not isinstance(node.get(p), dict):
-                raise ConfigError(f"unknown config field: {dotted}")
-            node = node[p]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config field: {dotted}")
-        node[parts[-1]] = value
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        cfg = _merge(cfg, value)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: dict) -> None:
+    """Range checks. Those of fields a stage dataclass holds are made by
+    building every stage's dataclass as the stage does; the rest are here."""
     def check(cond, where, msg):
         if not cond:
             raise ConfigError(f"{where}: {msg}")
 
-    def check_count(where, value, low):
-        check(isinstance(value, int) and not isinstance(value, bool), where,
-              "must be an integer")
-        check(value >= low, where, f"must be >= {low}")
-
-    check(isinstance(cfg["seed"], int), "seed", "must be an integer")
     check(cfg["seed"] >= 0, "seed", "must be >= 0")
-    for key in ("n_restaurants", "n_customers", "days"):
-        check_count(f"synth.{key}", cfg["synth"][key], 0)
-    for key in ("epochs", "batch_size"):
-        check_count(f"train.{key}", cfg["train"][key], 1)
-    check(0 <= cfg["synth"]["p_kw"] <= 1, "synth.p_kw", "must be in [0, 1]")
-    check(0 < cfg["label"]["theta_f"] <= 1, "label.theta_f", "must be in (0, 1]")
-    check(0 < cfg["label"]["theta_p"] <= 1, "label.theta_p", "must be in (0, 1]")
-    check(cfg["label"]["theta_s"] > 0, "label.theta_s", "must be > 0")
-    check(cfg["train"]["variant"] in nnet.VARIANTS, "train.variant",
-          f"must be one of {nnet.VARIANTS}")
-    check(0 <= cfg["train"]["dropout"] < 1, "train.dropout", "must be in [0, 1)")
+    check(cfg["label"]["rounds"] >= 0, "label.rounds", "must be >= 0")
+    check(cfg["label"]["btm"]["strata"] >= 1, "label.btm.strata", "must be >= 1")
+    check(cfg["label"]["btm"]["cap_ratio"] >= 1, "label.btm.cap_ratio", "must be >= 1")
+    check(cfg["embed"]["name_dim"] >= 1, "embed.name_dim", "must be >= 1")
+    check(0 < cfg["train"]["train_frac"] < 1, "train.train_frac", "must be in (0, 1)")
+    builders = (
+        ("synth", _synth_cfg),
+        ("label", _thresholds),
+        ("label.btm", _btm_cfg),
+        ("embed.micro", lambda c: _embed_cfg(c, "micro")),
+        ("embed.macro", lambda c: _embed_cfg(c, "macro")),
+        ("train", _make_train_cfg),
+        ("train", lambda c: _make_spec(c, ())),
+    )
+    for section, build in builders:
+        try:
+            build(cfg)
+        except ValueError as exc:  # the dataclass names the field first
+            raise ConfigError(f"{section}.{exc}") from None
 
 
 def config_hash(cfg: dict) -> str:
@@ -183,17 +209,32 @@ def _write_manifest(cfg: dict, stage: str, inputs: list, outputs: list,
         fh.write(f"duration_s\t{time.time() - started:.3f}\n")
 
 
+def _synth_cfg(cfg: dict) -> synthgen.SynthConfig:
+    return synthgen.SynthConfig(seed=stage_seed(cfg, "synth"), **cfg["synth"])
+
+
+def _thresholds(cfg: dict) -> weak_label.BootstrapThresholds:
+    return weak_label.BootstrapThresholds(
+        cfg["label"]["theta_f"], cfg["label"]["theta_p"], cfg["label"]["theta_s"])
+
+
+def _btm_cfg(cfg: dict) -> btm.BtmConfig:
+    bcfg = cfg["label"]["btm"]
+    return btm.BtmConfig(k=bcfg["k"], gibbs_iters=bcfg["gibbs_iters"],
+                         top_n=bcfg["top_n"], seed=stage_seed(cfg, "label"))
+
+
+def _embed_cfg(cfg: dict, part: str) -> embed.EmbedConfig:
+    """`part` is "micro" or "macro"; macro's seed is the embed seed ^ 1."""
+    seed = stage_seed(cfg, "embed")
+    return embed.EmbedConfig(seed=seed ^ 1 if part == "macro" else seed,
+                             **cfg["embed"][part])
+
+
 def run_synth(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
-    seed = stage_seed(cfg, "synth")
-    scfg = synthgen.SynthConfig(
-        n_restaurants=cfg["synth"]["n_restaurants"],
-        n_customers=cfg["synth"]["n_customers"],
-        days=cfg["synth"]["days"],
-        p_kw=cfg["synth"]["p_kw"],
-        seed=seed,
-    )
+    scfg = _synth_cfg(cfg)
     result = synthgen.generate(scfg)
     txn_path = _txn_path(cfg)
     labels_path = out / "truth_labels.tsv"
@@ -201,7 +242,7 @@ def run_synth(cfg: dict) -> dict:
     synthgen.write_outputs(result, txn_path, labels_path, party_path)
     vec_path = _vectors_path(cfg)
     synthgen.write_pretrained_vectors(
-        vec_path, merchant_names(result.transactions), cfg["embed"]["name_dim"], seed)
+        vec_path, merchant_names(result.transactions), cfg["embed"]["name_dim"], scfg.seed)
     _write_manifest(cfg, "synth", [], [txn_path, labels_path, party_path, vec_path],
                     started, {"n_transactions": len(result.transactions)})
     return {"transactions": txn_path, "truth_labels": labels_path}
@@ -211,26 +252,24 @@ def run_label(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
-    names = merchant_names(parse_transactions(txn_path).transactions)
+    parsed = parse_transactions(txn_path)
+    names = merchant_names(parsed.transactions)
     taxonomy = weak_label.load_taxonomy(cfg["paths"]["taxonomy"])
-    th = weak_label.BootstrapThresholds(
-        cfg["label"]["theta_f"], cfg["label"]["theta_p"], cfg["label"]["theta_s"])
     labels, bootstrapped = weak_label.label_names(
-        names, taxonomy, th, rounds=cfg["label"]["rounds"])
+        names, taxonomy, _thresholds(cfg), rounds=cfg["label"]["rounds"])
 
-    extra = {"n_restaurants": len(names), "n_labeled": len(labels),
+    extra = {"n_rejected": len(parsed.rejects),
+             "n_restaurants": len(names), "n_labeled": len(labels),
              "coverage": f"{len(labels) / max(1, len(names)):.4f}",
              "n_bootstrap_words": len(bootstrapped)}
     outputs = []
     if cfg["label"]["topic_augment"] or cfg["label"]["coherence_sweep"]:
-        seed = stage_seed(cfg, "label")
-        bcfg_raw = cfg["label"]["btm"]
+        bcfg = _btm_cfg(cfg)
         biterms = btm.extract_biterms(names, sprinkle=labels)
         biterms = btm.stratified_sample_biterms(
-            biterms, bcfg_raw["strata"], bcfg_raw["cap_ratio"], seed)
+            biterms, cfg["label"]["btm"]["strata"], cfg["label"]["btm"]["cap_ratio"],
+            bcfg.seed)
         docs = [weak_label.tokenize_name(n) for n in names.values()]
-        bcfg = btm.BtmConfig(k=bcfg_raw["k"], gibbs_iters=bcfg_raw["gibbs_iters"],
-                             top_n=bcfg_raw["top_n"], seed=seed)
         if cfg["label"]["coherence_sweep"]:
             rows = btm.coherence_sweep(biterms, docs, base_cfg=bcfg)
             coherence_path = out / "coherence.tsv"
@@ -261,6 +300,7 @@ def run_features(cfg: dict) -> dict:
     models = [f.gmm for f in feats.values() if f.gmm is not None]
     k_hist = Counter(m.K for m in models)
     _write_manifest(cfg, "features", [txn_path], [path], started, {
+        "n_rejected": len(parsed.rejects),
         "n_restaurants": len(feats),
         "gmm_k_hist": ",".join(f"{k}:{k_hist[k]}" for k in sorted(k_hist)),
         "gmm_iter_cap_hits": sum(m.iter_cap_hits for m in models)})
@@ -274,12 +314,8 @@ def run_embed(cfg: dict) -> dict:
     boot_path = _require(out / "bootstrap_report.tsv", "bootstrap report")
     parsed = parse_transactions(txn_path)
     index = build_index(parsed.transactions)
-    seed = stage_seed(cfg, "embed")
-
-    micro_cfg = embed.EmbedConfig(seed=seed, **cfg["embed"]["micro"])
-    macro_cfg = embed.EmbedConfig(seed=seed ^ 1, **cfg["embed"]["macro"])
-    micro = embed.sgns_train(embed.build_customer_corpus(index), micro_cfg)
-    macro = embed.pv_train(embed.build_restaurant_corpus(index), macro_cfg)
+    micro = embed.sgns_train(embed.build_customer_corpus(index), _embed_cfg(cfg, "micro"))
+    macro = embed.pv_train(embed.build_restaurant_corpus(index), _embed_cfg(cfg, "macro"))
     micro_path, macro_path = out / "micro.txt", out / "macro.txt"
     micro.write(micro_path)
     macro.write(macro_path)
@@ -300,7 +336,8 @@ def run_embed(cfg: dict) -> dict:
     embed.EmbeddingMatrix(name_vecs).write(name_path)
 
     _write_manifest(cfg, "embed", [txn_path, boot_path, vec_path],
-                    [micro_path, macro_path, name_path], started)
+                    [micro_path, macro_path, name_path], started,
+                    {"n_rejected": len(parsed.rejects)})
     return {"micro": micro_path, "macro": macro_path, "name": name_path}
 
 
@@ -347,9 +384,9 @@ def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.F
     return nnet.FeatureDataset(ids, features, np.array(y, dtype=int))
 
 
-def _make_spec(cfg: dict, dataset: nnet.FeatureDataset) -> nnet.NetworkSpec:
+def _make_spec(cfg: dict, branches: tuple) -> nnet.NetworkSpec:
     return nnet.NetworkSpec(
-        branches=dataset.spec_branches(),
+        branches=branches,
         branch_hidden=cfg["train"]["branch_hidden"],
         trunk_hidden=tuple(cfg["train"]["trunk_hidden"]),
         variant=cfg["train"]["variant"],
@@ -374,7 +411,7 @@ def run_train(cfg: dict) -> dict:
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     if len(labeled) == 0:
         raise MissingArtifactError("no labeled restaurants to train on")
-    spec = _make_spec(cfg, dataset)
+    spec = _make_spec(cfg, dataset.spec_branches())
     tcfg = _make_train_cfg(cfg)
     train_idx, test_idx = eval_harness.stratified_split(
         labeled.labels, cfg["train"]["train_frac"], seed=stage_seed(cfg, "split"))

@@ -8,11 +8,12 @@ the whole pipeline can be validated at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
+from .embed import EmbeddingMatrix
 from .txn_core import CuisineClass, Transaction, derive_seed, write_transactions
 from .weak_label import LabelSet, load_taxonomy, tokenize_name
 
@@ -152,32 +153,29 @@ DEFAULT_CUISINE_PARAMS: dict[CuisineClass, CuisineParams] = {
 DEFAULT_CUISINE_MIX = (1.2, 0.9, 0.6, 0.5, 0.7, 1.1, 1.0, 1.6, 1.3, 1.1)
 
 
+# Generator settings with a single value in use; no config field sets them.
+P_STYLE = 0.6                   # prob. an extra name token comes from the cuisine style vocab
+PREFERENCE_CONCENTRATION = 0.3  # Dirichlet over the 10 cuisines
+VISITS_PER_DAY = 0.25           # mean visits per customer per day
+HOME_ZIP_WEIGHT = 4.0           # sampling weight boost for same-zip restaurants
+N_ZIPS = 25
+SUBTYPE_PRICE_SHIFT = 0.30      # log-price shift between the two subtypes of XOR_PAIRS
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_restaurants: int = 100
     n_customers: int = 1000
     days: int = 30
     seed: int = 0
-    cuisine_params: dict = field(default_factory=lambda: dict(DEFAULT_CUISINE_PARAMS))
-    cuisine_mix: tuple = DEFAULT_CUISINE_MIX
     p_kw: float = 0.4                # prob. a name carries a seed keyword of its cuisine
-    p_style: float = 0.6             # prob. an extra token comes from the cuisine style vocab
-    filler_words: tuple = tuple(GENERIC_FILLERS)
-    preference_concentration: float = 0.3   # Dirichlet over the 10 cuisines
-    visits_per_day: float = 0.25     # mean visits per customer per day
-    home_zip_weight: float = 4.0     # sampling weight boost for same-zip restaurants
-    n_zips: int = 25
-    xor_pairs: tuple = XOR_PAIRS     # confusable cuisine pairs with subtypes
-    subtype_price_shift: float = 0.30  # log-price shift between the two subtypes
 
     def __post_init__(self):
-        if self.n_restaurants < 0 or self.n_customers < 0 or self.days < 0:
-            raise ValueError("counts must be nonnegative")
+        for name in ("n_restaurants", "n_customers", "days"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
         if not (0 <= self.p_kw <= 1):
-            raise ValueError("p_kw must be in [0, 1]")
-        mix = np.asarray(self.cuisine_mix, dtype=float)
-        if len(mix) != 10 or (mix < 0).any() or mix.sum() <= 0:
-            raise ValueError("cuisine_mix must be 10 nonnegative weights, not all zero")
+            raise ValueError("p_kw: must be in [0, 1]")
 
 
 def name_for(cuisine: CuisineClass, rng: np.random.Generator, cfg: SynthConfig,
@@ -195,10 +193,10 @@ def name_for(cuisine: CuisineClass, rng: np.random.Generator, cfg: SynthConfig,
     n_extra = int(rng.integers(1, 4)) if use_kw else int(rng.integers(1, 5))
     n_extra = min(n_extra, 4 - (1 if use_kw else 0))
     for _ in range(n_extra):
-        if rng.random() < cfg.p_style:
+        if rng.random() < P_STYLE:
             vocab = STYLE_WORDS[cuisine]
         else:
-            vocab = cfg.filler_words
+            vocab = GENERIC_FILLERS
         tokens.append(vocab[int(rng.integers(0, len(vocab)))])
     if use_kw:
         kws = sorted(taxonomy.keywords[cuisine])
@@ -220,13 +218,13 @@ def generate(cfg: SynthConfig) -> SynthResult:
     rng = np.random.default_rng(cfg.seed)
     taxonomy = load_taxonomy()
     classes = list(CuisineClass)
-    mix = np.asarray(cfg.cuisine_mix, dtype=float)
+    mix = np.asarray(DEFAULT_CUISINE_MIX, dtype=float)
     mix = mix / mix.sum()
 
-    zips = [f"{int(z):05d}" for z in rng.integers(10000, 99999, size=cfg.n_zips)]
+    zips = [f"{int(z):05d}" for z in rng.integers(10000, 99999, size=N_ZIPS)]
 
     pair_of = {}
-    for a, b in cfg.xor_pairs:
+    for a, b in XOR_PAIRS:
         pair_of[a] = (a, b)
         pair_of[b] = (a, b)
 
@@ -264,22 +262,22 @@ def generate(cfg: SynthConfig) -> SynthResult:
     for c_idx in range(cfg.n_customers):
         chid = f"C{c_idx:06d}"
         home = zips[int(rng.integers(0, len(zips)))]
-        pref = rng.dirichlet(np.full(10, cfg.preference_concentration))
+        pref = rng.dirichlet(np.full(10, PREFERENCE_CONCENTRATION))
         # symmetrize preferences within each confusable pair so co-visitation
         # patterns cannot tell the pair members apart
-        for a, b in cfg.xor_pairs:
+        for a, b in XOR_PAIRS:
             avg = (pref[a] + pref[b]) / 2.0
             pref[a] = pref[b] = avg
-        n_visits = int(rng.poisson(cfg.visits_per_day * cfg.days))
+        n_visits = int(rng.poisson(VISITS_PER_DAY * cfg.days))
         for _ in range(n_visits):
             cuisine = classes[int(rng.choice(10, p=pref))]
             pool = by_cuisine[cuisine]
             if not pool:
                 continue
             weights = np.array(
-                [cfg.home_zip_weight if rest_zip[r] == home else 1.0 for r in pool])
+                [HOME_ZIP_WEIGHT if rest_zip[r] == home else 1.0 for r in pool])
             rid = pool[int(rng.choice(len(pool), p=weights / weights.sum()))]
-            params: CuisineParams = cfg.cuisine_params[rest_cuisine[rid]]
+            params: CuisineParams = DEFAULT_CUISINE_PARAMS[rest_cuisine[rid]]
 
             dow_w = np.array([params.dow_weights[d] if dates_by_dow[d] else 0.0
                               for d in range(7)])
@@ -290,7 +288,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
             price_mu = params.price_log_mu
             if rid in rest_subtype:
                 subtype = rest_subtype[rid]
-                price_mu += cfg.subtype_price_shift * (1 if subtype else -1)
+                price_mu += SUBTYPE_PRICE_SHIFT * (1 if subtype else -1)
                 first, _second = pair_of[rest_cuisine[rid]]
                 # XOR coupling: first pair member is dinner-leaning when
                 # expensive, second pair member when cheap
@@ -337,12 +335,12 @@ def write_pretrained_vectors(path, names: dict[str, str], dim: int, seed: int) -
     One random unit vector per lowercase name token, so name embeddings are
     well-defined without shipping a third-party resource.
     """
-    vocab = sorted({t.lower() for name in names.values() for t in tokenize_name(name)})
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in vocab:
-            v = np.random.default_rng(derive_seed(seed, tok)).normal(size=dim)
-            v /= np.linalg.norm(v)
-            fh.write(tok + " " + " ".join(f"{x:.6f}" for x in v) + "\n")
+    vocab = {t.lower() for name in names.values() for t in tokenize_name(name)}
+    vectors = {}
+    for tok in vocab:
+        v = np.random.default_rng(derive_seed(seed, tok)).normal(size=dim)
+        vectors[tok] = v / np.linalg.norm(v)
+    EmbeddingMatrix(vectors).write(path)
 
 
 def corrupt_file(src_path, dst_path, n_corrupt: int, seed: int) -> list[int]:

@@ -144,11 +144,11 @@ class BootstrapThresholds:
 
     def __post_init__(self):
         if not (0 < self.theta_f <= 1):
-            raise ValueError("theta_f must be in (0, 1]")
+            raise ValueError("theta_f: must be in (0, 1]")
         if not (0 < self.theta_p <= 1):
-            raise ValueError("theta_p must be in (0, 1]")
-        if self.theta_s <= 0:
-            raise ValueError("theta_s must be > 0")
+            raise ValueError("theta_p: must be in (0, 1]")
+        if not self.theta_s > 0:
+            raise ValueError("theta_s: must be > 0")
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class TestBtmFit:
         model = btm_fit(biterms, BtmConfig(k=1, gibbs_iters=5, seed=0))
         # smoothed unigram-in-biterm distribution
         counts = {"AA": 4, "BB": 3, "CC": 1}
-        beta = model.config.beta
+        beta = model.metadata["beta"]
         total = sum(counts.values()) + 3 * beta
         for i, w in enumerate(model.vocab):
             assert model.topic_word[0, i] == pytest.approx((counts[w] + beta) / total)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from cuisine_infer import pipeline
-from cuisine_infer.cli import main
+from cuisine_infer import btm, embed, nnet, pipeline, synthgen, weak_label
+from cuisine_infer.cli import _parse_overrides, main
 from cuisine_infer.eval_harness import CUISINE_SUMMARY_COLUMNS, cuisine_summary
 from cuisine_infer.pipeline import (
     ConfigError,
@@ -80,6 +81,39 @@ class TestConfig:
         p.write_text("train:\n  variant: transformer\n")
         with pytest.raises(ConfigError, match="variant"):
             load_config(p)
+
+    def test_file_and_set_give_equal_configs(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("label:\n  topic_augment: true\n  btm:\n    cap_ratio: 2\n"
+                     "train:\n  learning_rate: 1.0e-3\n  trunk_hidden: [32, 16]\n"
+                     "paths:\n  taxonomy: null\n")
+        pairs = ("label.topic_augment=true", "label.btm.cap_ratio=2",
+                 "train.learning_rate=1.0e-3", "train.trunk_hidden=[32, 16]",
+                 "paths.taxonomy=null")
+        from_file = load_config(p)
+        from_set = load_config(None, _parse_overrides(pairs, None, None))
+        assert from_set == from_file
+        assert config_hash(from_set) == config_hash(from_file)
+
+    def test_override_type_is_checked_against_the_default(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("paths:\n  taxonomy: tax.txt\nlabel:\n  btm:\n    cap_ratio: 2\n")
+        cfg = load_config(p, {"paths.taxonomy": None, "label.btm.cap_ratio": 2.5})
+        assert cfg["paths"]["taxonomy"] is None
+        assert cfg["label"]["btm"]["cap_ratio"] == 2.5
+
+    def test_stage_dataclass_fields_are_config_fields(self):
+        sections = [
+            (synthgen.SynthConfig, DEFAULT_CONFIG["synth"]),
+            (weak_label.BootstrapThresholds, DEFAULT_CONFIG["label"]),
+            (btm.BtmConfig, DEFAULT_CONFIG["label"]["btm"]),
+            (embed.EmbedConfig, DEFAULT_CONFIG["embed"]["micro"]),
+            (embed.EmbedConfig, DEFAULT_CONFIG["embed"]["macro"]),
+            (nnet.TrainConfig, DEFAULT_CONFIG["train"]),
+        ]
+        for cls, section in sections:
+            names = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+            assert names <= set(section), (cls.__name__, names - set(section))
 
     def test_hash_sensitivity(self):
         a = load_config()
@@ -210,6 +244,20 @@ class TestEmbedInputs:
         assert "bootstrap_report.tsv" in result.output
 
 
+def test_manifests_count_ingest_rejects(tmp_path):
+    cfg = _tiny_cfg(tmp_path)
+    pipeline.run_synth(cfg)
+    out = Path(cfg["out_dir"])
+    clean = tmp_path / "clean.csv"
+    (out / "transactions.csv").rename(clean)
+    synthgen.corrupt_file(clean, out / "transactions.csv", 5, seed=3)
+    for stage in ("label", "features", "embed"):
+        pipeline.STAGES[stage](cfg)
+        lines = dict(line.split("\t", 1)
+                     for line in (out / f"manifest_{stage}.txt").read_text().splitlines())
+        assert lines["n_rejected"] == "5", stage
+
+
 def _read_summary(path: Path) -> dict[str, list[str]]:
     lines = path.read_text().splitlines()
     assert lines[0].split("\t") == CUISINE_SUMMARY_COLUMNS
@@ -313,12 +361,22 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         "synth.days=x", "synth.n_restaurants=x", "synth.n_customers=-5",
-        "train.epochs=-1", "train.batch_size=0"])
+        "train.epochs=-1", "train.batch_size=0",
+        "synth.p_kw=x", "train.dropout=x", "synth=5", "train.learning_rate=1e-3",
+        "train.trunk_hidden=[]", "embed.micro.dim=0", "train.branch_hidden=0",
+        "train.learning_rate=-1", "embed.name_dim=0",
+        pytest.param(("label.btm.k=0", "label.topic_augment=true"),
+                     id="label.btm.k=0,label.topic_augment=true"),
+        "train.train_frac=2", "train.class_weights=2", "label.btm=3",
+        "train.trunk_hidden=5", "label.rounds=-1"])
     def test_bad_count_exit_code(self, override, tmp_path):
-        result = CliRunner().invoke(main, [
-            "synth", "--out-dir", str(tmp_path / "out"), "--set", override])
+        overrides = (override,) if isinstance(override, str) else override
+        args = ["synth", "--out-dir", str(tmp_path / "out")]
+        for pair in overrides:
+            args += ["--set", pair]
+        result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
-        assert override.split("=")[0] in result.output
+        assert overrides[0].split("=")[0] in result.output
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exit_code(self, tmp_path):
