@@ -71,10 +71,6 @@ class EmbedConfig:
 MIN_LR = 1e-4  # floor of the linearly decaying learning rate
 
 
-MICRO_DEFAULTS = EmbedConfig(dim=200, window=20, negative=20, min_count=2)
-MACRO_DEFAULTS = EmbedConfig(dim=100, window=200, negative=20, min_count=1)
-
-
 @dataclass
 class EmbeddingMatrix:
     vectors: dict[str, np.ndarray]
@@ -108,7 +104,8 @@ class NegativeTable:
 def _pruned_docs(corpus: Corpus, min_count: int):
     vocab = sorted(w for w, c in corpus.counts.items() if c >= min_count)
     if not vocab:
-        raise ValueError("empty vocabulary after min_count pruning")
+        raise ValueError(f"{corpus.direction} corpus: empty vocabulary after "
+                         f"min_count={min_count} pruning")
     w_index = {w: i for i, w in enumerate(vocab)}
     docs = []
     for doc_id, tokens in corpus.documents:

@@ -1,6 +1,6 @@
-"""Evaluation protocol: splits, cross-validation folds, accuracy/top-k
-metrics, normalized confusion matrix, leave-one-block-out ablation,
-stability comparison, and the per-cuisine summary report."""
+"""Evaluation protocol: the stratified train/test split, accuracy/top-k
+metrics, normalized confusion matrix, leave-one-block-out ablation, and the
+per-cuisine summary report."""
 
 from __future__ import annotations
 
@@ -33,19 +33,6 @@ def stratified_split(labels: np.ndarray, train_frac: float = 0.8, seed: int = 0)
         train_idx.extend(perm[:n_train])
         test_idx.extend(perm[n_train:])
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
-
-
-def kfold(labels: np.ndarray, k: int = 5, seed: int = 0) -> list[np.ndarray]:
-    """k disjoint stratified folds; per-class fold sizes differ by <= 1."""
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        perm = idx[rng.permutation(len(idx))]
-        for i, sample in enumerate(perm):
-            folds[i % k].append(int(sample))
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
 @dataclass
@@ -112,13 +99,6 @@ def evaluate(probs: np.ndarray, truth: np.ndarray,
     return MetricsReport(accuracy, balanced, topk_acc, per_class, normalized, counts)
 
 
-def recompute_accuracy(report: MetricsReport) -> float:
-    """Trace-weighted recomputation from the normalized matrix and counts."""
-    diag_counts = np.diag(report.confusion) * report.class_counts
-    total = report.class_counts.sum()
-    return float(diag_counts.sum() / total) if total > 0 else 0.0
-
-
 def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
              spec: NetworkSpec, cfg: TrainConfig):
     """Leave-one-block-out retraining.
@@ -145,17 +125,6 @@ def write_ablation_tsv(path, rows) -> None:
         fh.write("removed_block\taccuracy\tdelta\n")
         for name, acc, delta in rows:
             fh.write(f"{name}\t{acc!r}\t{delta!r}\n")
-
-
-def stability(preds_a: dict[str, int], preds_b: dict[str, int]) -> float:
-    """Fraction of restaurants with identical top-1 class in two prediction
-    sets over the same universe."""
-    if set(preds_a) != set(preds_b):
-        raise ValueError("prediction universes differ")
-    if not preds_a:
-        return 1.0
-    agree = sum(1 for rid in preds_a if preds_a[rid] == preds_b[rid])
-    return agree / len(preds_a)
 
 
 CUISINE_SUMMARY_COLUMNS = [

@@ -9,7 +9,6 @@ with analytic gradients.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,6 @@ class NetworkSpec:
     def block_names(self) -> list[str]:
         return [name for name, _ in self.branches]
 
-    def concat_dim(self) -> int:
-        if self.variant == "logistic":
-            return sum(dim for _, dim in self.branches)
-        return self.branch_hidden * len(self.branches)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -66,14 +60,6 @@ class TrainConfig:
             raise ValueError("epochs: must be >= 1")
         if not self.learning_rate >= 0:
             raise ValueError("learning_rate: must be >= 0")
-
-
-# Table-style default grids for the hyperparameter search.
-DEFAULT_GRIDS = {
-    "dropout": (0.0, 0.1, 0.2, 0.3),
-    "batch_size": (128, 256, 512, 1024),
-    "learning_rate": (0.001, 0.01, 0.1, 1.0),
-}
 
 
 def _branch_rng(seed: int, name: str) -> np.random.Generator:
@@ -387,38 +373,6 @@ def topk_from_probs(probs: np.ndarray, k: int) -> np.ndarray:
 def accuracy(params, spec: NetworkSpec, dataset: FeatureDataset) -> float:
     top1 = predict_topk(params, spec, dataset.features, 1)[:, 0]
     return float((top1 == dataset.labels).mean())
-
-
-def grid_search(dataset: FeatureDataset, spec: NetworkSpec,
-                grids: dict = None, folds: int = 5, epochs: int = 50,
-                seed: int = 0):
-    """Full Cartesian grid with stratified k-fold CV.
-
-    Returns (best TrainConfig, CV table rows (config, mean accuracy)).
-    Ties prefer smaller batch, then smaller learning rate, then smaller
-    dropout.
-    """
-    from .eval_harness import kfold
-
-    grids = dict(DEFAULT_GRIDS, **(grids or {}))
-    fold_indices = kfold(dataset.labels, k=folds, seed=seed)
-    table = []
-    for dropout, batch, lr in itertools.product(
-            grids["dropout"], grids["batch_size"], grids["learning_rate"]):
-        cfg = TrainConfig(dropout=dropout, batch_size=batch,
-                          learning_rate=lr, epochs=epochs, seed=seed)
-        scores = []
-        for f in range(folds):
-            test_idx = fold_indices[f]
-            train_idx = np.concatenate([fold_indices[g] for g in range(folds) if g != f])
-            tr, te = standardize(dataset.subset(train_idx), dataset.subset(test_idx))
-            params, _ = train(tr, spec, cfg)
-            scores.append(accuracy(params, spec, te))
-        table.append((cfg, float(np.mean(scores))))
-    best_cfg, _ = max(
-        table, key=lambda row: (row[1], -row[0].batch_size,
-                                -row[0].learning_rate, -row[0].dropout))
-    return best_cfg, table
 
 
 def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:

@@ -193,6 +193,14 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _load_taxonomy(cfg: dict) -> tuple[weak_label.Taxonomy, list[Path]]:
+    """The taxonomy and, as manifest inputs, the file it was read from (none
+    for the bundled seed list)."""
+    p = cfg["paths"]["taxonomy"]
+    inputs = [_require(Path(p), "taxonomy")] if p is not None else []
+    return weak_label.load_taxonomy(*inputs), inputs
+
+
 def _write_manifest(cfg: dict, stage: str, inputs: list, outputs: list,
                     started: float, extra: dict | None = None) -> None:
     path = _out(cfg) / f"manifest_{stage}.txt"
@@ -252,9 +260,9 @@ def run_label(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
+    taxonomy, tax_inputs = _load_taxonomy(cfg)
     parsed = parse_transactions(txn_path)
     names = merchant_names(parsed.transactions)
-    taxonomy = weak_label.load_taxonomy(cfg["paths"]["taxonomy"])
     labels, bootstrapped = weak_label.label_names(
         names, taxonomy, _thresholds(cfg), rounds=cfg["label"]["rounds"])
 
@@ -283,7 +291,7 @@ def run_label(cfg: dict) -> dict:
     labels.write_tsv(labels_path)
     boot_path = out / "bootstrap_report.tsv"
     weak_label.write_bootstrap_report(boot_path, bootstrapped)
-    _write_manifest(cfg, "label", [txn_path],
+    _write_manifest(cfg, "label", [txn_path] + tax_inputs,
                     [labels_path, boot_path] + outputs, started, extra)
     return {"labels": labels_path, "bootstrap_report": boot_path}
 
@@ -307,44 +315,53 @@ def run_features(cfg: dict) -> dict:
     return {"features_stat": path}
 
 
+# The embedding blocks of the dataset, in block order after the statistical
+# ones, and the file each is read from.
+EMBEDDING_FILES = {"micro_embed": "micro.txt", "macro_embed": "macro.txt",
+                   "name_embed": "name_embed.txt"}
+
+
 def run_embed(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
     boot_path = _require(out / "bootstrap_report.tsv", "bootstrap report")
+    vec_path = _require(_vectors_path(cfg), "pretrained vectors")
+    taxonomy, tax_inputs = _load_taxonomy(cfg)
     parsed = parse_transactions(txn_path)
     index = build_index(parsed.transactions)
-    micro = embed.sgns_train(embed.build_customer_corpus(index), _embed_cfg(cfg, "micro"))
-    macro = embed.pv_train(embed.build_restaurant_corpus(index), _embed_cfg(cfg, "macro"))
-    micro_path, macro_path = out / "micro.txt", out / "macro.txt"
-    micro.write(micro_path)
-    macro.write(macro_path)
+    paths = {block.removesuffix("_embed"): out / name
+             for block, name in EMBEDDING_FILES.items()}
+    for part, corpus_of, train in (
+            ("micro", embed.build_customer_corpus, embed.sgns_train),
+            ("macro", embed.build_restaurant_corpus, embed.pv_train)):
+        try:
+            vectors = train(corpus_of(index), _embed_cfg(cfg, part))
+        except ValueError as exc:  # the corpus is empty after min_count pruning
+            raise ValueError(f"embed.{part}: {exc}") from None
+        vectors.write(paths[part])
 
-    taxonomy = weak_label.load_taxonomy(cfg["paths"]["taxonomy"])
     labeling_words = taxonomy.all_keywords()
     with open(boot_path, "r", encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 labeling_words.add(line.split("\t")[0])
-    vec_path = _require(_vectors_path(cfg), "pretrained vectors")
     pretrained = embed.load_pretrained_vectors(vec_path)
     name_vecs = {}
     for rid, bucket in index.restaurants.items():
         vec, _matched = embed.name_embedding(bucket.name, labeling_words, pretrained)
         name_vecs[rid] = vec
-    name_path = out / "name_embed.txt"
-    embed.EmbeddingMatrix(name_vecs).write(name_path)
+    embed.EmbeddingMatrix(name_vecs).write(paths["name"])
 
-    _write_manifest(cfg, "embed", [txn_path, boot_path, vec_path],
-                    [micro_path, macro_path, name_path], started,
-                    {"n_rejected": len(parsed.rejects)})
-    return {"micro": micro_path, "macro": macro_path, "name": name_path}
+    _write_manifest(cfg, "embed", [txn_path, boot_path, vec_path] + tax_inputs,
+                    list(paths.values()), started, {"n_rejected": len(parsed.rejects)})
+    return paths
 
 
 def _dataset_inputs(out: Path) -> list[Path]:
     """The files load_dataset reads when it uses the weak labels."""
-    return [out / name for name in ("features_stat.tsv", "labels.tsv", "micro.txt",
-                                     "macro.txt", "name_embed.txt")]
+    return [out / name for name in ("features_stat.tsv", "labels.tsv",
+                                     *EMBEDDING_FILES.values())]
 
 
 def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.FeatureDataset:
@@ -356,28 +373,19 @@ def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.F
     out = _out(cfg)
     stat_path = _require(out / "features_stat.tsv", "statistical features")
     stat_vecs = stat_features.read_features(stat_path)
-    micro = embed.load_pretrained_vectors(_require(out / "micro.txt", "micro embedding"))
-    macro = embed.load_pretrained_vectors(_require(out / "macro.txt", "macro embedding"))
-    name = embed.load_pretrained_vectors(_require(out / "name_embed.txt", "name embedding"))
+    embeddings = {b: embed.load_pretrained_vectors(_require(out / name, b))
+                  for b, name in EMBEDDING_FILES.items()}
     if labels is None:
         labels = weak_label.LabelSet.read_tsv(_require(out / "labels.tsv", "labels"))
 
     ids = sorted(stat_vecs)
-    block_mats: dict[str, list] = {b: [] for b in stat_features.STAT_BLOCK_DIMS}
-    micro_dim, macro_dim, name_dim = micro.dim, macro.dim, name.dim
-    block_mats["micro_embed"] = []
-    block_mats["macro_embed"] = []
-    block_mats["name_embed"] = []
+    block_mats = {b: [] for b in (*stat_features.STAT_BLOCK_DIMS, *EMBEDDING_FILES)}
     y = []
     for rid in ids:
         for bname, vec in stat_features.split_blocks(stat_vecs[rid]).items():
             block_mats[bname].append(vec)
-        block_mats["micro_embed"].append(
-            micro.vectors.get(rid, np.zeros(micro_dim)))
-        block_mats["macro_embed"].append(
-            macro.vectors.get(rid, np.zeros(macro_dim)))
-        block_mats["name_embed"].append(
-            name.vectors.get(rid, np.zeros(name_dim)))
+        for bname, m in embeddings.items():
+            block_mats[bname].append(m.vectors.get(rid, np.zeros(m.dim)))
         cuisine = labels.get(rid)
         y.append(int(cuisine) if cuisine is not None else -1)
     features = {b: np.vstack(m) for b, m in block_mats.items()}

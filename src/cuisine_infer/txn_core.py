@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import zlib
 from dataclasses import dataclass
 from datetime import datetime
@@ -61,10 +60,6 @@ class Transaction:
     cardholder_id: str
     auth_amount: int      # integer cents
     settle_amount: int    # integer cents; settle - auth is the tip
-
-    @property
-    def tip(self) -> int:
-        return self.settle_amount - self.auth_amount
 
     def to_row(self) -> list[str]:
         return [
@@ -164,12 +159,6 @@ def write_transactions(path, txns: Iterable[Transaction]) -> None:
             writer.writerow(t.to_row())
 
 
-def canonical_row(t: Transaction) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(t.to_row())
-    return buf.getvalue()
-
-
 def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line_no, reason in rejects:
@@ -218,11 +207,3 @@ def build_index(txns: Iterable[Transaction]) -> RestaurantIndex:
     cardholders_sorted = dict(sorted(cardholders.items()))
     return RestaurantIndex(restaurants_sorted, cardholders_sorted)
 
-
-def exclude_chains(txns: list[Transaction], min_zips: int = 10) -> list[Transaction]:
-    """Drop merchants whose name appears under >= min_zips distinct zip codes."""
-    zips_by_name: dict[str, set[str]] = {}
-    for t in txns:
-        zips_by_name.setdefault(t.merchant_name, set()).add(t.zip5)
-    chains = {name for name, zips in zips_by_name.items() if len(zips) >= min_zips}
-    return [t for t in txns if t.merchant_name not in chains]

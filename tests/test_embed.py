@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from cuisine_infer.embed import (
-    MACRO_DEFAULTS,
-    MICRO_DEFAULTS,
     Corpus,
     EmbedConfig,
     EmbeddingMatrix,
@@ -88,14 +86,6 @@ def test_negative_table_frequency_power():
 
 
 class TestSgns:
-    def test_default_dims(self):
-        assert MICRO_DEFAULTS.dim == 200
-        assert MICRO_DEFAULTS.window == 20
-        assert MICRO_DEFAULTS.negative == 20
-        assert MACRO_DEFAULTS.dim == 100
-        assert MACRO_DEFAULTS.window == 200
-        assert MACRO_DEFAULTS.negative == 20
-
     def test_two_communities_separate(self):
         corpus = _two_community_corpus()
         cfg = EmbedConfig(dim=16, window=4, negative=5, epochs=8, min_count=1, seed=1)

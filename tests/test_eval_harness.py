@@ -6,9 +6,6 @@ from cuisine_infer.eval_harness import (
     ablation,
     cuisine_summary,
     evaluate,
-    kfold,
-    recompute_accuracy,
-    stability,
     stratified_split,
     write_ablation_tsv,
     write_cuisine_summary_tsv,
@@ -50,24 +47,6 @@ class TestStratifiedSplit:
                               stratified_split(labels, 0.8, 5)[0])
 
 
-class TestKfold:
-    def test_sizes_and_partition(self):
-        labels = np.random.default_rng(3).integers(0, 4, 103)
-        folds = kfold(labels, k=5, seed=1)
-        assert len(folds) == 5
-        all_idx = np.concatenate(folds)
-        assert sorted(all_idx) == list(range(103))
-        sizes = [len(f) for f in folds]
-        assert max(sizes) - min(sizes) <= 4  # <=1 imbalance per class
-
-    def test_per_class_balance(self):
-        labels = np.repeat(np.arange(3), 10)
-        folds = kfold(labels, k=5, seed=0)
-        for f in folds:
-            for cls in range(3):
-                assert (labels[f] == cls).sum() == 2
-
-
 class TestMetrics:
     def test_perfect_predictions(self):
         truth = np.arange(10)
@@ -98,13 +77,6 @@ class TestMetrics:
         assert rep.confusion[0, 1] == pytest.approx(1 / 3)
         assert rep.confusion[1, 1] == pytest.approx(1.0)
         assert rep.balanced_accuracy == pytest.approx((2 / 3 + 1.0) / 2)
-
-    def test_recompute_accuracy_matches(self):
-        rng = np.random.default_rng(5)
-        probs = rng.dirichlet(np.ones(10), size=300)
-        truth = rng.integers(0, 10, 300)
-        rep = evaluate(probs, truth)
-        assert recompute_accuracy(rep) == pytest.approx(rep.accuracy, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -151,26 +123,6 @@ class TestAblation:
         assert by_name["alpha"][1] < by_name["noise"][1]
         write_ablation_tsv(tmp_path / "a.tsv", rows)
         assert len((tmp_path / "a.tsv").read_text().splitlines()) == 4
-
-
-class TestStability:
-    def test_identical(self):
-        p = {"r1": 2, "r2": 5}
-        assert stability(p, dict(p)) == 1.0
-
-    def test_total_disagreement(self):
-        assert stability({"r1": 1, "r2": 2}, {"r1": 2, "r2": 1}) == 0.0
-
-    def test_partial(self):
-        assert stability({"a": 1, "b": 2, "c": 3, "d": 4},
-                         {"a": 1, "b": 2, "c": 0, "d": 0}) == 0.5
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            stability({"a": 1}, {"b": 1})
-
-    def test_empty(self):
-        assert stability({}, {}) == 1.0
 
 
 @pytest.fixture(scope="module")

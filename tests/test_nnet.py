@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cuisine_infer.nnet import (
-    DEFAULT_GRIDS,
     FeatureDataset,
     NetworkSpec,
     TrainConfig,
@@ -10,7 +9,6 @@ from cuisine_infer.nnet import (
     backward,
     cross_entropy,
     forward,
-    grid_search,
     init_params,
     load_params,
     predict_topk,
@@ -232,33 +230,6 @@ class TestStandardize:
         ds = FeatureDataset([f"r{i}" for i in range(10)], feats, np.zeros(10, int))
         out = standardize(ds)
         assert np.isfinite(out.features["alpha"]).all()
-
-
-class TestGridSearch:
-    def test_default_grid_size(self):
-        assert len(DEFAULT_GRIDS["dropout"]) == 4
-        assert len(DEFAULT_GRIDS["batch_size"]) == 4
-        assert len(DEFAULT_GRIDS["learning_rate"]) == 4
-        assert DEFAULT_GRIDS["dropout"] == (0.0, 0.1, 0.2, 0.3)
-        assert DEFAULT_GRIDS["batch_size"] == (128, 256, 512, 1024)
-        assert DEFAULT_GRIDS["learning_rate"] == (0.001, 0.01, 0.1, 1.0)
-
-    def test_single_cell_grid(self):
-        ds = _toy_dataset(n=50)
-        spec = _spec()
-        grids = {"dropout": (0.0,), "batch_size": (16,), "learning_rate": (0.1,)}
-        best, table = grid_search(ds, spec, grids=grids, folds=2, epochs=10, seed=0)
-        assert len(table) == 1
-        assert best == table[0][0]
-        assert 0.0 <= table[0][1] <= 1.0
-
-    def test_full_grid_row_count(self):
-        ds = _toy_dataset(n=40)
-        spec = _spec("logistic")
-        grids = {"dropout": (0.0, 0.1), "batch_size": (16, 32),
-                 "learning_rate": (0.1, 0.5)}
-        _, table = grid_search(ds, spec, grids=grids, folds=2, epochs=2, seed=0)
-        assert len(table) == 8
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +224,10 @@ class TestEmbedInputs:
             pipeline.STAGES[stage](cfg)
         return tmp_path, Path(cfg["out_dir"])
 
-    def _embed(self, tmp_path, out):
+    def _embed(self, tmp_path, out, *args):
         return CliRunner().invoke(main, [
-            "embed", "--config", str(tmp_path / "config.yaml"), "--out-dir", str(out)])
+            "embed", "--config", str(tmp_path / "config.yaml"), "--out-dir", str(out),
+            *args])
 
     def test_runs_without_labels(self, upstream):
         tmp_path, out = upstream
@@ -242,6 +244,51 @@ class TestEmbedInputs:
         result = self._embed(tmp_path, out)
         assert result.exit_code == 3
         assert "bootstrap_report.tsv" in result.output
+
+    def test_empty_vocabulary_names_stage_and_corpus(self, upstream):
+        tmp_path, out = upstream
+        result = self._embed(tmp_path, out, "--set", "embed.micro.min_count=100000")
+        assert result.exit_code == 4
+        for part in ("embed.micro", "customer-docs", "min_count=100000"):
+            assert part in result.output
+        assert not (out / "micro.txt").exists()
+
+
+class TestTaxonomyInput:
+    @pytest.fixture
+    def synthed(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path)
+        pipeline.run_synth(cfg)
+        return tmp_path, cfg
+
+    def _run(self, stage, tmp_path, cfg, taxonomy):
+        return CliRunner().invoke(main, [
+            stage, "--config", str(tmp_path / "config.yaml"), "--out-dir", cfg["out_dir"],
+            "--set", f"paths.taxonomy={taxonomy}"])
+
+    def test_missing_taxonomy_exit_code(self, synthed):
+        tmp_path, cfg = synthed
+        out, missing = Path(cfg["out_dir"]), tmp_path / "no_taxonomy.txt"
+        result = self._run("label", tmp_path, cfg, missing)
+        assert result.exit_code == 3, result.output
+        assert str(missing) in result.output
+        assert not (out / "labels.tsv").exists()
+        pipeline.run_label(cfg)
+        result = self._run("embed", tmp_path, cfg, missing)
+        assert result.exit_code == 3, result.output
+        assert str(missing) in result.output
+        assert not (out / "micro.txt").exists()
+
+    def test_custom_taxonomy_is_a_manifest_input(self, synthed):
+        tmp_path, cfg = synthed
+        taxonomy = tmp_path / "taxonomy.txt"
+        taxonomy.write_text(resources.files("cuisine_infer.data")
+                            .joinpath("seed_taxonomy.txt").read_text("utf-8"))
+        out = Path(cfg["out_dir"])
+        for stage in ("label", "embed"):
+            result = self._run(stage, tmp_path, cfg, taxonomy)
+            assert result.exit_code == 0, result.output
+            assert taxonomy in _manifest_inputs(out / f"manifest_{stage}.txt")
 
 
 def test_manifests_count_ingest_rejects(tmp_path):

@@ -9,8 +9,6 @@ from cuisine_infer.txn_core import (
     IngestError,
     Transaction,
     build_index,
-    canonical_row,
-    exclude_chains,
     parse_transactions,
     write_reject_report,
     write_transactions,
@@ -111,8 +109,7 @@ class TestRoundTrip:
         p2 = tmp_path / "t2.csv"
         write_transactions(p2, result.transactions)
         result2 = parse_transactions(p2)
-        assert [canonical_row(t) for t in result.transactions] == \
-               [canonical_row(t) for t in result2.transactions]
+        assert result.transactions == result2.transactions
 
 
 def write_csv_quoted(path, rows):
@@ -154,20 +151,6 @@ class TestIndex:
         idx2 = build_index(shuffled)
         assert idx1.restaurants["R1"].txns == idx2.restaurants["R1"].txns
         assert list(idx1.cardholders) == list(idx2.cardholders)
-
-
-class TestChains:
-    def test_exclusion_threshold(self):
-        txns = []
-        for i in range(12):
-            txns.append(txn(mid=f"R{i}", name="BigChain", zip5=f"{10000 + i}"))
-        txns.append(txn(mid="X", name="Local Spot"))
-        kept = exclude_chains(txns, min_zips=10)
-        assert {t.merchant_name for t in kept} == {"Local Spot"}
-
-    def test_below_threshold_kept(self):
-        txns = [txn(mid=f"R{i}", name="TwoSpots", zip5=f"{10000 + i}") for i in range(2)]
-        assert exclude_chains(txns, min_zips=10) == txns
 
 
 def test_cuisine_class_codes():
