@@ -175,7 +175,7 @@ def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
                 vin[c] -= lr * grad_v
         epoch_loss.append(loss_sum / max(1, loss_n))
     vectors = {w: vin[i].copy() for i, w in enumerate(vocab)}
-    meta = {"config": cfg, "direction": corpus.direction,
+    meta = {"config": cfg, "direction": corpus.direction, "vocab_size": V,
             "epoch_loss": epoch_loss, "pair_count": pair_count // cfg.epochs}
     return EmbeddingMatrix(vectors, meta)
 
@@ -236,7 +236,7 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
             missing.append(doc_id)
         else:
             vectors[doc_id] = dvec[d_idx].copy()
-    meta = {"config": cfg, "direction": corpus.direction,
+    meta = {"config": cfg, "direction": corpus.direction, "vocab_size": V,
             "epoch_loss": epoch_loss, "empty_documents": missing}
     return EmbeddingMatrix(vectors, meta)
 

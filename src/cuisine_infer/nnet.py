@@ -5,6 +5,10 @@ connection), deep (same without the skip), shallow (one hidden layer per
 branch and one trunk layer), and logistic (affine + softmax on the raw
 concatenated features). Trained with plain minibatch SGD; all math in numpy
 with analytic gradients.
+
+`forward` and `backward` compute in the dtype of the parameters. `train`
+works in float32 (DTYPE) and returns float32 parameters; `init_params`
+draws in float64, which the gradient checks use as it is.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 from .txn_core import N_CLASSES, derive_seed
 
 VARIANTS = ("residual_deep", "deep", "shallow", "logistic")
+
+DTYPE = np.float32  # the precision train computes in and returns
 
 
 @dataclass(frozen=True)
@@ -117,19 +123,28 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _dropout_mask(rng, shape, dropout: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask: 0 or 1 / (1 - dropout), drawn in float64 so the
+    RNG sequence does not depend on `dtype`."""
+    return ((rng.random(shape) >= dropout) / (1 - dropout)).astype(dtype, copy=False)
+
+
 def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
             train_mode: bool = False, dropout: float = 0.0,
             rng: np.random.Generator | None = None):
-    """Run the network; returns (class probabilities, cache for backward)."""
-    cache: dict = {"features": features, "dropout": 0.0}
+    """Run the network in the dtype of `params`; returns (class
+    probabilities, cache for backward)."""
     n = next(iter(features.values())).shape[0]
     for name, dim in spec.branches:
         if features[name].shape != (n, dim):
             raise ValueError(
                 f"branch {name}: expected shape {(n, dim)}, got {features[name].shape}")
+    dtype = params["out/b"].dtype
+    features = {name: features[name].astype(dtype, copy=False) for name in spec.block_names}
+    cache: dict = {"features": features, "dropout": 0.0}
 
     if spec.variant == "logistic":
-        logits = np.zeros((n, spec.n_classes)) + params["out/b"]
+        logits = np.zeros((n, spec.n_classes), dtype) + params["out/b"]
         # accumulate in sorted name order so branch declaration order cannot
         # perturb floating-point summation
         for name in sorted(spec.block_names):
@@ -159,14 +174,14 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
         raise ValueError("dropout in train mode requires an rng")
     cache["dropout"] = dropout if use_dropout else 0.0
 
-    t = np.zeros((n, params["trunk/b0"].shape[0])) + params["trunk/b0"]
+    t = np.zeros((n, params["trunk/b0"].shape[0]), dtype) + params["trunk/b0"]
     for name in sorted(spec.block_names):
         t += branch_out[name] @ params[f"trunk0/{name}"].T
     cache["t_pre0"] = t
     t = np.maximum(t, 0.0)
     cache["t_act0"] = t
     if use_dropout:
-        mask = (rng.random(t.shape) >= dropout) / (1 - dropout)
+        mask = _dropout_mask(rng, t.shape, dropout, dtype)
         cache["mask0"] = mask
         t = t * mask
     cache["t_drop0"] = t
@@ -178,7 +193,7 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
         t = np.maximum(pre, 0.0)
         cache[f"t_act{i}"] = t
         if use_dropout:
-            mask = (rng.random(t.shape) >= dropout) / (1 - dropout)
+            mask = _dropout_mask(rng, t.shape, dropout, dtype)
             cache[f"mask{i}"] = mask
             t = t * mask
         cache[f"t_drop{i}"] = t
@@ -201,12 +216,13 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray,
 
 def backward(params, spec: NetworkSpec, cache, onehot: np.ndarray,
              sample_weights: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean cross-entropy loss w.r.t. all params."""
+    """Exact gradients of the mean cross-entropy loss w.r.t. all params, in
+    the dtype of the forward pass."""
     probs = cache["probs"]
     n = probs.shape[0]
-    dlogits = (probs - onehot) / n
+    dlogits = (probs - onehot.astype(probs.dtype, copy=False)) / n
     if sample_weights is not None:
-        dlogits = dlogits * sample_weights[:, None]
+        dlogits = dlogits * sample_weights.astype(probs.dtype, copy=False)[:, None]
     grads: dict[str, np.ndarray] = {}
     features = cache["features"]
 
@@ -302,20 +318,23 @@ def standardize(train: FeatureDataset, *others: FeatureDataset):
 
 
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes))
+    out = np.zeros((len(labels), n_classes), DTYPE)
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
 
 def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
           val: FeatureDataset | None = None):
-    """Seeded shuffled minibatch SGD; returns (params, loss curve).
+    """Seeded shuffled minibatch SGD in DTYPE; returns (params, loss curve).
 
+    The float64 initial parameters, the features, the one-hot targets and the
+    class weights are cast to DTYPE once, before the first step.
     Loss curve rows: (epoch, train loss, val loss or nan).
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    params = init_params(spec, cfg.seed)
+    params = {key: p.astype(DTYPE) for key, p in init_params(spec, cfg.seed).items()}
+    features = {k: v.astype(DTYPE) for k, v in dataset.features.items()}
     rng = np.random.default_rng((cfg.seed << 32) ^ 0x5EED)
     onehot = _onehot(dataset.labels, spec.n_classes)
     weights = None
@@ -323,25 +342,28 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
         counts = np.bincount(dataset.labels, minlength=spec.n_classes).astype(float)
         inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
         inv = inv / inv[counts > 0].mean() if (counts > 0).any() else inv
-        weights = inv[dataset.labels]
+        weights = inv[dataset.labels].astype(DTYPE)
+    if val is not None and len(val) > 0:
+        val_features = {k: v.astype(DTYPE) for k, v in val.features.items()}
+        val_onehot = _onehot(val.labels, spec.n_classes)
     curve = []
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = {k: v[idx] for k, v in dataset.features.items()}
+            batch = {k: v[idx] for k, v in features.items()}
             probs, cache = forward(params, spec, batch, train_mode=True,
                                    dropout=cfg.dropout, rng=rng)
             grads = backward(params, spec, cache, onehot[idx],
                              None if weights is None else weights[idx])
             for key, g in grads.items():
                 params[key] -= cfg.learning_rate * g
-        probs, _ = forward(params, spec, dataset.features)
+        probs, _ = forward(params, spec, features)
         tr_loss = cross_entropy(probs, onehot, weights)
         if val is not None and len(val) > 0:
-            vp, _ = forward(params, spec, val.features)
-            v_loss = cross_entropy(vp, _onehot(val.labels, spec.n_classes))
+            vp, _ = forward(params, spec, val_features)
+            v_loss = cross_entropy(vp, val_onehot)
         else:
             v_loss = float("nan")
         curve.append((epoch, tr_loss, v_loss))
@@ -375,40 +397,79 @@ def accuracy(params, spec: NetworkSpec, dataset: FeatureDataset) -> float:
     return float((top1 == dataset.labels).mean())
 
 
+MODEL_MAGIC = "cuisine-infer-model v2"
+HEADER_FIELDS = ("variant", "branch_hidden", "trunk_hidden", "n_classes", "branches", "dtype")
+DTYPES = ("float32", "float64")
+
+
 def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:
-    """Versioned text dump: spec line, then one `key shape values` line per
-    parameter."""
+    """Versioned text dump: spec and dtype line, then one `key shape values`
+    line per parameter. A value is the repr of its exact float64 value, so
+    it parses back bit-exact in float32 as in float64."""
+    dtype = params["out/b"].dtype.name
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cuisine-infer-model v1\n")
+        fh.write(MODEL_MAGIC + "\n")
         fh.write(f"variant={spec.variant}\tbranch_hidden={spec.branch_hidden}\t"
                  f"trunk_hidden={','.join(map(str, spec.trunk_hidden))}\t"
                  f"n_classes={spec.n_classes}\t"
-                 f"branches={';'.join(f'{n}:{d}' for n, d in spec.branches)}\n")
+                 f"branches={';'.join(f'{n}:{d}' for n, d in spec.branches)}\t"
+                 f"dtype={dtype}\n")
         for key in sorted(params):
             arr = params[key]
             shape = ",".join(map(str, arr.shape))
-            vals = " ".join(repr(float(x)) for x in arr.ravel())
+            vals = " ".join(map(repr, arr.ravel().tolist()))
             fh.write(f"{key}\t{shape}\t{vals}\n")
 
 
 def load_params(path):
+    """Read a save_params file; returns (spec, params in the recorded dtype).
+
+    Raises ValueError naming the header field or parameter key when the
+    file's fields, keys or shapes differ from those init_params gives the
+    recorded spec."""
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().strip()
-        if magic != "cuisine-infer-model v1":
+        if magic != MODEL_MAGIC:
             raise ValueError(f"bad model file magic: {magic!r}")
-        meta = dict(kv.split("=", 1) for kv in fh.readline().strip().split("\t"))
-        branches = tuple((n, int(d)) for n, d in
-                         (b.split(":") for b in meta["branches"].split(";")))
-        spec = NetworkSpec(
-            branches=branches,
-            branch_hidden=int(meta["branch_hidden"]),
-            trunk_hidden=tuple(int(x) for x in meta["trunk_hidden"].split(",")),
-            n_classes=int(meta["n_classes"]),
-            variant=meta["variant"],
-        )
+        meta = dict(kv.partition("=")[::2] for kv in fh.readline().rstrip("\n").split("\t"))
+        for field in HEADER_FIELDS:
+            if field not in meta:
+                raise ValueError(f"{path}: model header lacks field {field}")
+        for field in meta:
+            if field not in HEADER_FIELDS:
+                raise ValueError(f"{path}: unknown model header field {field!r}")
+        if meta["dtype"] not in DTYPES:
+            raise ValueError(f"{path}: dtype must be one of {DTYPES}, got {meta['dtype']!r}")
+        try:
+            spec = NetworkSpec(
+                branches=tuple((n, int(d)) for n, d in
+                               (b.split(":") for b in meta["branches"].split(";"))),
+                branch_hidden=int(meta["branch_hidden"]),
+                trunk_hidden=tuple(int(x) for x in meta["trunk_hidden"].split(",")),
+                n_classes=int(meta["n_classes"]),
+                variant=meta["variant"],
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad model header: {exc}") from None
+        shapes = {key: p.shape for key, p in init_params(spec).items()}
         params = {}
         for line in fh:
-            key, shape, vals = line.rstrip("\n").split("\t")
-            arr = np.array([float(x) for x in vals.split(" ")])
-            params[key] = arr.reshape(tuple(int(s) for s in shape.split(",")))
+            key, _, rest = line.rstrip("\n").partition("\t")
+            if key not in shapes:
+                raise ValueError(f"{path}: unexpected parameter {key!r}")
+            if key in params:
+                raise ValueError(f"{path}: parameter {key} appears twice")
+            try:
+                shape_text, vals = rest.split("\t")
+                shape = tuple(int(s) for s in shape_text.split(","))
+                arr = np.array([float(x) for x in vals.split(" ")])
+            except ValueError:
+                raise ValueError(f"{path}: parameter {key}: malformed line") from None
+            if shape != shapes[key] or arr.size != np.prod(shape):
+                raise ValueError(f"{path}: parameter {key}: shape {shape} with {arr.size} "
+                                 f"values, expected {shapes[key]}")
+            params[key] = arr.reshape(shape).astype(meta["dtype"])
+    for key in shapes:
+        if key not in params:
+            raise ValueError(f"{path}: missing parameter {key}")
     return spec, params

@@ -332,14 +332,16 @@ def run_embed(cfg: dict) -> dict:
     index = build_index(parsed.transactions)
     paths = {block.removesuffix("_embed"): out / name
              for block, name in EMBEDDING_FILES.items()}
+    # Compute all three before writing any, so a failing step leaves the
+    # files of an earlier run as a consistent set.
+    matrices = {}
     for part, corpus_of, train in (
             ("micro", embed.build_customer_corpus, embed.sgns_train),
             ("macro", embed.build_restaurant_corpus, embed.pv_train)):
         try:
-            vectors = train(corpus_of(index), _embed_cfg(cfg, part))
+            matrices[part] = train(corpus_of(index), _embed_cfg(cfg, part))
         except ValueError as exc:  # the corpus is empty after min_count pruning
             raise ValueError(f"embed.{part}: {exc}") from None
-        vectors.write(paths[part])
 
     labeling_words = taxonomy.all_keywords()
     with open(boot_path, "r", encoding="utf-8") as fh:
@@ -351,10 +353,18 @@ def run_embed(cfg: dict) -> dict:
     for rid, bucket in index.restaurants.items():
         vec, _matched = embed.name_embedding(bucket.name, labeling_words, pretrained)
         name_vecs[rid] = vec
-    embed.EmbeddingMatrix(name_vecs).write(paths["name"])
+    matrices["name"] = embed.EmbeddingMatrix(name_vecs)
 
+    for part, path in paths.items():
+        matrices[part].write(path)
+    extra = {"n_rejected": len(parsed.rejects)}
+    for part in ("micro", "macro"):
+        meta = matrices[part].metadata
+        extra[f"{part}_vocab_size"] = meta["vocab_size"]
+        extra[f"{part}_epoch_loss"] = ",".join(f"{x:.6f}" for x in meta["epoch_loss"])
+    extra["micro_pair_count"] = matrices["micro"].metadata["pair_count"]
     _write_manifest(cfg, "embed", [txn_path, boot_path, vec_path] + tax_inputs,
-                    list(paths.values()), started, {"n_rejected": len(parsed.rejects)})
+                    list(paths.values()), started, extra)
     return paths
 
 
@@ -439,9 +449,14 @@ def run_train(cfg: dict) -> dict:
             fh.write(f"{labeled.ids[i]}\ttrain\n")
         for i in test_idx:
             fh.write(f"{labeled.ids[i]}\ttest\n")
+    _, final_train_loss, final_val_loss = curve[-1]
     _write_manifest(cfg, "train", _dataset_inputs(out),
                     [model_path, curve_path, split_path], started,
-                    {"n_train": len(train_idx), "n_test": len(test_idx)})
+                    {"n_train": len(train_idx), "n_test": len(test_idx),
+                     "dtype": params["out/b"].dtype.name,
+                     "n_params": sum(p.size for p in params.values()),
+                     "final_train_loss": repr(final_train_loss),
+                     "final_val_loss": repr(final_val_loss)})
     return {"model": model_path, "loss_curve": curve_path, "split": split_path}
 
 

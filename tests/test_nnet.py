@@ -141,7 +141,7 @@ class TestTraining:
         params, _ = train(ds, spec, cfg)
         init = init_params(spec, 6)
         for key in init:
-            assert np.array_equal(params[key], init[key])
+            assert np.array_equal(params[key], init[key].astype(np.float32))
 
     def test_val_loss_tracked(self):
         ds = _toy_dataset(n=50)
@@ -232,18 +232,76 @@ class TestStandardize:
         assert np.isfinite(out.features["alpha"]).all()
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("variant", ["residual_deep", "logistic"])
-    def test_round_trip(self, tmp_path, variant):
+class TestDtype:
+    @staticmethod
+    def _arrays(cache):
+        for value in cache.values():
+            if isinstance(value, dict):
+                yield from value.values()
+            elif isinstance(value, np.ndarray):
+                yield value
+
+    @pytest.mark.parametrize("variant", ["residual_deep", "deep", "shallow", "logistic"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_keep_the_params_dtype(self, variant, dtype):
+        ds = _toy_dataset(n=10)
         spec = _spec(variant)
-        params = init_params(spec, 13)
+        params = {k: v.astype(dtype) for k, v in init_params(spec, 1).items()}
+        onehot = np.eye(3)[ds.labels]  # float64 targets and features
+        _, cache = forward(params, spec, ds.features, train_mode=True, dropout=0.3,
+                           rng=np.random.default_rng(0))
+        arrays = list(self._arrays(cache))
+        assert len(arrays) > 2
+        assert all(a.dtype == dtype for a in arrays)
+        grads = backward(params, spec, cache, onehot, np.ones(10))
+        assert sorted(grads) == sorted(params)
+        assert all(g.dtype == dtype for g in grads.values())
+
+    def test_train_returns_float32(self):
+        ds = _toy_dataset(n=20)
+        params, curve = train(ds, _spec(), TrainConfig(epochs=2, seed=0, dropout=0.1,
+                                                       class_weights=True), val=ds)
+        assert all(p.dtype == np.float32 for p in params.values())
+        assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in curve)
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("variant, dtype", [
+        pytest.param(variant, dtype, id=variant + ("-float32" if dtype is np.float32 else ""))
+        for variant in ("residual_deep", "logistic") for dtype in (np.float64, np.float32)])
+    def test_round_trip(self, tmp_path, variant, dtype):
+        spec = _spec(variant)
+        rng = np.random.default_rng(13)
+        params = {k: (v + rng.normal(size=v.shape)).astype(dtype)
+                  for k, v in init_params(spec, 13).items()}
         path = tmp_path / "model.txt"
         save_params(path, spec, params)
         spec2, params2 = load_params(path)
         assert spec2 == spec
         assert sorted(params2) == sorted(params)
         for key in params:
+            assert params2[key].dtype == dtype
             assert np.array_equal(params[key], params2[key])
+
+    # a missing key or header field is checked through the CLI in test_pipeline_cli
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: lines + ["trunk/W9\t1\t0.0\n"], "trunk/W9"),
+        (lambda lines: [l.replace("out/b\t3\t", "out/b\t4\t0.0 ") for l in lines],
+         "out/b"),
+        (lambda lines: [l.replace("out/b\t3\t", "out/b\t3\tx ") for l in lines],
+         "out/b"),
+        (lambda lines: [lines[0], lines[1].replace("float32", "float16"), *lines[2:]],
+         "float16"),
+    ], ids=["extra key", "wrong shape", "bad value", "bad dtype"])
+    def test_corrupt_file_names_the_field(self, tmp_path, edit, named):
+        spec = _spec()
+        path = tmp_path / "model.txt"
+        save_params(path, spec, {k: v.astype(np.float32)
+                                 for k, v in init_params(spec, 0).items()})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match=named):
+            load_params(path)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -200,6 +201,29 @@ class TestPipeline:
                 metrics[parts[0]] = float(parts[1])
         assert 0.0 <= metrics["accuracy"] <= 1.0
 
+    def test_train_and_embed_manifests_record_the_run(self, pipeline_run):
+        cfg, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        train = _manifest(out / "manifest_train.txt")
+        _, params = nnet.load_params(out / "model.txt")
+        assert train["dtype"] == "float32"
+        assert int(train["n_params"]) == sum(p.size for p in params.values())
+        last = (out / "loss_curve.tsv").read_text().splitlines()[-1].split("\t")
+        assert [train["final_train_loss"], train["final_val_loss"]] == last[1:]
+
+        emb = _manifest(out / "manifest_embed.txt")
+        index = build_index(parse_transactions(out / "transactions.csv").transactions)
+        for part, corpus_of in (("micro", embed.build_customer_corpus),
+                                ("macro", embed.build_restaurant_corpus)):
+            corpus, ecfg = corpus_of(index), pipeline._embed_cfg(cfg, part)
+            vocab = [w for w, c in corpus.counts.items() if c >= ecfg.min_count]
+            assert int(emb[f"{part}_vocab_size"]) == len(vocab)
+            losses = [float(x) for x in emb[f"{part}_epoch_loss"].split(",")]
+            assert len(losses) == ecfg.epochs and all(0 < x < 10 for x in losses)
+        micro_cfg = pipeline._embed_cfg(cfg, "micro")
+        assert int(emb["micro_pair_count"]) == embed.count_skipgram_pairs(
+            embed.build_customer_corpus(index), micro_cfg.window, micro_cfg.min_count)
+
     def test_eval_before_train_missing_artifact(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)
         with pytest.raises(MissingArtifactError):
@@ -209,6 +233,38 @@ class TestPipeline:
         cfg = _tiny_cfg(tmp_path)
         with pytest.raises(MissingArtifactError):
             pipeline.run_label(cfg)
+
+
+def _manifest(path: Path) -> dict[str, str]:
+    return dict(line.split("\t", 1) for line in path.read_text().splitlines())
+
+
+class TestCorruptModel:
+    def _eval(self, pipeline_run, tmp_path, edit):
+        """Run `eval` on a copy of the pipeline's output whose model.txt lines
+        went through `edit`."""
+        _, artifacts, run_dir = pipeline_run
+        out = tmp_path / "out"
+        shutil.copytree(artifacts["metrics"].parent, out)
+        path = out / "model.txt"
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        return CliRunner().invoke(main, [
+            "eval", "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+
+    def test_missing_parameter_exit_code(self, pipeline_run, tmp_path):
+        result = self._eval(pipeline_run, tmp_path, lambda lines: [
+            line for line in lines if not line.startswith("trunk/b0\t")])
+        assert result.exit_code == 4, result.output
+        assert "missing parameter trunk/b0" in result.output
+
+    def test_missing_header_field_exit_code(self, pipeline_run, tmp_path):
+        def drop_n_classes(lines):
+            header = [f for f in lines[1].split("\t") if not f.startswith("n_classes=")]
+            return [lines[0], "\t".join(header), *lines[2:]]
+
+        result = self._eval(pipeline_run, tmp_path, drop_n_classes)
+        assert result.exit_code == 4, result.output
+        assert "lacks field n_classes" in result.output
 
 
 def _manifest_inputs(path: Path) -> set[Path]:
@@ -252,6 +308,19 @@ class TestEmbedInputs:
         for part in ("embed.micro", "customer-docs", "min_count=100000"):
             assert part in result.output
         assert not (out / "micro.txt").exists()
+
+    def test_failing_macro_step_writes_no_file(self, upstream):
+        tmp_path, out = upstream
+        assert self._embed(tmp_path, out).exit_code == 0
+        before = {name: (out / name).read_bytes()
+                  for name in pipeline.EMBEDDING_FILES.values()}
+        # micro.epochs changes what a rerun would write to micro.txt
+        result = self._embed(tmp_path, out, "--set", "embed.micro.epochs=2",
+                             "--set", "embed.macro.min_count=100000")
+        assert result.exit_code == 4, result.output
+        assert "embed.macro" in result.output
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
 
 
 class TestTaxonomyInput:
