@@ -110,13 +110,13 @@ def _pruned_docs(corpus: Corpus, min_count: int):
     docs = []
     for doc_id, tokens in corpus.documents:
         ids = [w_index[t] for t in tokens if t in w_index]
-        docs.append((doc_id, np.asarray(ids, dtype=np.int64)))
-    return vocab, w_index, docs
+        docs.append((doc_id, np.asarray(ids, dtype=np.int32)))
+    return vocab, docs
 
 
 def count_skipgram_pairs(corpus: Corpus, window: int, min_count: int = 1) -> int:
     """Closed-form (center, context) pair count with window clipping."""
-    _, _, docs = _pruned_docs(corpus, min_count)
+    _, docs = _pruned_docs(corpus, min_count)
     total = 0
     for _, ids in docs:
         n = len(ids)
@@ -129,54 +129,132 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
 
 
+# Minibatch sizes: P skip-gram pairs or C paragraph-vector centers per step,
+# all sharing one draw of S negatives. Each pair or center scales the shared
+# negative terms by negative / S, so it gets the negative gradient mass of
+# `negative` draws of its own. On a 12-word vocabulary, P = 256 already
+# puts enough stale gradients on each row per step for SGNS to diverge.
+PAIR_BATCH = 128
+CENTER_BATCH = 64
+SHARED_NEGATIVES = 64
+
+
+def _flat_positions(docs, window: int):
+    """All documents' token ids end to end, and for each position its
+    document and its window [lo, hi), clipped at the document's ends."""
+    lens = np.array([len(ids) for _, ids in docs], dtype=np.int32)
+    tokens = np.concatenate([np.zeros(0, np.int32)] + [ids for _, ids in docs])
+    doc = np.repeat(np.arange(len(docs), dtype=np.int32), lens)
+    end = np.cumsum(lens, dtype=np.int32)[doc]
+    start = end - lens[doc]
+    pos = np.arange(len(tokens), dtype=np.int32)
+    window = min(window, len(tokens))  # a wider one clips the same; fits int32
+    lo = np.maximum(start, pos - window)
+    hi = np.minimum(end, pos + window + 1)
+    return tokens, doc, lo, hi
+
+
+def _skipgram_pairs(lo: np.ndarray, hi: np.ndarray):
+    """(center, context) positions of every pair: each position with every
+    other position of its window, ordered by center, then by context."""
+    n_ctx = hi - lo - 1
+    center = np.repeat(np.arange(len(lo), dtype=np.int32), n_ctx)
+    # Pair k is context k - first[c] of its center c, counted from lo[c].
+    first = np.cumsum(n_ctx, dtype=np.int32) - n_ctx
+    context = np.repeat(lo - first, n_ctx)
+    context += np.arange(len(context), dtype=np.int32)
+    context += context >= center  # skip the center itself
+    return center, context
+
+
+def _scatter_add(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """`np.add.at(mat, idx, rows)` by one stable sort and one reduceat."""
+    order = np.argsort(idx, kind="stable")
+    idx = idx[order]
+    first = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+    mat[idx[first]] += np.add.reduceat(rows[order], first, axis=0)
+
+
+def _window_sums(emb: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 own: np.ndarray) -> np.ndarray:
+    """For each center, the sum of the rows of `emb` in its window [lo, hi)
+    except its own row: O(dim) per center from one prefix sum."""
+    prefix = np.zeros((len(emb) + 1, emb.shape[1]))
+    np.cumsum(emb, axis=0, out=prefix[1:])
+    return prefix[hi] - prefix[lo] - emb[own]
+
+
+def _window_grads(grad: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  own: np.ndarray, n: int) -> np.ndarray:
+    """The transpose of `_window_sums`: for each of n rows, the sum of `grad`
+    over the centers whose window holds it but is not its own. +g at lo, -g
+    at hi and a running sum, then minus g at the center."""
+    diff = np.zeros((n + 1, grad.shape[1]))
+    _scatter_add(diff, np.concatenate([lo, hi]), np.concatenate([grad, -grad]))
+    out = np.cumsum(diff[:-1], axis=0)
+    out[own] -= grad
+    return out
+
+
+def _learning_rate(cfg: EmbedConfig, epoch: int, pos: np.ndarray,
+                   n_centers: int) -> np.ndarray:
+    """One rate per center position, as a column: linear decay over the
+    center steps of all epochs, floored at MIN_LR. A center with no context
+    still takes its step."""
+    step = epoch * n_centers + pos.astype(np.float64)
+    rate = cfg.learning_rate * (1 - step / max(1, n_centers * cfg.epochs))
+    return np.maximum(MIN_LR, rate)[:, None]
+
+
+def _logistic_terms(h: np.ndarray, u: np.ndarray, u_neg: np.ndarray,
+                    lr: np.ndarray, negative: int):
+    """Scores of each row of `h` against its positive target (row of `u`)
+    and the shared negatives `u_neg`: the loss summed over rows, and the
+    lr-scaled gradient coefficients of the positive and negative scores."""
+    scale = negative / len(u_neg)
+    s_pos = _sigmoid(np.einsum("ij,ij->i", h, u))
+    s_neg = _sigmoid(h @ u_neg.T)
+    loss = float(-np.log(s_pos + 1e-12).sum() - scale * np.log(1 - s_neg + 1e-12).sum())
+    return loss, (s_pos[:, None] - 1) * lr, s_neg * (scale * lr)
+
+
 def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     """Skip-gram with negative sampling; returns input vectors per word.
 
     Deterministic: single-threaded, fixed document order, one seeded RNG.
-    Learning rate decays linearly over all center positions.
+    Learning rate decays linearly over all center positions. Trains on
+    minibatches of PAIR_BATCH (center, context) pairs that share
+    SHARED_NEGATIVES negatives; the updates of a batch all use the vectors
+    as they were at its start.
     """
-    vocab, _, docs = _pruned_docs(corpus, cfg.min_count)
+    vocab, docs = _pruned_docs(corpus, cfg.min_count)
     V = len(vocab)
     rng = np.random.default_rng(cfg.seed)
     table = NegativeTable(vocab, corpus.counts)
     vin = (rng.random((V, cfg.dim)) - 0.5) / cfg.dim
     vout = np.zeros((V, cfg.dim))
 
-    total_centers = sum(len(ids) for _, ids in docs) * cfg.epochs
-    step = 0
-    pair_count = 0
+    tokens, _, lo, hi = _flat_positions(docs, cfg.window)
+    center, context = _skipgram_pairs(lo, hi)
+    n_centers, n_pairs = len(tokens), len(center)
     epoch_loss = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         loss_sum = 0.0
-        loss_n = 0
-        for _, ids in docs:
-            n = len(ids)
-            for i in range(n):
-                lr = max(MIN_LR,
-                         cfg.learning_rate * (1 - step / max(1, total_centers)))
-                step += 1
-                lo, hi = max(0, i - cfg.window), min(n, i + cfg.window + 1)
-                ctx = np.concatenate([ids[lo:i], ids[i + 1:hi]])
-                if len(ctx) == 0:
-                    continue
-                pair_count += len(ctx)
-                c = ids[i]
-                negs = table.sample(rng, cfg.negative * len(ctx))
-                targets = np.concatenate([ctx, negs])
-                labels = np.zeros(len(targets))
-                labels[: len(ctx)] = 1.0
-                u = vout[targets]
-                s = _sigmoid(u @ vin[c])
-                g = s - labels
-                loss_sum += float(-np.log(np.where(labels == 1.0, s, 1 - s) + 1e-12).sum())
-                loss_n += len(targets)
-                grad_v = g @ u
-                np.add.at(vout, targets, -lr * g[:, None] * vin[c])
-                vin[c] -= lr * grad_v
-        epoch_loss.append(loss_sum / max(1, loss_n))
+        for a in range(0, n_pairs, PAIR_BATCH):
+            c_pos = center[a:a + PAIR_BATCH]
+            c_in, c_out = tokens[c_pos], tokens[context[a:a + PAIR_BATCH]]
+            negs = table.sample(rng, SHARED_NEGATIVES)
+            lr = _learning_rate(cfg, epoch, c_pos, n_centers)
+            h, u, u_neg = vin[c_in], vout[c_out], vout[negs]
+            loss, g_pos, g_neg = _logistic_terms(h, u, u_neg, lr, cfg.negative)
+            loss_sum += loss
+            _scatter_add(vout, np.concatenate([c_out, negs]),
+                         -np.concatenate([g_pos * h, g_neg.T @ h]))
+            _scatter_add(vin, c_in, -(g_pos * u + g_neg @ u_neg))
+        epoch_loss.append(loss_sum / max(1, n_pairs * (1 + cfg.negative)))
     vectors = {w: vin[i].copy() for i, w in enumerate(vocab)}
     meta = {"config": cfg, "direction": corpus.direction, "vocab_size": V,
-            "epoch_loss": epoch_loss, "pair_count": pair_count // cfg.epochs}
+            "epoch_loss": epoch_loss, "pair_count": n_pairs}
     return EmbeddingMatrix(vectors, meta)
 
 
@@ -186,9 +264,12 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     Each token is predicted from the average of its document vector and the
     input vectors of context words within the window (clipped at document
     boundaries). Documents with no in-vocabulary tokens are absent from the
-    result and flagged in metadata.
+    result and flagged in metadata. Trains on minibatches of CENTER_BATCH
+    consecutive positions, which may span documents, sharing
+    SHARED_NEGATIVES negatives; the updates of a batch all use the vectors
+    as they were at its start.
     """
-    vocab, _, docs = _pruned_docs(corpus, cfg.min_count)
+    vocab, docs = _pruned_docs(corpus, cfg.min_count)
     V = len(vocab)
     D = len(docs)
     rng = np.random.default_rng(cfg.seed)
@@ -197,38 +278,32 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     dvec = (rng.random((D, cfg.dim)) - 0.5) / cfg.dim
     wout = np.zeros((V, cfg.dim))
 
-    total_centers = sum(len(ids) for _, ids in docs) * cfg.epochs
-    step = 0
+    tokens, doc, lo, hi = _flat_positions(docs, cfg.window)
+    n_centers = len(tokens)
     epoch_loss = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         loss_sum = 0.0
-        loss_n = 0
-        for d_idx, (_, ids) in enumerate(docs):
-            n = len(ids)
-            for i in range(n):
-                lr = max(MIN_LR,
-                         cfg.learning_rate * (1 - step / max(1, total_centers)))
-                step += 1
-                lo, hi = max(0, i - cfg.window), min(n, i + cfg.window + 1)
-                ctx = np.concatenate([ids[lo:i], ids[i + 1:hi]])
-                target = ids[i]
-                n_in = len(ctx) + 1
-                h = (dvec[d_idx] + win[ctx].sum(axis=0)) / n_in
-                negs = table.sample(rng, cfg.negative)
-                targets = np.concatenate([[target], negs])
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-                u = wout[targets]
-                s = _sigmoid(u @ h)
-                g = s - labels
-                loss_sum += float(-np.log(np.where(labels == 1.0, s, 1 - s) + 1e-12).sum())
-                loss_n += len(targets)
-                grad_h = (g @ u) / n_in
-                np.add.at(wout, targets, -lr * g[:, None] * h)
-                dvec[d_idx] -= lr * grad_h
-                if len(ctx):
-                    np.add.at(win, ctx, -lr * grad_h)
-        epoch_loss.append(loss_sum / max(1, loss_n))
+        for a in range(0, n_centers, CENTER_BATCH):
+            b = min(a + CENTER_BATCH, n_centers)
+            # Every window of the batch lies in [a0, b0); local positions
+            # below are offsets into it.
+            a0, b0 = lo[a], hi[b - 1]
+            own, c_lo, c_hi = np.arange(a - a0, b - a0), lo[a:b] - a0, hi[a:b] - a0
+            span = tokens[a0:b0]
+            n_in = (c_hi - c_lo)[:, None]  # the context words and the document
+            h = (dvec[doc[a:b]] + _window_sums(win[span], c_lo, c_hi, own)) / n_in
+            target = tokens[a:b]
+            negs = table.sample(rng, SHARED_NEGATIVES)
+            lr = _learning_rate(cfg, epoch, np.arange(a, b), n_centers)
+            u, u_neg = wout[target], wout[negs]
+            loss, g_pos, g_neg = _logistic_terms(h, u, u_neg, lr, cfg.negative)
+            loss_sum += loss
+            grad_h = (g_pos * u + g_neg @ u_neg) / n_in
+            _scatter_add(wout, np.concatenate([target, negs]),
+                         -np.concatenate([g_pos * h, g_neg.T @ h]))
+            _scatter_add(dvec, doc[a:b], -grad_h)
+            _scatter_add(win, span, -_window_grads(grad_h, c_lo, c_hi, own, b0 - a0))
+        epoch_loss.append(loss_sum / max(1, n_centers * (1 + cfg.negative)))
     vectors = {}
     missing = []
     for d_idx, (doc_id, ids) in enumerate(docs):

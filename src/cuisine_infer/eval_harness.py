@@ -100,14 +100,18 @@ def evaluate(probs: np.ndarray, truth: np.ndarray,
 
 
 def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
-             spec: NetworkSpec, cfg: TrainConfig):
+             spec: NetworkSpec, cfg: TrainConfig,
+             params: dict[str, np.ndarray] | None = None):
     """Leave-one-block-out retraining.
 
     Returns rows (removed block or "none", accuracy, delta vs full model).
-    The baseline row retrains nothing: it reuses the full-model evaluation.
+    The baseline row scores `params`, the full model trained on the
+    standardized `train_ds` with `cfg`, and retrains nothing; without them
+    it trains that model first.
     """
     tr, te = nnet.standardize(train_ds, test_ds)
-    params, _ = nnet.train(tr, spec, cfg)
+    if params is None:
+        params, _ = nnet.train(tr, spec, cfg)
     base_acc = nnet.accuracy(params, spec, te)
     rows = [("none", base_acc, 0.0)]
     for name, _ in spec.branches:

@@ -19,7 +19,8 @@ import numpy as np
 import yaml
 
 from . import btm, embed, eval_harness, nnet, stat_features, synthgen, weak_label
-from .txn_core import build_index, derive_seed, merchant_names, parse_transactions
+from .txn_core import (build_index, derive_seed, merchant_names, parse_transactions,
+                       write_reject_report)
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
@@ -266,11 +267,13 @@ def run_label(cfg: dict) -> dict:
     labels, bootstrapped = weak_label.label_names(
         names, taxonomy, _thresholds(cfg), rounds=cfg["label"]["rounds"])
 
-    extra = {"n_rejected": len(parsed.rejects),
-             "n_restaurants": len(names), "n_labeled": len(labels),
-             "coverage": f"{len(labels) / max(1, len(names)):.4f}",
-             "n_bootstrap_words": len(bootstrapped)}
     outputs = []
+    rejects_path = out / "rejects.tsv"
+    if parsed.rejects:
+        write_reject_report(rejects_path, parsed.rejects)
+        outputs.append(rejects_path)
+    else:  # not one left from an earlier run on other input
+        rejects_path.unlink(missing_ok=True)
     if cfg["label"]["topic_augment"] or cfg["label"]["coherence_sweep"]:
         bcfg = _btm_cfg(cfg)
         biterms = btm.extract_biterms(names, sprinkle=labels)
@@ -284,9 +287,15 @@ def run_label(cfg: dict) -> dict:
             btm.write_coherence_report(coherence_path, rows)
             outputs.append(coherence_path)
         if cfg["label"]["topic_augment"]:
-            model = btm.btm_fit(biterms, bcfg)
-            extra["n_topic_labels"] = btm.topic_labels(model, names, labels)
+            btm.topic_labels(btm.btm_fit(biterms, bcfg), names, labels)
 
+    by_source = Counter(source for _, source in labels.labels.values())
+    extra = {"n_rejected": len(parsed.rejects),
+             "n_restaurants": len(names), "n_labeled": len(labels),
+             "coverage": f"{len(labels) / max(1, len(names)):.4f}",
+             "n_seed": by_source["seed"], "n_bootstrap": by_source["bootstrap"],
+             "n_topic": by_source["topic"],
+             "n_bootstrap_words": len(bootstrapped)}
     labels_path = out / "labels.tsv"
     labels.write_tsv(labels_path)
     boot_path = out / "bootstrap_report.tsv"
@@ -510,7 +519,8 @@ def run_eval(cfg: dict) -> dict:
 
     if cfg["eval"]["ablation"]:
         raw_train, raw_test = labeled.subset(train_idx), labeled.subset(test_idx)
-        rows = eval_harness.ablation(raw_train, raw_test, spec, _make_train_cfg(cfg))
+        rows = eval_harness.ablation(raw_train, raw_test, spec, _make_train_cfg(cfg),
+                                     params=params)
         ablation_path = out / "ablation.tsv"
         eval_harness.write_ablation_tsv(ablation_path, rows)
         outputs.append(ablation_path)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cuisine_infer import embed
 from cuisine_infer.embed import (
     Corpus,
     EmbedConfig,
@@ -72,6 +73,87 @@ class TestPairCount:
         cfg = EmbedConfig(dim=8, window=3, negative=2, epochs=2, min_count=1, seed=0)
         emb = sgns_train(corpus, cfg)
         assert emb.metadata["pair_count"] == count_skipgram_pairs(corpus, 3, 1)
+
+    def test_window_wider_than_int32(self):
+        corpus = _two_community_corpus(docs_per=2, doc_len=5)
+        cfg = EmbedConfig(dim=4, window=2**40, negative=2, epochs=1, min_count=1)
+        emb = sgns_train(corpus, cfg)
+        assert emb.metadata["pair_count"] == count_skipgram_pairs(corpus, 2**40) == 4 * 5 * 4
+        assert len(pv_train(corpus, cfg).vectors) == 4
+
+
+def _random_docs(rng, lengths, vocab=7):
+    return [(f"d{i}", rng.integers(0, vocab, n).astype(np.int32))
+            for i, n in enumerate(lengths)]
+
+
+# Lengths 0, 1 and 2 among longer documents; windows below and above them.
+DOC_LENGTHS = [5, 1, 0, 2, 9, 1, 2, 13, 3]
+WINDOWS = [1, 2, 4, 20]
+
+
+class TestBatchKernels:
+    """The vectorised pieces of the minibatch trainers against loops over
+    each center's context `ids[lo:i] + ids[i+1:hi]`."""
+
+    @staticmethod
+    def _centers(docs, window):
+        """Per center: its position in the documents laid end to end, its
+        document's ids, its index i there and its window [lo, hi)."""
+        start = 0
+        for _, ids in docs:
+            n = len(ids)
+            for i in range(n):
+                yield start + i, ids, i, max(0, i - window), min(n, i + window + 1)
+            start += n
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_skipgram_pairs_match_loop(self, window):
+        docs = _random_docs(np.random.default_rng(window), DOC_LENGTHS)
+        tokens, _, lo, hi = embed._flat_positions(docs, window)
+        center, context = embed._skipgram_pairs(lo, hi)
+        expected = [(p, p - i + j) for p, _, i, lo_i, hi_i in self._centers(docs, window)
+                    for j in [*range(lo_i, i), *range(i + 1, hi_i)]]
+        assert list(zip(center.tolist(), context.tolist())) == expected
+        assert center.dtype == context.dtype == np.int32
+        assert np.array_equal(tokens, np.concatenate([ids for _, ids in docs]))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_window_sums_and_grads_match_loop(self, window):
+        rng = np.random.default_rng(100 + window)
+        docs = _random_docs(rng, DOC_LENGTHS)
+        tokens, _, lo, hi = embed._flat_positions(docs, window)
+        # Integer-valued rows keep every sum exact, whatever its order.
+        win = rng.integers(-50, 50, (7, 3)).astype(float)
+        grad = rng.integers(-50, 50, (len(tokens), 3)).astype(float)
+        own = np.arange(len(tokens))
+        sums = embed._window_sums(win[tokens], lo, hi, own)
+        grads = embed._window_grads(grad, lo, hi, own, len(tokens))
+        want_sums = np.zeros_like(sums)
+        want_win = np.zeros_like(win)
+        for p, ids, i, lo_i, hi_i in self._centers(docs, window):
+            ctx = np.concatenate([ids[lo_i:i], ids[i + 1:hi_i]])
+            want_sums[p] = win[ctx].sum(axis=0)
+            np.add.at(want_win, ctx, grad[p])
+        assert np.array_equal(sums, want_sums)
+        got_win = np.zeros_like(win)
+        embed._scatter_add(got_win, tokens, grads)
+        assert np.array_equal(got_win, want_win)
+
+    def test_scatter_add_matches_add_at(self):
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 6, 200)  # every row index repeated many times
+        rows = rng.normal(size=(200, 4))
+        base = rng.normal(size=(8, 4))
+        got, want = base.copy(), base.copy()
+        embed._scatter_add(got, idx, rows)
+        np.add.at(want, idx, rows)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        rows = np.round(rows * 64)  # integer-valued: exact in any order
+        got, want = np.zeros((8, 4)), np.zeros((8, 4))
+        embed._scatter_add(got, idx, rows)
+        np.add.at(want, idx, rows)
+        assert np.array_equal(got, want)
 
 
 def test_negative_table_frequency_power():
@@ -149,6 +231,15 @@ class TestParagraphVectors:
         emb = pv_train(corpus, cfg)
         losses = emb.metadata["epoch_loss"]
         assert losses[-1] < losses[0]
+
+    def test_deterministic(self):
+        corpus = _two_community_corpus("restaurant-docs", docs_per=10)
+        cfg = EmbedConfig(dim=8, window=3, negative=3, epochs=2, min_count=1, seed=7)
+        e1 = pv_train(corpus, cfg)
+        e2 = pv_train(corpus, cfg)
+        assert e1.metadata["epoch_loss"] == e2.metadata["epoch_loss"]
+        for d in e1.vectors:
+            assert np.array_equal(e1.vectors[d], e2.vectors[d])
 
 
 class TestVectorIO:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import shutil
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from cuisine_infer import btm, embed, nnet, pipeline, synthgen, weak_label
+from cuisine_infer import btm, embed, eval_harness, nnet, pipeline, synthgen, weak_label
 from cuisine_infer.cli import _parse_overrides, main
 from cuisine_infer.eval_harness import CUISINE_SUMMARY_COLUMNS, cuisine_summary
 from cuisine_infer.pipeline import (
@@ -176,6 +177,45 @@ class TestPipeline:
         hist = Counter(m.K for m in models)
         assert lines["gmm_k_hist"] == ",".join(f"{k}:{hist[k]}" for k in sorted(hist))
         assert int(lines["gmm_iter_cap_hits"]) == sum(m.iter_cap_hits for m in models)
+
+    def test_label_manifest_counts_labels_by_source(self, pipeline_run):
+        _, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        lines = dict(line.split("\t", 1)
+                     for line in (out / "manifest_label.txt").read_text().splitlines())
+        sources = Counter(src for _, src in LabelSet.read_tsv(out / "labels.tsv").labels.values())
+        assert {key: int(lines[f"n_{key}"]) for key in ("seed", "bootstrap", "topic")} == {
+            key: sources[key] for key in ("seed", "bootstrap", "topic")}
+        assert int(lines["n_labeled"]) == sum(sources.values())
+        assert not (out / "rejects.tsv").exists()
+
+    def test_eval_ablation_scores_the_trained_model(self, pipeline_run, tmp_path,
+                                                    monkeypatch):
+        """The `none` row of ablation.tsv scores model.txt and retrains only
+        the 14 reduced models; its rows equal those of a fresh training."""
+        cfg, artifacts, _ = pipeline_run
+        cfg = copy.deepcopy(cfg)
+        out = tmp_path / "out"
+        shutil.copytree(artifacts["metrics"].parent, out)
+        cfg["out_dir"], cfg["eval"]["ablation"] = str(out), True
+        trainings, calls = [], []
+        train, ablation = nnet.train, eval_harness.ablation
+
+        def recording_ablation(*args, **kwargs):
+            calls.append((args, kwargs, ablation(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(nnet, "train", lambda *a, **kw: trainings.append(1) or train(*a, **kw))
+        monkeypatch.setattr(eval_harness, "ablation", recording_ablation)
+        pipeline.run_eval(cfg)
+        assert len(trainings) == 14
+        (args, kwargs, rows), = calls
+        assert set(kwargs) == {"params"}
+        fresh = ablation(*args)
+        assert len(trainings) == 14 + 15
+        assert rows == fresh
+        eval_harness.write_ablation_tsv(tmp_path / "fresh.tsv", fresh)
+        assert (out / "ablation.tsv").read_bytes() == (tmp_path / "fresh.tsv").read_bytes()
 
     def test_dataset_block_layout(self, pipeline_run):
         cfg, _, _ = pipeline_run
@@ -366,12 +406,20 @@ def test_manifests_count_ingest_rejects(tmp_path):
     out = Path(cfg["out_dir"])
     clean = tmp_path / "clean.csv"
     (out / "transactions.csv").rename(clean)
-    synthgen.corrupt_file(clean, out / "transactions.csv", 5, seed=3)
+    planted = synthgen.corrupt_file(clean, out / "transactions.csv", 5, seed=3)
     for stage in ("label", "features", "embed"):
         pipeline.STAGES[stage](cfg)
         lines = dict(line.split("\t", 1)
                      for line in (out / f"manifest_{stage}.txt").read_text().splitlines())
         assert lines["n_rejected"] == "5", stage
+    rejects = (out / "rejects.tsv").read_text().splitlines()
+    assert [int(line.split("\t")[0]) for line in rejects] == planted
+    assert all(line.split("\t")[1] for line in rejects)
+    assert f"output\t{out / 'rejects.tsv'}" in (out / "manifest_label.txt").read_text()
+    # A rerun on clean input leaves no report of the earlier rejects.
+    shutil.copy(clean, out / "transactions.csv")
+    pipeline.run_label(cfg)
+    assert not (out / "rejects.tsv").exists()
 
 
 def _read_summary(path: Path) -> dict[str, list[str]]:
