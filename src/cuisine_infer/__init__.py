@@ -1,6 +1,3 @@
 """Infer restaurant cuisine types from payment-card transaction logs."""
 
-from .txn_core import CuisineClass, Transaction, build_index, parse_transactions
-
-__all__ = ["CuisineClass", "Transaction", "build_index", "parse_transactions"]
 __version__ = "0.1.0"

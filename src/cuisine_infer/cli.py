@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
-import click
-import yaml
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# the GEMMs are small, and extra threads on a busy host slow them tenfold.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import pipeline
-from .txn_core import IngestError
+import click  # noqa: E402
+import yaml  # noqa: E402
+
+from . import pipeline  # noqa: E402
+from .txn_core import IngestError  # noqa: E402
 
 EXIT_CONFIG_ERROR = 2
 EXIT_MISSING_ARTIFACT = 3

@@ -28,26 +28,24 @@ class Corpus:
         return sum(self.counts.values())
 
 
+def _corpus(doc_ids: np.ndarray, tokens: np.ndarray, starts: np.ndarray,
+            direction: str) -> Corpus:
+    tokens = tokens.tolist()
+    docs = [(doc_id, tokens[a:b])
+            for doc_id, a, b in zip(doc_ids.tolist(), starts[:-1].tolist(), starts[1:].tolist())]
+    return Corpus(docs, Counter(tokens), direction)
+
+
 def build_customer_corpus(index: RestaurantIndex) -> Corpus:
     """One document per cardholder: restaurant ids in chronological order."""
-    docs = []
-    counts: Counter = Counter()
-    for chid, txns in index.cardholders.items():
-        tokens = [t.merchant_id for t in txns]
-        docs.append((chid, tokens))
-        counts.update(tokens)
-    return Corpus(docs, counts, "customer-docs")
+    return _corpus(index.cardholder_ids, index.restaurant_ids[index.merchants],
+                   index.card_starts, "customer-docs")
 
 
 def build_restaurant_corpus(index: RestaurantIndex) -> Corpus:
     """One document per restaurant: cardholder ids in chronological order."""
-    docs = []
-    counts: Counter = Counter()
-    for rid, bucket in index.restaurants.items():
-        tokens = [t.cardholder_id for t in bucket.txns]
-        docs.append((rid, tokens))
-        counts.update(tokens)
-    return Corpus(docs, counts, "restaurant-docs")
+    return _corpus(index.restaurant_ids, index.cardholder_ids[index.cardholder],
+                   index.starts, "restaurant-docs")
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
 
 
 def load_pretrained_vectors(path) -> EmbeddingMatrix:
-    """Parse a text vector file: `token v1 v2 ... vd`, single spaces."""
+    """Parse a text vector file of one or more `token v1 v2 ... vd` lines, single spaces."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -339,6 +337,8 @@ def load_pretrained_vectors(path) -> EmbeddingMatrix:
                 raise ValueError(
                     f"{path}:{line_no}: expected {dim} components, got {len(vec)}")
             vectors[token] = vec
+    if not vectors:
+        raise ValueError(f"{path}: no vectors")
     return EmbeddingMatrix(vectors, {"source": str(path), "dim": dim})
 
 

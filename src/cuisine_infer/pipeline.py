@@ -314,7 +314,7 @@ def run_features(cfg: dict) -> dict:
     feats = stat_features.extract_all(index, seed=stage_seed(cfg, "features"))
     path = out / "features_stat.tsv"
     stat_features.write_features(path, feats)
-    models = [f.gmm for f in feats.values() if f.gmm is not None]
+    models = [f.gmm for f in feats.values()]
     k_hist = Counter(m.K for m in models)
     _write_manifest(cfg, "features", [txn_path], [path], started, {
         "n_rejected": len(parsed.rejects),
@@ -337,6 +337,7 @@ def run_embed(cfg: dict) -> dict:
     boot_path = _require(out / "bootstrap_report.tsv", "bootstrap report")
     vec_path = _require(_vectors_path(cfg), "pretrained vectors")
     taxonomy, tax_inputs = _load_taxonomy(cfg)
+    pretrained = embed.load_pretrained_vectors(vec_path)
     parsed = parse_transactions(txn_path)
     index = build_index(parsed.transactions)
     paths = {block.removesuffix("_embed"): out / name
@@ -357,12 +358,9 @@ def run_embed(cfg: dict) -> dict:
         for line in fh:
             if line.strip():
                 labeling_words.add(line.split("\t")[0])
-    pretrained = embed.load_pretrained_vectors(vec_path)
-    name_vecs = {}
-    for rid, bucket in index.restaurants.items():
-        vec, _matched = embed.name_embedding(bucket.name, labeling_words, pretrained)
-        name_vecs[rid] = vec
-    matrices["name"] = embed.EmbeddingMatrix(name_vecs)
+    matrices["name"] = embed.EmbeddingMatrix({
+        rid: embed.name_embedding(name, labeling_words, pretrained)[0]
+        for rid, name in zip(index.restaurant_ids.tolist(), index.names.tolist())})
 
     for part, path in paths.items():
         matrices[part].write(path)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, Transaction, derive_seed
+from .txn_core import RestaurantIndex, derive_seed, valid_zip5
 
 STAT_BLOCK_DIMS = {
     "price_deciles": 9,
@@ -50,58 +50,32 @@ def deciles(values) -> np.ndarray:
     return out
 
 
-def tip_series(txns: list[Transaction]) -> list[int]:
-    return [t.settle_amount - t.auth_amount for t in txns]
-
-
-def hourly_capacity(txns: list[Transaction]) -> list[int]:
-    """Transaction counts per (date, hour) bucket, active hours only."""
-    counts: dict[tuple, int] = {}
-    for t in txns:
-        key = (t.timestamp.date(), t.timestamp.hour)
-        counts[key] = counts.get(key, 0) + 1
-    return [counts[k] for k in sorted(counts)]
-
-
-def temporal_dists(txns: list[Transaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized day-of-week, weekday-hour, and weekend-hour histograms.
+def temporal_dists(minute: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized day-of-week, weekday-hour, and weekend-hour histograms of
+    times in minutes since 1970-01-01 (a Thursday).
 
     Saturday/Sunday count as weekend. Each histogram sums to 1, or is
     all-zero when the restaurant has no qualifying transactions.
     """
-    dow = np.zeros(7)
-    wd_hours = np.zeros(24)
-    we_hours = np.zeros(24)
-    for t in txns:
-        d = t.timestamp.weekday()
-        dow[d] += 1
-        if d >= 5:
-            we_hours[t.timestamp.hour] += 1
-        else:
-            wd_hours[t.timestamp.hour] += 1
-    for arr in (dow, wd_hours, we_hours):
+    day = (minute // 1440 + 3) % 7  # Monday = 0
+    hour = minute // 60 % 24
+    weekend = day >= 5
+    dists = (np.bincount(day, minlength=7).astype(float),
+             np.bincount(hour[~weekend], minlength=24).astype(float),
+             np.bincount(hour[weekend], minlength=24).astype(float))
+    for arr in dists:
         s = arr.sum()
         if s > 0:
             arr /= s
-    return dow, wd_hours, we_hours
+    return dists
 
 
-def revisit_counts(txns: list[Transaction]) -> list[int]:
-    """Per distinct cardholder, the number of transactions at this restaurant."""
-    counts: dict[str, int] = {}
-    for t in txns:
-        counts[t.cardholder_id] = counts.get(t.cardholder_id, 0) + 1
-    return [counts[c] for c in sorted(counts)]
-
-
-def loyalty_counts(txns: list[Transaction], index: RestaurantIndex) -> list[int]:
-    """Per distinct customer of this restaurant, how many restaurants they
-    visit anywhere (global cardholder index)."""
-    out = []
-    for chid in sorted({t.cardholder_id for t in txns}):
-        visited = {t.merchant_id for t in index.cardholders.get(chid, [])}
-        out.append(len(visited))
-    return out
+def loyalty(index: RestaurantIndex) -> np.ndarray:
+    """Per cardholder code, the number of distinct restaurants visited."""
+    n = len(index.cardholder_ids)
+    restaurant = np.repeat(np.arange(len(index)), np.diff(index.starts))
+    pairs = np.unique(restaurant * n + index.cardholder)
+    return np.bincount(pairs % n, minlength=n)
 
 
 # --- Gaussian mixture over authorized amounts ---
@@ -292,7 +266,7 @@ def party_features(model: GmmModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 def zip_feature(zip5: str) -> np.ndarray:
     """Positional digit one-hot: digit d at position i sets index 10i + d."""
-    if len(zip5) != 5 or not zip5.isdigit():
+    if not valid_zip5(zip5):
         raise ValueError(f"malformed zip5: {zip5!r}")
     out = np.zeros(50)
     for i, ch in enumerate(zip5):
@@ -303,8 +277,7 @@ def zip_feature(zip5: str) -> np.ndarray:
 @dataclass
 class StatFeatureBlock:
     blocks: dict[str, np.ndarray]
-    empty: bool = False
-    gmm: GmmModel | None = None   # the party-size mixture; None without transactions
+    gmm: GmmModel | None = None   # the party-size mixture
 
     def __post_init__(self):
         if set(self.blocks) != set(STAT_BLOCK_DIMS):
@@ -327,43 +300,40 @@ def split_blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
     return blocks
 
 
-def _amounts(bucket) -> np.ndarray:
-    return np.array([t.auth_amount for t in bucket.txns], dtype=float)
+def _amounts(index: RestaurantIndex, r: int) -> np.ndarray:
+    return index.auth_amount[index.starts[r]:index.starts[r + 1]].astype(float)
 
 
-def _restaurant_blocks(rid: str, index: RestaurantIndex,
-                       model: GmmModel | None) -> StatFeatureBlock:
-    """All 11 statistical blocks for one restaurant, given its fitted
-    party-size mixture (None when it has no transactions)."""
-    bucket = index.restaurants[rid]
-    txns = bucket.txns
-    amounts = _amounts(bucket)
-    dow, wd, we = temporal_dists(txns)
-    if model is not None:
-        party_prop, party_price = party_features(model, amounts)
-    else:
-        party_prop, party_price = np.zeros(6), np.zeros(6)
+def _restaurant_blocks(r: int, index: RestaurantIndex, model: GmmModel,
+                       loyal: np.ndarray) -> StatFeatureBlock:
+    """All 11 statistical blocks for restaurant r, given its fitted
+    party-size mixture and every cardholder's `loyalty`."""
+    rows = slice(index.starts[r], index.starts[r + 1])
+    minute, amounts = index.minute[rows], _amounts(index, r)
+    customers, visits = np.unique(index.cardholder[rows], return_counts=True)
+    dow, wd, we = temporal_dists(minute)
+    party_prop, party_price = party_features(model, amounts)
     blocks = {
         "price_deciles": deciles(amounts),
-        "tip_deciles": deciles(tip_series(txns)),
-        "capacity_deciles": deciles(hourly_capacity(txns)),
-        "revisit_deciles": deciles(revisit_counts(txns)),
-        "loyalty_deciles": deciles(loyalty_counts(txns, index)),
+        "tip_deciles": deciles(index.settle_amount[rows] - index.auth_amount[rows]),
+        "capacity_deciles": deciles(np.unique(minute // 60, return_counts=True)[1]),
+        "revisit_deciles": deciles(visits),
+        "loyalty_deciles": deciles(loyal[customers]),
         "dow_dist": dow,
         "weekday_hour_dist": wd,
         "weekend_hour_dist": we,
         "party_prop": party_prop,
         "party_price": party_price,
-        "zip_onehot": zip_feature(bucket.zip5),
+        "zip_onehot": zip_feature(index.zips[r]),
     }
-    return StatFeatureBlock(blocks, empty=not txns, gmm=model)
+    return StatFeatureBlock(blocks, gmm=model)
 
 
 def extract_restaurant(rid: str, index: RestaurantIndex, seed: int = 0) -> StatFeatureBlock:
     """All 11 statistical blocks for one restaurant."""
-    amounts = _amounts(index.restaurants[rid])
-    model = select_k_aic(amounts, K_max=GMM_KMAX, seed=seed) if len(amounts) else None
-    return _restaurant_blocks(rid, index, model)
+    r = index.restaurant_ids.tolist().index(rid)
+    model = select_k_aic(_amounts(index, r), K_max=GMM_KMAX, seed=seed)
+    return _restaurant_blocks(r, index, model, loyalty(index))
 
 
 def extract_all(index: RestaurantIndex, seed: int = 0) -> dict[str, StatFeatureBlock]:
@@ -373,19 +343,18 @@ def extract_all(index: RestaurantIndex, seed: int = 0) -> dict[str, StatFeatureB
     count are fitted as one batch, which gives the same models as fitting
     them one at a time.
     """
-    amounts = {rid: _amounts(bucket) for rid, bucket in index.restaurants.items()}
-    by_count: dict[int, list[str]] = {}
-    for rid, x in amounts.items():
-        if len(x):
-            by_count.setdefault(len(x), []).append(rid)
-    models: dict[str, GmmModel] = {}
-    for n, rids in by_count.items():
-        fits = _fit_rows(np.stack([amounts[rid] for rid in rids]),
-                         [derive_seed(seed, rid) for rid in rids],
+    rids = index.restaurant_ids.tolist()
+    by_count: dict[int, list[int]] = {}
+    for r, n in enumerate(np.diff(index.starts).tolist()):
+        by_count.setdefault(n, []).append(r)
+    models: dict[int, GmmModel] = {}
+    for n, rs in by_count.items():
+        fits = _fit_rows(np.stack([_amounts(index, r) for r in rs]),
+                         [derive_seed(seed, rids[r]) for r in rs],
                          range(1, min(GMM_KMAX, n) + 1))
-        models.update(zip(rids, fits))
-    return {rid: _restaurant_blocks(rid, index, models.get(rid))
-            for rid in index.restaurants}
+        models.update(zip(rs, fits))
+    loyal = loyalty(index)
+    return {rid: _restaurant_blocks(r, index, models[r], loyal) for r, rid in enumerate(rids)}
 
 
 def feature_header() -> list[str]:

@@ -14,7 +14,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .txn_core import CuisineClass, Transaction, derive_seed, write_transactions
+from .txn_core import CuisineClass, Transactions, derive_seed, to_minute, write_transactions
 from .weak_label import LabelSet, load_taxonomy, tokenize_name
 
 START_DATE = datetime(2025, 1, 6)  # a Monday
@@ -207,7 +207,7 @@ def name_for(cuisine: CuisineClass, rng: np.random.Generator, cfg: SynthConfig,
 
 @dataclass
 class SynthResult:
-    transactions: list[Transaction]
+    transactions: Transactions
     truth: LabelSet
     party_sizes: dict[str, dict[int, int]]  # restaurant_id -> {party size: txn count}
     names: dict[str, str]                   # restaurant_id -> generated name
@@ -250,13 +250,13 @@ def generate(cfg: SynthConfig) -> SynthResult:
     for rid in rest_ids:
         by_cuisine[rest_cuisine[rid]].append(rid)
 
-    # date lookup per day-of-week over the window
-    dates_by_dow: dict[int, list[datetime]] = {d: [] for d in range(7)}
+    # start of each day in the window, in minutes, per day-of-week
+    dates_by_dow: dict[int, list[int]] = {d: [] for d in range(7)}
     for d in range(cfg.days):
         day = START_DATE + timedelta(days=d)
-        dates_by_dow[day.weekday()].append(day)
+        dates_by_dow[day.weekday()].append(to_minute(day))
 
-    txns: list[Transaction] = []
+    rows: list[tuple] = []
     party_sizes: dict[str, dict[int, int]] = {rid: {} for rid in rest_ids}
 
     for c_idx in range(cfg.n_customers):
@@ -300,7 +300,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
                     params.weekend_hours if dow >= 5 else params.weekday_hours)
             hour = int(rng.choice(24, p=profile / profile.sum()))
             minute = int(rng.integers(0, 60))
-            ts = day.replace(hour=hour, minute=minute)
+            ts = day + 60 * hour + minute
 
             party = 1 + int(rng.choice(6, p=np.asarray(params.party_probs)))
             per_person = np.exp(rng.normal(price_mu, params.price_log_sigma))
@@ -312,12 +312,12 @@ def generate(cfg: SynthConfig) -> SynthResult:
                 settle = auth
             settle = max(settle, auth)
 
-            txns.append(Transaction(rid, rest_name[rid], rest_zip[rid], ts,
-                                    chid, auth, settle))
+            rows.append((rid, rest_name[rid], rest_zip[rid], ts, chid, auth, settle))
             party_sizes[rid][party] = party_sizes[rid].get(party, 0) + 1
 
-    txns.sort(key=lambda t: (t.timestamp, t.cardholder_id, t.merchant_id, t.auth_amount))
-    return SynthResult(txns, truth, party_sizes, rest_name)
+    # by timestamp, cardholder, merchant and auth amount
+    rows.sort(key=lambda t: (t[3], t[4], t[0], t[5]))
+    return SynthResult(Transactions.from_rows(rows), truth, party_sizes, rest_name)
 
 
 def write_outputs(result: SynthResult, txn_path, labels_path, party_path) -> None:

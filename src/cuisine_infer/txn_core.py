@@ -1,13 +1,15 @@
-"""Transaction data model, CSV ingestion, and merchant/cardholder indexing."""
+"""Columnar transaction table, CSV ingest and serialisation, and one sort
+into restaurant and cardholder order."""
 
 from __future__ import annotations
 
 import csv
 import enum
 import zlib
-from dataclasses import dataclass
-from datetime import datetime
-from typing import Iterable
+from dataclasses import dataclass, fields
+from datetime import datetime, timedelta
+
+import numpy as np
 
 CSV_HEADER = [
     "merchant_id",
@@ -51,30 +53,47 @@ class IngestError(Exception):
     """A transaction file could not be ingested."""
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    merchant_id: str
-    merchant_name: str
-    zip5: str
-    timestamp: datetime
-    cardholder_id: str
-    auth_amount: int      # integer cents
-    settle_amount: int    # integer cents; settle - auth is the tip
+@dataclass(frozen=True)
+class Transactions:
+    """A transaction log as columns, one entry per row.
 
-    def to_row(self) -> list[str]:
-        return [
-            self.merchant_id,
-            self.merchant_name,
-            self.zip5,
-            self.timestamp.strftime(TIMESTAMP_FMT),
-            self.cardholder_id,
-            str(self.auth_amount),
-            str(self.settle_amount),
-        ]
+    The string columns are object arrays of str, the others int64.
+    """
+
+    merchant_id: np.ndarray
+    merchant_name: np.ndarray
+    zip5: np.ndarray
+    minute: np.ndarray         # minutes since 1970-01-01T00:00
+    cardholder_id: np.ndarray
+    auth_amount: np.ndarray    # integer cents
+    settle_amount: np.ndarray  # integer cents; settle - auth is the tip
+
+    def __len__(self) -> int:
+        return len(self.minute)
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple]) -> "Transactions":
+        """A table from tuples of the seven fields in CSV order."""
+        columns = zip(*rows) if rows else [()] * len(CSV_HEADER)
+        return cls(*(np.array(col, dtype=np.int64 if f.name in _INT_COLUMNS else object)
+                     for f, col in zip(fields(cls), columns)))
 
 
-def _validate_row(row: list[str]) -> Transaction | str:
-    """Turn a CSV row into a Transaction, or return a rejection reason."""
+_INT_COLUMNS = {"minute", "auth_amount", "settle_amount"}
+
+
+def to_minute(ts: datetime) -> int:
+    """Minutes since 1970-01-01T00:00."""
+    return (ts - datetime(1970, 1, 1)) // timedelta(minutes=1)
+
+
+def valid_zip5(zip5: str) -> bool:
+    """Five ASCII digits."""
+    return len(zip5) == 5 and zip5.isascii() and zip5.isdigit()
+
+
+def _validate_row(row: list[str]) -> tuple | str:
+    """Turn a CSV row into a table row, or return a rejection reason."""
     if len(row) != len(CSV_HEADER):
         return f"expected {len(CSV_HEADER)} fields, got {len(row)}"
     mid, name, zip5, ts_raw, chid, auth_raw, settle_raw = row
@@ -82,7 +101,7 @@ def _validate_row(row: list[str]) -> Transaction | str:
         return "empty merchant_id"
     if not chid:
         return "empty cardholder_id"
-    if len(zip5) != 5 or not zip5.isdigit():
+    if not valid_zip5(zip5):
         return f"bad zip5 {zip5!r}"
     try:
         ts = datetime.strptime(ts_raw, TIMESTAMP_FMT)
@@ -99,12 +118,12 @@ def _validate_row(row: list[str]) -> Transaction | str:
         return "negative settle_amount"
     if settle < auth:
         return "negative tip"
-    return Transaction(mid, name, zip5, ts, chid, auth, settle)
+    return mid, name, zip5, to_minute(ts), chid, auth, settle
 
 
 @dataclass
 class ParseResult:
-    transactions: list[Transaction]
+    transactions: Transactions
     rejects: list[tuple[int, str]]  # (1-based line number, reason)
 
 
@@ -114,7 +133,7 @@ def parse_transactions(path, strict: bool = False) -> ParseResult:
     In lenient mode malformed rows are collected into the reject report; in
     strict mode the first malformed row raises IngestError.
     """
-    txns: list[Transaction] = []
+    rows: list[tuple] = []
     rejects: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -128,21 +147,20 @@ def parse_transactions(path, strict: bool = False) -> ParseResult:
             if not row:
                 continue
             result = _validate_row(row)
-            if isinstance(result, Transaction):
-                txns.append(result)
+            if isinstance(result, tuple):
+                rows.append(result)
             else:
                 if strict:
                     raise IngestError(f"{path}:{line_no}: {result}")
                 rejects.append((line_no, result))
-    return ParseResult(txns, rejects)
+    return ParseResult(Transactions.from_rows(rows), rejects)
 
 
-def merchant_names(txns: Iterable[Transaction]) -> dict[str, str]:
-    """Merchant id -> name, taking the name of each merchant's first transaction."""
-    names: dict[str, str] = {}
-    for t in txns:
-        names.setdefault(t.merchant_id, t.merchant_name)
-    return names
+def merchant_names(txns: Transactions) -> dict[str, str]:
+    """Merchant id -> the name on its first row, in order of first appearance."""
+    _, first = np.unique(txns.merchant_id, return_index=True)
+    first.sort()
+    return dict(zip(txns.merchant_id[first].tolist(), txns.merchant_name[first].tolist()))
 
 
 def derive_seed(seed: int, name: str) -> int:
@@ -150,13 +168,15 @@ def derive_seed(seed: int, name: str) -> int:
     return (seed << 32) ^ zlib.crc32(name.encode())
 
 
-def write_transactions(path, txns: Iterable[Transaction]) -> None:
+def write_transactions(path, txns: Transactions) -> None:
     """Write transactions in the canonical CSV form."""
+    times = np.datetime_as_string(txns.minute.astype("datetime64[m]"), unit="m")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for t in txns:
-            writer.writerow(t.to_row())
+        writer.writerows(zip(txns.merchant_id, txns.merchant_name, txns.zip5, times.tolist(),
+                             txns.cardholder_id, txns.auth_amount.tolist(),
+                             txns.settle_amount.tolist()))
 
 
 def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:
@@ -165,45 +185,46 @@ def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:
             fh.write(f"{line_no}\t{reason}\n")
 
 
-def _txn_sort_key(t: Transaction):
-    return (t.timestamp, t.cardholder_id, t.auth_amount, t.merchant_id, t.settle_amount)
-
-
-@dataclass
-class RestaurantBucket:
-    name: str
-    zip5: str
-    txns: list[Transaction]
-
-
 @dataclass
 class RestaurantIndex:
-    restaurants: dict[str, RestaurantBucket]
-    cardholders: dict[str, list[Transaction]]  # chronological per cardholder
+    """A transaction table grouped by merchant and, dually, by cardholder.
+
+    Restaurants and cardholders are numbered in the sorted order of their
+    ids. Restaurant r owns entries starts[r]:starts[r + 1] of the per-row
+    arrays, ordered by time, then cardholder, auth and settle amount.
+    Cardholder c visited merchants[card_starts[c]:card_starts[c + 1]], in
+    order of time, then auth amount, merchant and settle amount.
+    """
+
+    restaurant_ids: np.ndarray   # per restaurant
+    names: np.ndarray            # per restaurant, from its first row in the file
+    zips: np.ndarray             # per restaurant, from its first row in the file
+    starts: np.ndarray
+    minute: np.ndarray           # per row, in restaurant order
+    auth_amount: np.ndarray
+    settle_amount: np.ndarray
+    cardholder: np.ndarray       # per row, in restaurant order: cardholder code
+    cardholder_ids: np.ndarray   # per cardholder
+    card_starts: np.ndarray
+    merchants: np.ndarray        # per row, in cardholder order: restaurant code
 
     def __len__(self) -> int:
-        return len(self.restaurants)
+        return len(self.restaurant_ids)
 
 
-def build_index(txns: Iterable[Transaction]) -> RestaurantIndex:
-    """Group transactions by merchant (and dually by cardholder).
+def _starts(codes: np.ndarray, n: int) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=n))))
 
-    Per-bucket ordering is total and independent of input order: sorted by
-    timestamp, ties broken by cardholder_id then auth_amount.
-    """
-    restaurants: dict[str, RestaurantBucket] = {}
-    cardholders: dict[str, list[Transaction]] = {}
-    for t in txns:
-        bucket = restaurants.get(t.merchant_id)
-        if bucket is None:
-            restaurants[t.merchant_id] = bucket = RestaurantBucket(t.merchant_name, t.zip5, [])
-        bucket.txns.append(t)
-        cardholders.setdefault(t.cardholder_id, []).append(t)
-    for bucket in restaurants.values():
-        bucket.txns.sort(key=_txn_sort_key)
-    for lst in cardholders.values():
-        lst.sort(key=_txn_sort_key)
-    restaurants_sorted = dict(sorted(restaurants.items()))
-    cardholders_sorted = dict(sorted(cardholders.items()))
-    return RestaurantIndex(restaurants_sorted, cardholders_sorted)
 
+def build_index(txns: Transactions) -> RestaurantIndex:
+    """Group transactions by merchant and by cardholder. Both orders are
+    independent of the order of the rows."""
+    rids, first, m = np.unique(txns.merchant_id, return_index=True, return_inverse=True)
+    cids, c = np.unique(txns.cardholder_id, return_inverse=True)
+    # lexsort sorts by its last key first and keeps ties in file order.
+    by_r = np.lexsort((txns.settle_amount, txns.auth_amount, c, txns.minute, m))
+    by_c = np.lexsort((txns.settle_amount, m, txns.auth_amount, txns.minute, c))
+    return RestaurantIndex(
+        rids, txns.merchant_name[first], txns.zip5[first], _starts(m, len(rids)),
+        txns.minute[by_r], txns.auth_amount[by_r], txns.settle_amount[by_r], c[by_r],
+        cids, _starts(c, len(cids)), m[by_c])

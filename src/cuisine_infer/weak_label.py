@@ -125,11 +125,13 @@ class LabelSet:
     def read_tsv(cls, path) -> "LabelSet":
         out = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 parts = line.split("\t")
+                if len(parts) < 2:
+                    raise ValueError(f"{path}:{line_no}: expected id<TAB>cuisine")
                 rid, cuisine = parts[0], CuisineClass.from_name(parts[1])
                 source = parts[2] if len(parts) > 2 else "truth"
                 out.add(rid, cuisine, source)

@@ -20,3 +20,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def take(txns, idx):
+    """The rows `idx` of a transaction table, as a new table."""
+    from dataclasses import fields
+
+    return type(txns)(*(getattr(txns, f.name)[idx] for f in fields(txns)))

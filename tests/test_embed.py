@@ -55,10 +55,18 @@ class TestCorpus:
         res = generate(SynthConfig(n_restaurants=20, n_customers=100, days=10, seed=5))
         index = build_index(res.transactions)
         micro = build_customer_corpus(index)
+        macro = build_restaurant_corpus(index)
+        t = res.transactions
+        rows = list(zip(t.minute.tolist(), t.cardholder_id, t.auth_amount.tolist(),
+                        t.merchant_id, t.settle_amount.tolist()))
         chid, toks = micro.documents[0]
-        times = [t.timestamp for t in index.cardholders[chid]]
-        assert toks == [t.merchant_id for t in index.cardholders[chid]]
-        assert times == sorted(times)
+        visits = sorted((m, a, r, s) for m, c, a, r, s in rows if c == chid)
+        assert chid == min(t.cardholder_id)
+        assert toks == [r for _m, _a, r, _s in visits]
+        rid, toks = macro.documents[0]
+        visits = sorted((m, c, a, s) for m, c, a, r, s in rows if r == rid)
+        assert rid == min(t.merchant_id)
+        assert toks == [c for _m, c, _a, _s in visits]
 
 
 class TestPairCount:

@@ -1,6 +1,9 @@
 import copy
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import cuisine_infer
 from cuisine_infer import btm, embed, eval_harness, nnet, pipeline, synthgen, weak_label
 from cuisine_infer.cli import _parse_overrides, main
 from cuisine_infer.eval_harness import CUISINE_SUMMARY_COLUMNS, cuisine_summary
@@ -307,6 +311,20 @@ class TestCorruptModel:
         assert "lacks field n_classes" in result.output
 
 
+@pytest.mark.parametrize("stage", ["train", "eval", "report"])
+def test_truncated_labels_line_exit_code(pipeline_run, tmp_path, stage):
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    labels = out / "labels.tsv"
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:2]) + lines[2].split("\t")[0] + "\n" + "".join(lines[3:]))
+    result = CliRunner().invoke(main, [
+        stage, "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{labels}:3: expected id<TAB>cuisine" in result.output
+
+
 def _manifest_inputs(path: Path) -> set[Path]:
     return {Path(line.split("\t", 1)[1]) for line in path.read_text().splitlines()
             if line.startswith("input\t")}
@@ -348,6 +366,15 @@ class TestEmbedInputs:
         for part in ("embed.micro", "customer-docs", "min_count=100000"):
             assert part in result.output
         assert not (out / "micro.txt").exists()
+
+    def test_empty_pretrained_vectors_exit_code(self, upstream):
+        tmp_path, out = upstream
+        vectors = out / "pretrained_vectors.txt"
+        vectors.write_text("")
+        result = self._embed(tmp_path, out)
+        assert result.exit_code == 4, result.output
+        assert f"{vectors}: no vectors" in result.output
+        assert not (out / "name_embed.txt").exists()
 
     def test_failing_macro_step_writes_no_file(self, upstream):
         tmp_path, out = upstream
@@ -420,6 +447,43 @@ def test_manifests_count_ingest_rejects(tmp_path):
     shutil.copy(clean, out / "transactions.csv")
     pipeline.run_label(cfg)
     assert not (out / "rejects.tsv").exists()
+
+
+def test_non_ascii_zip_is_an_ingest_reject(tmp_path):
+    """A zip of digits that are not all ASCII ('²' is a digit to str.isdigit)
+    is rejected at ingest, so `features` never reads it."""
+    cfg = _tiny_cfg(tmp_path)
+    pipeline.run_synth(cfg)
+    out = Path(cfg["out_dir"])
+    txn_path = out / "transactions.csv"
+    lines = txn_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = lines[1].split(",")
+    row[0], row[2] = "R999999", "1234\u00b2"   # a new merchant's first and only row
+    txn_path.write_text("".join(lines[:2]) + ",".join(row) + "".join(lines[2:]),
+                        encoding="utf-8")
+    for stage in ("label", "features"):
+        result = CliRunner().invoke(main, [
+            stage, "--config", str(tmp_path / "config.yaml"), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+    assert (out / "rejects.tsv").read_text(encoding="utf-8") == "3\tbad zip5 '1234\u00b2'\n"
+    assert "R999999" not in (out / "features_stat.tsv").read_text()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, preset))
+    env["PYTHONPATH"] = str(Path(cuisine_infer.__file__).resolve().parents[1])
+    code = ("import os, sys; import cuisine_infer; print('numpy' in sys.modules); "
+            "import cuisine_infer.cli; "
+            f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+    lines = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True, timeout=120).stdout.splitlines()
+    assert lines == ["False", " ".join([expected] * len(BLAS_THREAD_VARS))]
 
 
 def _read_summary(path: Path) -> dict[str, list[str]]:

@@ -1,7 +1,8 @@
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from conftest import take
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,26 +18,35 @@ from cuisine_infer.stat_features import (
     extract_restaurant,
     gmm_fit,
     gmm_log_joint,
-    hourly_capacity,
-    loyalty_counts,
+    loyalty,
     party_features,
     read_features,
-    revisit_counts,
     select_k_aic,
     split_blocks,
     temporal_dists,
-    tip_series,
     write_features,
     zip_feature,
 )
 from cuisine_infer.synthgen import SynthConfig, generate
-from cuisine_infer.txn_core import Transaction, build_index, derive_seed
+from cuisine_infer.txn_core import (TIMESTAMP_FMT, Transactions, build_index, derive_seed,
+                                    to_minute)
+
+EPOCH = datetime(1970, 1, 1)
 
 
 def txn(mid="R1", chid="C1", ts="2025-01-06T12:00", auth=1000, settle=1100,
         zip5="12345"):
-    return Transaction(mid, "Name", zip5, datetime.strptime(ts, "%Y-%m-%dT%H:%M"),
-                       chid, auth, settle)
+    return (mid, "Name", zip5, to_minute(datetime.strptime(ts, TIMESTAMP_FMT)), chid, auth,
+            settle)
+
+
+def blocks_of(*rows) -> dict:
+    """The feature blocks of restaurant R1 in a log of `rows`."""
+    return extract_restaurant("R1", build_index(Transactions.from_rows(rows))).blocks
+
+
+def minutes(*stamps) -> np.ndarray:
+    return np.array([txn(ts=ts)[3] for ts in stamps], dtype=np.int64)
 
 
 class TestDeciles:
@@ -68,47 +78,105 @@ class TestDeciles:
 
 
 def test_tip_series():
-    txns = [txn(auth=1000, settle=1150), txn(auth=500, settle=500)]
-    assert tip_series(txns) == [150, 0]
+    blocks = blocks_of(txn(auth=1000, settle=1150), txn(auth=500, settle=500))
+    assert np.array_equal(blocks["tip_deciles"], deciles([150, 0]))
 
 
 def test_hourly_capacity_buckets():
-    txns = [txn(ts="2025-01-06T12:05"), txn(ts="2025-01-06T12:55"),
-            txn(ts="2025-01-06T13:00"), txn(ts="2025-01-07T12:00")]
-    assert hourly_capacity(txns) == [2, 1, 1]
-    assert hourly_capacity([]) == []
+    blocks = blocks_of(txn(ts="2025-01-06T12:05"), txn(ts="2025-01-06T12:55"),
+                       txn(ts="2025-01-06T13:00"), txn(ts="2025-01-07T12:00"))
+    assert np.array_equal(blocks["capacity_deciles"], deciles([2, 1, 1]))
 
 
 def test_temporal_dists():
-    txns = [txn(ts="2025-01-06T12:00"),   # Monday
-            txn(ts="2025-01-11T20:00"),   # Saturday
-            txn(ts="2025-01-12T20:00")]   # Sunday
-    dow, wd, we = temporal_dists(txns)
+    dow, wd, we = temporal_dists(minutes("2025-01-06T12:00",    # Monday
+                                         "2025-01-11T20:00",    # Saturday
+                                         "2025-01-12T20:00"))   # Sunday
     assert dow[0] == pytest.approx(1 / 3) and dow[5] == pytest.approx(1 / 3)
     assert wd[12] == pytest.approx(1.0)
     assert we[20] == pytest.approx(1.0)
     assert dow.sum() == pytest.approx(1.0)
-    dow0, wd0, we0 = temporal_dists([])
+    dow0, wd0, we0 = temporal_dists(minutes())
     assert dow0.sum() == wd0.sum() == we0.sum() == 0.0
+    # before 1970 the day of week still counts from Monday
+    dow, _, we = temporal_dists(minutes("1969-12-28T23:59"))  # a Sunday
+    assert dow[6] == 1.0 and we[23] == 1.0
 
 
 def test_revisit_and_loyalty_recount():
     res = generate(SynthConfig(n_restaurants=60, n_customers=400, days=20, seed=2))
-    index = build_index(res.transactions)
-    rid = sorted(index.restaurants)[0]
-    txns = index.restaurants[rid].txns
+    t = res.transactions
+    index = build_index(t)
+    rid = index.restaurant_ids[0]
+    at_rid = t.merchant_id == rid
+    custs = sorted(set(t.cardholder_id[at_rid]))
 
-    expected_rev = {}
-    for t in txns:
-        expected_rev[t.cardholder_id] = expected_rev.get(t.cardholder_id, 0) + 1
-    assert revisit_counts(txns) == [expected_rev[c] for c in sorted(expected_rev)]
+    revisits = [int((t.cardholder_id[at_rid] == c).sum()) for c in custs]
+    brute = [len(set(t.merchant_id[t.cardholder_id == c])) for c in custs]
+    assert loyalty(index)[np.searchsorted(index.cardholder_ids, custs)].tolist() == brute
+    assert all(v >= 1 for v in brute)
+    blocks = extract_restaurant(rid, index).blocks
+    assert np.array_equal(blocks["revisit_deciles"], deciles(revisits))
+    assert np.array_equal(blocks["loyalty_deciles"], deciles(brute))
 
-    loy = loyalty_counts(txns, index)
-    custs = sorted({t.cardholder_id for t in txns})
-    brute = [len({t.merchant_id for t in res.transactions if t.cardholder_id == c})
-             for c in custs]
-    assert loy == brute
-    assert all(v >= 1 for v in loy)
+
+# Few distinct values per field, so that rows often tie on some sort keys.
+# The days run Monday 1969-12-29 to Sunday 1970-01-04.
+_LOG_ROW = st.tuples(
+    st.sampled_from(["R1", "R10", "r2"]), st.sampled_from(["A", "B"]),
+    st.sampled_from(["12345", "90210"]),
+    st.builds(lambda d, m: EPOCH + timedelta(days=d, minutes=m),
+              st.integers(-3, 3), st.sampled_from([59, 60, 1439])),
+    st.sampled_from(["C1", "C10", "c3"]),
+    st.integers(0, 2), st.integers(0, 2))
+
+
+@given(st.lists(_LOG_ROW, min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_table_matches_per_row_recount(log):
+    """Index order and every count-based block against a recount of the rows
+    with datetime, one restaurant and one cardholder at a time."""
+    log = [(m, n, z, ts, c, a, a + tip) for m, n, z, ts, c, a, tip in log]
+    index = build_index(Transactions.from_rows(
+        [(m, n, z, to_minute(ts), c, a, s) for m, n, z, ts, c, a, s in log]))
+    feats = extract_all(index)
+
+    rids = sorted({row[0] for row in log})
+    cids = sorted({row[4] for row in log})
+    assert index.restaurant_ids.tolist() == rids == list(feats)
+    assert index.cardholder_ids.tolist() == cids
+    visited = {c: {row[0] for row in log if row[4] == c} for c in cids}
+    for r, rid in enumerate(rids):
+        rows = sorted((ts, c, a, s) for m, _n, _z, ts, c, a, s in log if m == rid)
+        first = next(row for row in log if row[0] == rid)
+        assert (index.names[r], index.zips[r]) == (first[1], first[2])
+        at = slice(index.starts[r], index.starts[r + 1])
+        assert [(EPOCH + timedelta(minutes=int(m)), index.cardholder_ids[c], int(a), int(s))
+                for m, c, a, s in zip(index.minute[at], index.cardholder[at],
+                                      index.auth_amount[at], index.settle_amount[at])] == rows
+
+        dow, wd, we = np.zeros(7), np.zeros(24), np.zeros(24)
+        hours: dict = {}
+        for ts, *_ in rows:
+            dow[ts.weekday()] += 1
+            (we if ts.weekday() >= 5 else wd)[ts.hour] += 1
+            hours[(ts.date(), ts.hour)] = hours.get((ts.date(), ts.hour), 0) + 1
+        visits = {c: sum(row[1] == c for row in rows) for _, c, _, _ in rows}
+        expected = {
+            "tip_deciles": deciles([s - a for *_, a, s in rows]),
+            "capacity_deciles": deciles(list(hours.values())),
+            "revisit_deciles": deciles(list(visits.values())),
+            "loyalty_deciles": deciles([len(visited[c]) for c in visits]),
+            "dow_dist": dow / dow.sum(),
+            "weekday_hour_dist": wd / wd.sum() if wd.sum() else wd,
+            "weekend_hour_dist": we / we.sum() if we.sum() else we,
+        }
+        for name, want in expected.items():
+            assert np.array_equal(feats[rid].blocks[name], want), name
+    for c, cid in enumerate(cids):
+        visits = sorted((ts, a, m, s) for m, _n, _z, ts, ch, a, s in log if ch == cid)
+        got = index.merchants[index.card_starts[c]:index.card_starts[c + 1]]
+        assert index.restaurant_ids[got].tolist() == [m for _ts, _a, m, _s in visits]
 
 
 class TestGmm:
@@ -256,8 +324,7 @@ class TestAssembly:
     def test_dim_and_blocks(self):
         res = generate(SynthConfig(n_restaurants=20, n_customers=150, days=10, seed=8))
         index = build_index(res.transactions)
-        rid = sorted(index.restaurants)[0]
-        block = extract_restaurant(rid, index)
+        block = extract_restaurant(index.restaurant_ids[0], index)
         assert set(block.blocks) == set(STAT_BLOCK_DIMS)
         vec = block.concat()
         assert len(vec) == STAT_DIM == 162
@@ -280,8 +347,7 @@ class TestAssembly:
     def test_purity_under_transaction_shuffle(self):
         res = generate(SynthConfig(n_restaurants=15, n_customers=120, days=10, seed=9))
         idx1 = build_index(res.transactions)
-        shuffled = list(reversed(res.transactions))
-        idx2 = build_index(shuffled)
+        idx2 = build_index(take(res.transactions, slice(None, None, -1)))
         f1 = extract_all(idx1, seed=1)
         f2 = extract_all(idx2, seed=1)
         assert sorted(f1) == sorted(f2)
@@ -292,11 +358,10 @@ class TestAssembly:
         res = generate(SynthConfig(n_restaurants=40, n_customers=300, days=10, seed=11))
         index = build_index(res.transactions)
         feats = extract_all(index, seed=5)
-        assert list(feats) == list(index.restaurants)
+        assert list(feats) == index.restaurant_ids.tolist()
         for rid, got in feats.items():
             one = extract_restaurant(rid, index, seed=derive_seed(5, rid))
             assert np.array_equal(got.concat(), one.concat())
-            assert got.empty == one.empty
             assert same_model(got.gmm, one.gmm)
 
     def test_write_read_round_trip(self, tmp_path):

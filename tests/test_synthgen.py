@@ -1,3 +1,5 @@
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def medium_result():
 
 def test_empty_config():
     res = generate(SynthConfig(n_restaurants=0, n_customers=0, days=0, seed=0))
-    assert res.transactions == []
+    assert len(res.transactions) == 0
     assert len(res.truth) == 0
 
 
@@ -37,10 +39,11 @@ def test_same_seed_byte_identical(tmp_path):
 def test_price_ordering_european_vs_dessert():
     res = generate(SynthConfig(n_restaurants=500, n_customers=5000, days=90, seed=7))
     by_cuisine = {CuisineClass.European: [], CuisineClass.Dessert: []}
-    for t in res.transactions:
-        cuisine = res.truth.get(t.merchant_id)
+    t = res.transactions
+    for rid, auth in zip(t.merchant_id, t.auth_amount.tolist()):
+        cuisine = res.truth.get(rid)
         if cuisine in by_cuisine:
-            by_cuisine[cuisine].append(t.auth_amount)
+            by_cuisine[cuisine].append(auth)
     assert np.median(by_cuisine[CuisineClass.European]) > \
         np.median(by_cuisine[CuisineClass.Dessert])
 
@@ -67,10 +70,11 @@ def test_weekend_ratio_tracks_profiles():
     res = generate(SynthConfig(n_restaurants=200, n_customers=2000, days=56, seed=5))
     weekend = {c: 0 for c in CuisineClass}
     total = {c: 0 for c in CuisineClass}
-    for t in res.transactions:
-        c = res.truth.get(t.merchant_id)
+    t = res.transactions
+    for rid, minute in zip(t.merchant_id, t.minute.tolist()):
+        c = res.truth.get(rid)
         total[c] += 1
-        if t.timestamp.weekday() >= 5:
+        if (datetime(1970, 1, 1) + timedelta(minutes=minute)).weekday() >= 5:
             weekend[c] += 1
     assert sum(total.values()) >= 10_000
     # Bar is configured weekend-heavy relative to MMA
