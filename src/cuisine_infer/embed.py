@@ -8,44 +8,47 @@ max pooling of pretrained vectors over non-labeling name tokens.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .txn_core import RestaurantIndex
+from .txn_core import RestaurantIndex, read_records
 from .weak_label import tokenize_name
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    documents: list[tuple[str, list[str]]]
-    counts: Counter
+    """Documents of word codes laid end to end: document d is doc_ids[d] and
+    holds tokens[starts[d]:starts[d + 1]] in chronological order. Code w
+    stands for words[w]; words are sorted, so codes order as the words do."""
+
+    doc_ids: np.ndarray
+    words: np.ndarray
+    tokens: np.ndarray
+    starts: np.ndarray
     direction: str  # "customer-docs" or "restaurant-docs"
 
     @property
+    def counts(self) -> dict[str, int]:
+        """Occurrences of each word."""
+        counts = np.bincount(self.tokens, minlength=len(self.words))
+        return dict(zip(self.words.tolist(), counts.tolist()))
+
+    @property
     def n_tokens(self) -> int:
-        return sum(self.counts.values())
-
-
-def _corpus(doc_ids: np.ndarray, tokens: np.ndarray, starts: np.ndarray,
-            direction: str) -> Corpus:
-    tokens = tokens.tolist()
-    docs = [(doc_id, tokens[a:b])
-            for doc_id, a, b in zip(doc_ids.tolist(), starts[:-1].tolist(), starts[1:].tolist())]
-    return Corpus(docs, Counter(tokens), direction)
+        return len(self.tokens)
 
 
 def build_customer_corpus(index: RestaurantIndex) -> Corpus:
-    """One document per cardholder: restaurant ids in chronological order."""
-    return _corpus(index.cardholder_ids, index.restaurant_ids[index.merchants],
-                   index.card_starts, "customer-docs")
+    """One document per cardholder: restaurants in chronological order."""
+    return Corpus(index.cardholder_ids, index.restaurant_ids, index.merchants,
+                  index.card_starts, "customer-docs")
 
 
 def build_restaurant_corpus(index: RestaurantIndex) -> Corpus:
-    """One document per restaurant: cardholder ids in chronological order."""
-    return _corpus(index.restaurant_ids, index.cardholder_ids[index.cardholder],
-                   index.starts, "restaurant-docs")
+    """One document per restaurant: cardholders in chronological order."""
+    return Corpus(index.restaurant_ids, index.cardholder_ids, index.cardholder,
+                  index.starts, "restaurant-docs")
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class EmbeddingMatrix:
 class NegativeTable:
     """Draw negatives proportional to unigram frequency ** 0.75."""
 
-    def __init__(self, vocab: list[str], counts: Counter, power: float = 0.75):
-        freq = np.array([counts[w] for w in vocab], dtype=float) ** power
+    def __init__(self, counts: np.ndarray, power: float = 0.75):
+        freq = counts.astype(float) ** power
         self.probs = freq / freq.sum()
         self.cum = np.cumsum(self.probs)
 
@@ -99,28 +102,32 @@ class NegativeTable:
         return np.searchsorted(self.cum, rng.random(n), side="right")
 
 
-def _pruned_docs(corpus: Corpus, min_count: int):
-    vocab = sorted(w for w, c in corpus.counts.items() if c >= min_count)
-    if not vocab:
+def _positions(corpus: Corpus, min_count: int, window: int):
+    """The corpus without the words seen fewer than min_count times: the kept
+    words and their counts, and for each kept token, in corpus order, its
+    code among the kept words, its document and its window [lo, hi),
+    clipped at the document's ends."""
+    counts = np.bincount(corpus.tokens, minlength=len(corpus.words))
+    keep = counts >= min_count
+    if not keep.any():
         raise ValueError(f"{corpus.direction} corpus: empty vocabulary after "
                          f"min_count={min_count} pruning")
-    w_index = {w: i for i, w in enumerate(vocab)}
-    docs = []
-    for doc_id, tokens in corpus.documents:
-        ids = [w_index[t] for t in tokens if t in w_index]
-        docs.append((doc_id, np.asarray(ids, dtype=np.int32)))
-    return vocab, docs
+    kept = keep[corpus.tokens]
+    tokens = (np.cumsum(keep, dtype=np.int32) - 1)[corpus.tokens[kept]]
+    doc = np.repeat(np.arange(len(corpus.starts) - 1, dtype=np.int32),
+                    np.diff(corpus.starts))[kept]
+    pos = np.arange(len(tokens), dtype=np.int32)
+    window = min(window, len(tokens))  # a wider one clips the same; fits int32
+    lo = np.maximum(np.searchsorted(doc, doc, side="left").astype(np.int32), pos - window)
+    hi = np.minimum(np.searchsorted(doc, doc, side="right").astype(np.int32),
+                    pos + window + 1)
+    return corpus.words[keep], counts[keep], tokens, doc, lo, hi
 
 
 def count_skipgram_pairs(corpus: Corpus, window: int, min_count: int = 1) -> int:
     """Closed-form (center, context) pair count with window clipping."""
-    _, docs = _pruned_docs(corpus, min_count)
-    total = 0
-    for _, ids in docs:
-        n = len(ids)
-        for i in range(n):
-            total += min(i + window, n - 1) - max(i - window, 0)
-    return total
+    *_, lo, hi = _positions(corpus, min_count, window)
+    return int((hi - lo - 1).sum(dtype=np.int64))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,21 +142,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 PAIR_BATCH = 128
 CENTER_BATCH = 64
 SHARED_NEGATIVES = 64
-
-
-def _flat_positions(docs, window: int):
-    """All documents' token ids end to end, and for each position its
-    document and its window [lo, hi), clipped at the document's ends."""
-    lens = np.array([len(ids) for _, ids in docs], dtype=np.int32)
-    tokens = np.concatenate([np.zeros(0, np.int32)] + [ids for _, ids in docs])
-    doc = np.repeat(np.arange(len(docs), dtype=np.int32), lens)
-    end = np.cumsum(lens, dtype=np.int32)[doc]
-    start = end - lens[doc]
-    pos = np.arange(len(tokens), dtype=np.int32)
-    window = min(window, len(tokens))  # a wider one clips the same; fits int32
-    lo = np.maximum(start, pos - window)
-    hi = np.minimum(end, pos + window + 1)
-    return tokens, doc, lo, hi
 
 
 def _skipgram_pairs(lo: np.ndarray, hi: np.ndarray):
@@ -204,16 +196,21 @@ def _learning_rate(cfg: EmbedConfig, epoch: int, pos: np.ndarray,
     return np.maximum(MIN_LR, rate)[:, None]
 
 
-def _logistic_terms(h: np.ndarray, u: np.ndarray, u_neg: np.ndarray,
-                    lr: np.ndarray, negative: int):
-    """Scores of each row of `h` against its positive target (row of `u`)
-    and the shared negatives `u_neg`: the loss summed over rows, and the
-    lr-scaled gradient coefficients of the positive and negative scores."""
-    scale = negative / len(u_neg)
+def _output_step(vout: np.ndarray, h: np.ndarray, target: np.ndarray,
+                 negs: np.ndarray, lr: np.ndarray, negative: int):
+    """One negative-sampling step of the output vectors. Scores each row of
+    `h` against its target row of `vout` and against the shared negatives,
+    and applies the lr-scaled update to `vout` in place. Returns the loss
+    summed over rows and the lr-scaled gradient of that loss in `h`."""
+    u, u_neg = vout[target], vout[negs]
+    scale = negative / len(negs)
     s_pos = _sigmoid(np.einsum("ij,ij->i", h, u))
     s_neg = _sigmoid(h @ u_neg.T)
     loss = float(-np.log(s_pos + 1e-12).sum() - scale * np.log(1 - s_neg + 1e-12).sum())
-    return loss, (s_pos[:, None] - 1) * lr, s_neg * (scale * lr)
+    g_pos, g_neg = (s_pos[:, None] - 1) * lr, s_neg * (scale * lr)
+    _scatter_add(vout, np.concatenate([target, negs]),
+                 -np.concatenate([g_pos * h, g_neg.T @ h]))
+    return loss, g_pos * u + g_neg @ u_neg
 
 
 def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
@@ -225,14 +222,13 @@ def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     SHARED_NEGATIVES negatives; the updates of a batch all use the vectors
     as they were at its start.
     """
-    vocab, docs = _pruned_docs(corpus, cfg.min_count)
+    vocab, counts, tokens, _, lo, hi = _positions(corpus, cfg.min_count, cfg.window)
     V = len(vocab)
     rng = np.random.default_rng(cfg.seed)
-    table = NegativeTable(vocab, corpus.counts)
+    table = NegativeTable(counts)
     vin = (rng.random((V, cfg.dim)) - 0.5) / cfg.dim
     vout = np.zeros((V, cfg.dim))
 
-    tokens, _, lo, hi = _flat_positions(docs, cfg.window)
     center, context = _skipgram_pairs(lo, hi)
     n_centers, n_pairs = len(tokens), len(center)
     epoch_loss = []
@@ -243,14 +239,11 @@ def sgns_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
             c_in, c_out = tokens[c_pos], tokens[context[a:a + PAIR_BATCH]]
             negs = table.sample(rng, SHARED_NEGATIVES)
             lr = _learning_rate(cfg, epoch, c_pos, n_centers)
-            h, u, u_neg = vin[c_in], vout[c_out], vout[negs]
-            loss, g_pos, g_neg = _logistic_terms(h, u, u_neg, lr, cfg.negative)
+            loss, grad_h = _output_step(vout, vin[c_in], c_out, negs, lr, cfg.negative)
             loss_sum += loss
-            _scatter_add(vout, np.concatenate([c_out, negs]),
-                         -np.concatenate([g_pos * h, g_neg.T @ h]))
-            _scatter_add(vin, c_in, -(g_pos * u + g_neg @ u_neg))
+            _scatter_add(vin, c_in, -grad_h)
         epoch_loss.append(loss_sum / max(1, n_pairs * (1 + cfg.negative)))
-    vectors = {w: vin[i].copy() for i, w in enumerate(vocab)}
+    vectors = dict(zip(vocab.tolist(), vin))
     meta = {"config": cfg, "direction": corpus.direction, "vocab_size": V,
             "epoch_loss": epoch_loss, "pair_count": n_pairs}
     return EmbeddingMatrix(vectors, meta)
@@ -267,16 +260,15 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
     SHARED_NEGATIVES negatives; the updates of a batch all use the vectors
     as they were at its start.
     """
-    vocab, docs = _pruned_docs(corpus, cfg.min_count)
+    vocab, counts, tokens, doc, lo, hi = _positions(corpus, cfg.min_count, cfg.window)
     V = len(vocab)
-    D = len(docs)
+    D = len(corpus.doc_ids)
     rng = np.random.default_rng(cfg.seed)
-    table = NegativeTable(vocab, corpus.counts)
+    table = NegativeTable(counts)
     win = (rng.random((V, cfg.dim)) - 0.5) / cfg.dim
     dvec = (rng.random((D, cfg.dim)) - 0.5) / cfg.dim
     wout = np.zeros((V, cfg.dim))
 
-    tokens, doc, lo, hi = _flat_positions(docs, cfg.window)
     n_centers = len(tokens)
     epoch_loss = []
     for epoch in range(cfg.epochs):
@@ -290,53 +282,39 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
             span = tokens[a0:b0]
             n_in = (c_hi - c_lo)[:, None]  # the context words and the document
             h = (dvec[doc[a:b]] + _window_sums(win[span], c_lo, c_hi, own)) / n_in
-            target = tokens[a:b]
             negs = table.sample(rng, SHARED_NEGATIVES)
             lr = _learning_rate(cfg, epoch, np.arange(a, b), n_centers)
-            u, u_neg = wout[target], wout[negs]
-            loss, g_pos, g_neg = _logistic_terms(h, u, u_neg, lr, cfg.negative)
+            loss, grad_h = _output_step(wout, h, tokens[a:b], negs, lr, cfg.negative)
             loss_sum += loss
-            grad_h = (g_pos * u + g_neg @ u_neg) / n_in
-            _scatter_add(wout, np.concatenate([target, negs]),
-                         -np.concatenate([g_pos * h, g_neg.T @ h]))
+            grad_h /= n_in
             _scatter_add(dvec, doc[a:b], -grad_h)
             _scatter_add(win, span, -_window_grads(grad_h, c_lo, c_hi, own, b0 - a0))
         epoch_loss.append(loss_sum / max(1, n_centers * (1 + cfg.negative)))
-    vectors = {}
-    missing = []
-    for d_idx, (doc_id, ids) in enumerate(docs):
-        if len(ids) == 0:
-            missing.append(doc_id)
-        else:
-            vectors[doc_id] = dvec[d_idx].copy()
+    empty = np.bincount(doc, minlength=D) == 0
+    vectors = dict(zip(corpus.doc_ids[~empty].tolist(), dvec[~empty]))
     meta = {"config": cfg, "direction": corpus.direction, "vocab_size": V,
-            "epoch_loss": epoch_loss, "empty_documents": missing}
+            "epoch_loss": epoch_loss, "empty_documents": corpus.doc_ids[empty].tolist()}
     return EmbeddingMatrix(vectors, meta)
 
 
 def load_pretrained_vectors(path) -> EmbeddingMatrix:
     """Parse a text vector file of one or more `token v1 v2 ... vd` lines, single spaces."""
-    vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            token = parts[0]
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric vector component")
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
-                    raise ValueError(f"{path}:{line_no}: no vector components")
-            elif len(vec) != dim:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {dim} components, got {len(vec)}")
-            vectors[token] = vec
+
+    def row(parts):
+        nonlocal dim
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError:
+            raise ValueError("non-numeric vector component") from None
+        dim = len(vec) if dim is None else dim
+        if dim == 0:
+            raise ValueError("no vector components")
+        if len(vec) != dim:
+            raise ValueError(f"expected {dim} components, got {len(vec)}")
+        return parts[0], vec
+
+    vectors = dict(read_records(path, row, sep=" "))
     if not vectors:
         raise ValueError(f"{path}: no vectors")
     return EmbeddingMatrix(vectors, {"source": str(path), "dim": dim})

@@ -179,7 +179,6 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
         t += branch_out[name] @ params[f"trunk0/{name}"].T
     cache["t_pre0"] = t
     t = np.maximum(t, 0.0)
-    cache["t_act0"] = t
     if use_dropout:
         mask = _dropout_mask(rng, t.shape, dropout, dtype)
         cache["mask0"] = mask
@@ -191,7 +190,6 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
         pre = t @ params[f"trunk/W{i}"].T + params[f"trunk/b{i}"]
         cache[f"t_pre{i}"] = pre
         t = np.maximum(pre, 0.0)
-        cache[f"t_act{i}"] = t
         if use_dropout:
             mask = _dropout_mask(rng, t.shape, dropout, dtype)
             cache[f"mask{i}"] = mask

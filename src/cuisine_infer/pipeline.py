@@ -20,7 +20,7 @@ import yaml
 
 from . import btm, embed, eval_harness, nnet, stat_features, synthgen, weak_label
 from .txn_core import (build_index, derive_seed, merchant_names, parse_transactions,
-                       write_reject_report)
+                       read_records, write_reject_report)
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
@@ -337,6 +337,8 @@ def run_embed(cfg: dict) -> dict:
     boot_path = _require(out / "bootstrap_report.tsv", "bootstrap report")
     vec_path = _require(_vectors_path(cfg), "pretrained vectors")
     taxonomy, tax_inputs = _load_taxonomy(cfg)
+    labeling_words = taxonomy.all_keywords()
+    labeling_words.update(bw.word for bw in weak_label.read_bootstrap_report(boot_path))
     pretrained = embed.load_pretrained_vectors(vec_path)
     parsed = parse_transactions(txn_path)
     index = build_index(parsed.transactions)
@@ -353,11 +355,6 @@ def run_embed(cfg: dict) -> dict:
         except ValueError as exc:  # the corpus is empty after min_count pruning
             raise ValueError(f"embed.{part}: {exc}") from None
 
-    labeling_words = taxonomy.all_keywords()
-    with open(boot_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                labeling_words.add(line.split("\t")[0])
     matrices["name"] = embed.EmbeddingMatrix({
         rid: embed.name_embedding(name, labeling_words, pretrained)[0]
         for rid, name in zip(index.restaurant_ids.tolist(), index.names.tolist())})
@@ -467,6 +464,12 @@ def run_train(cfg: dict) -> dict:
     return {"model": model_path, "loss_curve": curve_path, "split": split_path}
 
 
+def _split_row(parts: list[str]) -> tuple[str, str]:
+    if len(parts) != 2 or not parts[0] or parts[1] not in ("train", "test"):
+        raise ValueError("expected id<TAB>train or id<TAB>test")
+    return parts[0], parts[1]
+
+
 def run_eval(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
@@ -475,11 +478,7 @@ def run_eval(cfg: dict) -> dict:
     dataset = load_dataset(cfg)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     split_path = _require(out / "split.tsv", "train/test split")
-    split = {}
-    with open(split_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rid, part = line.split()
-            split[rid] = part
+    split = dict(read_records(split_path, _split_row))
     train_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "train"]
     test_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "test"]
     train_ds, test_ds = nnet.standardize(

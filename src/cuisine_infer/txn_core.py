@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import re
 import zlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
@@ -22,6 +23,7 @@ CSV_HEADER = [
 ]
 
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M"
+_WHITESPACE = re.compile(r"\s")  # what str.isspace() is true for
 
 
 class CuisineClass(enum.IntEnum):
@@ -97,10 +99,11 @@ def _validate_row(row: list[str]) -> tuple | str:
     if len(row) != len(CSV_HEADER):
         return f"expected {len(CSV_HEADER)} fields, got {len(row)}"
     mid, name, zip5, ts_raw, chid, auth_raw, settle_raw = row
-    if not mid:
-        return "empty merchant_id"
-    if not chid:
-        return "empty cardholder_id"
+    for field, value in (("merchant_id", mid), ("cardholder_id", chid)):
+        if not value:
+            return f"empty {field}"
+        if _WHITESPACE.search(value):  # ids are space-separated tokens downstream
+            return f"whitespace in {field}"
     if not valid_zip5(zip5):
         return f"bad zip5 {zip5!r}"
     try:
@@ -177,6 +180,20 @@ def write_transactions(path, txns: Transactions) -> None:
         writer.writerows(zip(txns.merchant_id, txns.merchant_name, txns.zip5, times.tolist(),
                              txns.cardholder_id, txns.auth_amount.tolist(),
                              txns.settle_amount.tolist()))
+
+
+def read_records(path, parse, sep: str = "\t") -> list:
+    """parse(fields) of each non-empty line of a `sep`-separated text file.
+    A ValueError from `parse` is raised again naming the file and line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line := line.rstrip("\n"):
+                try:
+                    out.append(parse(line.split(sep)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return out
 
 
 def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:

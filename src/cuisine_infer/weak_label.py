@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .txn_core import CuisineClass
+from .txn_core import CuisineClass, read_records
 
 CORPORATE_SUFFIXES = {"LLC", "INC", "CO", "CORP"}
 
@@ -123,18 +123,15 @@ class LabelSet:
 
     @classmethod
     def read_tsv(cls, path) -> "LabelSet":
+        def row(parts):
+            if len(parts) < 2:
+                raise ValueError("expected id<TAB>cuisine")
+            source = parts[2] if len(parts) > 2 else "truth"
+            return parts[0], CuisineClass.from_name(parts[1]), source
+
         out = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    raise ValueError(f"{path}:{line_no}: expected id<TAB>cuisine")
-                rid, cuisine = parts[0], CuisineClass.from_name(parts[1])
-                source = parts[2] if len(parts) > 2 else "truth"
-                out.add(rid, cuisine, source)
+        for rid, cuisine, source in read_records(path, row):
+            out.add(rid, cuisine, source)
         return out
 
 
@@ -212,6 +209,16 @@ def write_bootstrap_report(path, words: list[BootstrapWord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for bw in words:
             fh.write(f"{bw.word}\t{bw.cuisine.name}\t{bw.freq:.6g}\t{bw.prec:.6g}\t{bw.sig:.6g}\n")
+
+
+def read_bootstrap_report(path) -> list[BootstrapWord]:
+    """The words of a file written by `write_bootstrap_report`."""
+    def row(parts):
+        if len(parts) != 5:
+            raise ValueError(f"expected 5 tab-separated fields, got {len(parts)}")
+        return BootstrapWord(parts[0], CuisineClass.from_name(parts[1]), *map(float, parts[2:]))
+
+    return read_records(path, row)
 
 
 def apply_labels(

@@ -27,3 +27,16 @@ def take(txns, idx):
     from dataclasses import fields
 
     return type(txns)(*(getattr(txns, f.name)[idx] for f in fields(txns)))
+
+
+def make_corpus(docs, direction):
+    """An `embed.Corpus` of (doc_id, [word, ...]) documents, in that order."""
+    import numpy as np
+
+    from cuisine_infer.embed import Corpus
+
+    words = sorted({w for _, toks in docs for w in toks})
+    code = {w: i for i, w in enumerate(words)}
+    return Corpus(np.array([d for d, _ in docs], dtype=object), np.array(words, dtype=object),
+                  np.array([code[w] for _, toks in docs for w in toks], dtype=np.int64),
+                  np.cumsum([0] + [len(toks) for _, toks in docs]), direction)

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import record_criterion
+from conftest import make_corpus, record_criterion
 from cuisine_infer import embed, eval_harness, nnet
 from cuisine_infer.btm import BtmConfig, btm_fit, coherence_sweep, umass_coherence
 from cuisine_infer.cli import main
-from cuisine_infer.embed import Corpus, EmbedConfig
+from cuisine_infer.embed import EmbedConfig
 from cuisine_infer.nnet import NetworkSpec, TrainConfig, backward, cross_entropy, forward, init_params
 from cuisine_infer.pipeline import load_config, load_dataset, run_pipeline, stage_seed
 from cuisine_infer.stat_features import deciles, gmm_fit, select_k_aic
@@ -312,12 +312,8 @@ def _community_margin(vectors, rests, half):
 def test_criterion_06_embedding_separation():
     t0 = time.perf_counter()
     rests, half, visits, guests = _bipartite_visits()
-    cust_docs = [(c, seq) for c, seq in visits.items()]
-    micro_corpus = Corpus(cust_docs, Counter(t for _, s in cust_docs for t in s),
-                          "customer-docs")
-    rest_docs = [(r, g) for r, g in guests.items()]
-    macro_corpus = Corpus(rest_docs, Counter(t for _, g in rest_docs for t in g),
-                          "restaurant-docs")
+    micro_corpus = make_corpus(list(visits.items()), "customer-docs")
+    macro_corpus = make_corpus(list(guests.items()), "restaurant-docs")
     micro = embed.sgns_train(micro_corpus, EmbedConfig(
         dim=32, window=5, negative=5, epochs=5, learning_rate=0.05,
         min_count=1, seed=3))

@@ -3,6 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import make_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuisine_infer import embed
 from cuisine_infer.embed import (
@@ -19,7 +22,7 @@ from cuisine_infer.embed import (
     sgns_train,
 )
 from cuisine_infer.synthgen import SynthConfig, generate, write_pretrained_vectors
-from cuisine_infer.txn_core import build_index
+from cuisine_infer.txn_core import Transactions, build_index
 
 
 def _cos(a, b):
@@ -30,22 +33,69 @@ def _two_community_corpus(direction="customer-docs", docs_per=40, doc_len=12):
     """Customers visit only restaurants within their community."""
     rng = np.random.default_rng(0)
     docs = []
-    counts: Counter = Counter()
     for side, words in (("a", [f"RA{i}" for i in range(6)]),
                         ("b", [f"RB{i}" for i in range(6)])):
         for d in range(docs_per):
             toks = list(rng.choice(words, size=doc_len, replace=True))
             docs.append((f"{side}{d}", toks))
-            counts.update(toks)
-    return Corpus(docs, counts, direction)
+    return make_corpus(docs, direction)
+
+
+def _document(corpus, d):
+    """Document d of a corpus, as words."""
+    return corpus.words[corpus.tokens[corpus.starts[d]:corpus.starts[d + 1]]].tolist()
+
+
+# (merchant, cardholder, minute, auth, tip): few distinct values, so that
+# rows often tie on some sort keys and words fall under min_count.
+_LOG_ROW = st.tuples(st.sampled_from(["R1", "R10", "r2"]), st.sampled_from(["C1", "C10", "c3"]),
+                     st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
 
 
 class TestCorpus:
+    @given(st.lists(_LOG_ROW, min_size=1, max_size=30), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_corpus_matches_recount(self, log, min_count, window):
+        """The pruned corpora against a recount of the rows as strings: sorted
+        vocabulary, counts, each document's kept words in chronological
+        order, and each position's window within its document."""
+        rows = [(m, c, t, a, a + tip) for m, c, t, a, tip in log]
+        index = build_index(Transactions.from_rows(
+            [(m, "N", "12345", t, c, a, s) for m, c, t, a, s in rows]))
+        by_customer = {c: [m for _t, _a, m, _s in sorted(
+            (t, a, m, s) for m, c2, t, a, s in rows if c2 == c)] for c in {r[1] for r in rows}}
+        by_restaurant = {m: [c for _t, c, _a, _s in sorted(
+            (t, c, a, s) for m2, c, t, a, s in rows if m2 == m)] for m in {r[0] for r in rows}}
+        for corpus, docs in ((build_customer_corpus(index), by_customer),
+                             (build_restaurant_corpus(index), by_restaurant)):
+            counts = Counter(w for toks in docs.values() for w in toks)
+            vocab = sorted(w for w, n in counts.items() if n >= min_count)
+            assert corpus.counts == counts
+            assert corpus.doc_ids.tolist() == sorted(docs)
+            if not vocab:
+                with pytest.raises(ValueError, match="empty vocabulary"):
+                    embed._positions(corpus, min_count, window)
+                continue
+            words, kept_counts, tokens, doc, lo, hi = embed._positions(corpus, min_count, window)
+            assert words.tolist() == vocab
+            assert kept_counts.tolist() == [counts[w] for w in vocab]
+            start = 0
+            for d, doc_id in enumerate(sorted(docs)):
+                kept = [w for w in docs[doc_id] if counts[w] >= min_count]
+                n, at = len(kept), slice(start, start + len(kept))
+                assert words[tokens[at]].tolist() == kept
+                assert (doc[at] == d).all()
+                assert lo[at].tolist() == [start + max(0, i - window) for i in range(n)]
+                assert hi[at].tolist() == [start + min(n, i + window + 1) for i in range(n)]
+                start += n
+            assert start == len(tokens)
+
     def test_token_conservation(self):
         res = generate(SynthConfig(n_restaurants=40, n_customers=250, days=12, seed=4))
         index = build_index(res.transactions)
         micro = build_customer_corpus(index)
         macro = build_restaurant_corpus(index)
+        assert micro.tokens is index.merchants and macro.tokens is index.cardholder
         assert micro.n_tokens == len(res.transactions)
         assert macro.n_tokens == len(res.transactions)
         assert micro.direction == "customer-docs"
@@ -59,11 +109,11 @@ class TestCorpus:
         t = res.transactions
         rows = list(zip(t.minute.tolist(), t.cardholder_id, t.auth_amount.tolist(),
                         t.merchant_id, t.settle_amount.tolist()))
-        chid, toks = micro.documents[0]
+        chid, toks = micro.doc_ids[0], _document(micro, 0)
         visits = sorted((m, a, r, s) for m, c, a, r, s in rows if c == chid)
         assert chid == min(t.cardholder_id)
         assert toks == [r for _m, _a, r, _s in visits]
-        rid, toks = macro.documents[0]
+        rid, toks = macro.doc_ids[0], _document(macro, 0)
         visits = sorted((m, c, a, s) for m, c, a, r, s in rows if r == rid)
         assert rid == min(t.merchant_id)
         assert toks == [c for _m, c, _a, _s in visits]
@@ -71,7 +121,7 @@ class TestCorpus:
 
 class TestPairCount:
     def test_closed_form_small(self):
-        corpus = Corpus([("d", list("ABCD"))], Counter("ABCD"), "customer-docs")
+        corpus = make_corpus([("d", list("ABCD"))], "customer-docs")
         # window 1: 2*(n-1) = 6; window 5 (>= n): n*(n-1) = 12
         assert count_skipgram_pairs(corpus, window=1) == 6
         assert count_skipgram_pairs(corpus, window=5) == 12
@@ -93,6 +143,17 @@ class TestPairCount:
 def _random_docs(rng, lengths, vocab=7):
     return [(f"d{i}", rng.integers(0, vocab, n).astype(np.int32))
             for i, n in enumerate(lengths)]
+
+
+def _flat_positions(docs, window, vocab=7):
+    """`embed._positions` of documents of word codes, pruning no word: the
+    codes end to end, and each position's window [lo, hi)."""
+    corpus = Corpus(np.array([d for d, _ in docs], dtype=object),
+                    np.array([f"w{i}" for i in range(vocab)], dtype=object),
+                    np.concatenate([ids for _, ids in docs]),
+                    np.cumsum([0] + [len(ids) for _, ids in docs]), "customer-docs")
+    _, _, tokens, _, lo, hi = embed._positions(corpus, 0, window)
+    return tokens, lo, hi
 
 
 # Lengths 0, 1 and 2 among longer documents; windows below and above them.
@@ -118,7 +179,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("window", WINDOWS)
     def test_skipgram_pairs_match_loop(self, window):
         docs = _random_docs(np.random.default_rng(window), DOC_LENGTHS)
-        tokens, _, lo, hi = embed._flat_positions(docs, window)
+        tokens, lo, hi = _flat_positions(docs, window)
         center, context = embed._skipgram_pairs(lo, hi)
         expected = [(p, p - i + j) for p, _, i, lo_i, hi_i in self._centers(docs, window)
                     for j in [*range(lo_i, i), *range(i + 1, hi_i)]]
@@ -130,7 +191,7 @@ class TestBatchKernels:
     def test_window_sums_and_grads_match_loop(self, window):
         rng = np.random.default_rng(100 + window)
         docs = _random_docs(rng, DOC_LENGTHS)
-        tokens, _, lo, hi = embed._flat_positions(docs, window)
+        tokens, lo, hi = _flat_positions(docs, window)
         # Integer-valued rows keep every sum exact, whatever its order.
         win = rng.integers(-50, 50, (7, 3)).astype(float)
         grad = rng.integers(-50, 50, (len(tokens), 3)).astype(float)
@@ -165,9 +226,7 @@ class TestBatchKernels:
 
 
 def test_negative_table_frequency_power():
-    vocab = ["AA", "BB"]
-    counts = Counter({"AA": 16, "BB": 1})
-    table = NegativeTable(vocab, counts)
+    table = NegativeTable(np.array([16, 1]))
     expected_aa = 16 ** 0.75 / (16 ** 0.75 + 1)
     assert table.probs[0] == pytest.approx(expected_aa)
     rng = np.random.default_rng(0)
@@ -200,14 +259,13 @@ class TestSgns:
             assert np.array_equal(e1.vectors[w], e2.vectors[w])
 
     def test_min_count_prunes(self):
-        corpus = Corpus([("d", ["AA"] * 5 + ["BB"])], Counter({"AA": 5, "BB": 1}),
-                        "customer-docs")
+        corpus = make_corpus([("d", ["AA"] * 5 + ["BB"])], "customer-docs")
         emb = sgns_train(corpus, EmbedConfig(dim=4, window=2, negative=2,
                                              epochs=1, min_count=2, seed=0))
         assert set(emb.vectors) == {"AA"}
 
     def test_empty_vocab_raises(self):
-        corpus = Corpus([("d", ["AA"])], Counter({"AA": 1}), "customer-docs")
+        corpus = make_corpus([("d", ["AA"])], "customer-docs")
         with pytest.raises(ValueError):
             sgns_train(corpus, EmbedConfig(dim=4, window=2, negative=2, min_count=5))
 
@@ -227,7 +285,7 @@ class TestParagraphVectors:
 
     def test_empty_document_flagged(self):
         docs = [("full", ["AA", "BB", "AA"]), ("empty", ["ZZ"])]
-        corpus = Corpus(docs, Counter({"AA": 2, "BB": 1, "ZZ": 1}), "restaurant-docs")
+        corpus = make_corpus(docs, "restaurant-docs")
         emb = pv_train(corpus, EmbedConfig(dim=4, window=2, negative=2,
                                            epochs=1, min_count=2, seed=0))
         assert "empty" not in emb.vectors

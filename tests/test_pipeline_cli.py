@@ -311,6 +311,20 @@ class TestCorruptModel:
         assert "lacks field n_classes" in result.output
 
 
+@pytest.mark.parametrize("bad_line", ["R000001\tvalidate\n", "R000001\ttrain\textra\n"])
+def test_malformed_split_line_exit_code(pipeline_run, tmp_path, bad_line):
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    split = out / "split.tsv"
+    lines = split.read_text().splitlines(keepends=True)
+    split.write_text("".join(lines[:2]) + bad_line + "".join(lines[3:]))
+    result = CliRunner().invoke(main, [
+        "eval", "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{split}:3: expected id<TAB>train or id<TAB>test" in result.output
+
+
 @pytest.mark.parametrize("stage", ["train", "eval", "report"])
 def test_truncated_labels_line_exit_code(pipeline_run, tmp_path, stage):
     _, artifacts, run_dir = pipeline_run
@@ -358,6 +372,16 @@ class TestEmbedInputs:
         result = self._embed(tmp_path, out)
         assert result.exit_code == 3
         assert "bootstrap_report.tsv" in result.output
+
+    def test_malformed_bootstrap_report_exit_code(self, upstream):
+        tmp_path, out = upstream
+        report = out / "bootstrap_report.tsv"
+        report.write_text(report.read_text() + "WOK EastAsian\n")
+        n_lines = len(report.read_text().splitlines())
+        result = self._embed(tmp_path, out)
+        assert result.exit_code == 4, result.output
+        assert f"{report}:{n_lines}: expected 5 tab-separated fields" in result.output
+        assert not (out / "micro.txt").exists()
 
     def test_empty_vocabulary_names_stage_and_corpus(self, upstream):
         tmp_path, out = upstream

@@ -81,6 +81,9 @@ class TestParse:
         (3, "yesterday", "timestamp"),
         (5, "12.5", "amount"),
         (5, "-3", "negative auth"),
+        (0, "R 000001", "whitespace in merchant_id"),
+        (0, "R000001\u00a0", "whitespace in merchant_id"),
+        (4, "C\t1", "whitespace in cardholder_id"),
     ])
     def test_reject_reasons(self, tmp_path, field, value, reason_part):
         p = tmp_path / "t.csv"

@@ -6,14 +6,17 @@ from cuisine_infer.synthgen import SynthConfig, generate
 from cuisine_infer.txn_core import CuisineClass
 from cuisine_infer.weak_label import (
     BootstrapThresholds,
+    BootstrapWord,
     LabelSet,
     Taxonomy,
     apply_labels,
     bootstrap_expand,
     label_names,
     load_taxonomy,
+    read_bootstrap_report,
     seed_label,
     tokenize_name,
+    write_bootstrap_report,
 )
 
 
@@ -182,6 +185,30 @@ def test_labelset_tsv_round_trip(tmp_path):
     ls.write_tsv(path)
     back = LabelSet.read_tsv(path)
     assert back.labels == ls.labels
+
+
+def test_bootstrap_report_round_trip(tmp_path):
+    # Values with at most 6 significant digits survive the writer's %.6g.
+    words = [BootstrapWord("WOK", CuisineClass.EastAsian, 0.0125, 1.0, 3.5),
+             BootstrapWord("TACO", CuisineClass.LatinAmerican, 0.5, 0.75, 12.0)]
+    path = tmp_path / "bootstrap_report.tsv"
+    write_bootstrap_report(path, words)
+    assert read_bootstrap_report(path) == words
+    write_bootstrap_report(path, [])
+    assert read_bootstrap_report(path) == []
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("WOK\n", "expected 5 tab-separated fields, got 1"),
+    ("WOK\tEastAsian\t0.5\t1\n", "expected 5 tab-separated fields, got 4"),
+    ("WOK\tThai\t0.5\t1\t2\n", "unknown cuisine class"),
+    ("WOK\tEastAsian\t0.5\tx\t2\n", "could not convert"),
+])
+def test_bootstrap_report_bad_line_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "bootstrap_report.tsv"
+    path.write_text("TACO\tLatinAmerican\t0.5\t0.75\t12\n" + line)
+    with pytest.raises(ValueError, match=f"{path}:2: .*{reason}"):
+        read_bootstrap_report(path)
 
 
 def test_taxonomy_rejects_overlap():
