@@ -1,10 +1,16 @@
 """Multi-branch feedforward classifier over per-block feature vectors.
 
-Variants: residual_deep (two hidden layers per branch with a skip
-connection), deep (same without the skip), shallow (one hidden layer per
-branch and one trunk layer), and logistic (affine + softmax on the raw
-concatenated features). Trained with plain minibatch SGD; all math in numpy
-with analytic gradients.
+Each block passes through its own ReLU branch layers. A join layer with
+one column block per branch sums the branch outputs into the first trunk
+layer, or straight into the output layer when there is no trunk. ReLU trunk
+layers with dropout follow, then the affine output layer and a softmax.
+LAYOUT gives each variant's shape: residual_deep (two hidden layers per
+branch, the first added to the branch output as a skip, every trunk
+layer), deep (the same without the skip), shallow (one hidden layer per
+branch, one trunk layer) and logistic (no hidden layer: affine + softmax on
+the raw features). init_params, forward and backward each walk the same
+layer list. Trained with plain minibatch SGD; all math in numpy with
+analytic gradients.
 
 `forward` and `backward` compute in the dtype of the parameters. `train`
 works in float32 (DTYPE) and returns float32 parameters; `init_params`
@@ -19,7 +25,15 @@ import numpy as np
 
 from .txn_core import N_CLASSES, derive_seed
 
-VARIANTS = ("residual_deep", "deep", "shallow", "logistic")
+# variant -> (hidden layers per branch, h1 added to the branch output,
+# trunk layers used: None = all of trunk_hidden)
+LAYOUT = {
+    "residual_deep": (2, True, None),
+    "deep": (2, False, None),
+    "shallow": (1, False, 1),
+    "logistic": (0, False, 0),
+}
+VARIANTS = tuple(LAYOUT)
 
 DTYPE = np.float32  # the precision train computes in and returns
 
@@ -76,44 +90,37 @@ def _he(rng, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
 
 
+def _layers(spec: NetworkSpec) -> list[tuple[str, str, str, int]]:
+    """The layers after the branches, input to output, as (stream, weight
+    key, bias key, width): the trunk layers the variant uses, then the
+    output layer. The first, the join, ignores its weight key: it holds one
+    column block per branch, `{stream}/{block}`, drawn from stream
+    `{stream}:{block}`."""
+    widths = spec.trunk_hidden[:LAYOUT[spec.variant][2]]
+    return [(f"trunk{i}", f"trunk/W{i}", f"trunk/b{i}", w) for i, w in enumerate(widths)] \
+        + [("out", "out/W", "out/b", spec.n_classes)]
+
+
 def init_params(spec: NetworkSpec, seed: int = 0) -> dict[str, np.ndarray]:
     """He-scaled random init, keyed per branch name so branch declaration
     order does not affect the drawn weights."""
     params: dict[str, np.ndarray] = {}
     h = spec.branch_hidden
-    if spec.variant != "logistic":
-        for name, dim in spec.branches:
-            rng = _branch_rng(seed, "branch:" + name)
-            params[f"branch/{name}/W1"] = _he(rng, h, dim)
-            params[f"branch/{name}/b1"] = np.zeros(h)
-            if spec.variant in ("deep", "residual_deep"):
-                params[f"branch/{name}/W2"] = _he(rng, h, h)
-                params[f"branch/{name}/b2"] = np.zeros(h)
-    # trunk first layer: one column block per branch, keyed by branch name
-    trunk_dims = list(spec.trunk_hidden) if spec.variant in ("deep", "residual_deep") \
-        else [spec.trunk_hidden[0]] if spec.variant == "shallow" else []
-    if trunk_dims:
-        t0 = trunk_dims[0]
-        for name, dim in spec.branches:
-            rng = _branch_rng(seed, "trunk0:" + name)
-            width = dim if spec.variant == "logistic" else h
-            params[f"trunk0/{name}"] = _he(rng, t0, width)
-        params["trunk/b0"] = np.zeros(t0)
-        prev = t0
-        for i, width in enumerate(trunk_dims[1:], start=1):
-            rng = _branch_rng(seed, f"trunk{i}")
-            params[f"trunk/W{i}"] = _he(rng, width, prev)
-            params[f"trunk/b{i}"] = np.zeros(width)
-            prev = width
-        rng = _branch_rng(seed, "out")
-        params["out/W"] = _he(rng, spec.n_classes, prev)
-        params["out/b"] = np.zeros(spec.n_classes)
-    else:
-        # logistic: per-branch column blocks straight to the output layer
-        for name, dim in spec.branches:
-            rng = _branch_rng(seed, "out:" + name)
-            params[f"out/{name}"] = _he(rng, spec.n_classes, dim)
-        params["out/b"] = np.zeros(spec.n_classes)
+    n_hidden = LAYOUT[spec.variant][0]
+    for name, dim in spec.branches:
+        rng = _branch_rng(seed, "branch:" + name)
+        for j in range(1, n_hidden + 1):
+            params[f"branch/{name}/W{j}"] = _he(rng, h, dim if j == 1 else h)
+            params[f"branch/{name}/b{j}"] = np.zeros(h)
+    (join, _, bias, prev), *rest = _layers(spec)
+    for name, dim in spec.branches:
+        params[f"{join}/{name}"] = _he(_branch_rng(seed, f"{join}:{name}"), prev,
+                                      h if n_hidden else dim)
+    params[bias] = np.zeros(prev)
+    for stream, weight, bias, width in rest:
+        params[weight] = _he(_branch_rng(seed, stream), width, prev)
+        params[bias] = np.zeros(width)
+        prev = width
     return params
 
 
@@ -140,65 +147,40 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
             raise ValueError(
                 f"branch {name}: expected shape {(n, dim)}, got {features[name].shape}")
     dtype = params["out/b"].dtype
-    features = {name: features[name].astype(dtype, copy=False) for name in spec.block_names}
-    cache: dict = {"features": features, "dropout": 0.0}
-
-    if spec.variant == "logistic":
-        logits = np.zeros((n, spec.n_classes), dtype) + params["out/b"]
-        # accumulate in sorted name order so branch declaration order cannot
-        # perturb floating-point summation
-        for name in sorted(spec.block_names):
-            logits += features[name] @ params[f"out/{name}"].T
-        probs = _softmax(logits)
-        cache["probs"] = probs
-        return probs, cache
-
-    branch_out = {}
-    for name, _ in spec.branches:
-        x = features[name]
-        a1 = x @ params[f"branch/{name}/W1"].T + params[f"branch/{name}/b1"]
-        h1 = np.maximum(a1, 0.0)
-        cache[f"{name}/a1"] = a1
-        cache[f"{name}/h1"] = h1
-        if spec.variant == "shallow":
-            branch_out[name] = h1
-        else:
-            a2 = h1 @ params[f"branch/{name}/W2"].T + params[f"branch/{name}/b2"]
-            r = np.maximum(a2, 0.0)
-            cache[f"{name}/a2"] = a2
-            branch_out[name] = r + h1 if spec.variant == "residual_deep" else r
-    cache["branch_out"] = branch_out
-
+    n_hidden, skip, _ = LAYOUT[spec.variant]
     use_dropout = train_mode and dropout > 0
     if use_dropout and rng is None:
         raise ValueError("dropout in train mode requires an rng")
-    cache["dropout"] = dropout if use_dropout else 0.0
+    cache: dict = {"dropout": dropout if use_dropout else 0.0}
 
-    t = np.zeros((n, params["trunk/b0"].shape[0]), dtype) + params["trunk/b0"]
+    branch_out = {}
+    for name in spec.block_names:
+        h = features[name].astype(dtype, copy=False)
+        for j in range(1, n_hidden + 1):
+            cache[f"{name}/h{j - 1}"] = h
+            a = h @ params[f"branch/{name}/W{j}"].T + params[f"branch/{name}/b{j}"]
+            cache[f"{name}/a{j}"] = a
+            h = np.maximum(a, 0.0)
+        branch_out[name] = h + cache[f"{name}/h1"] if skip else h
+    cache["branch_out"] = branch_out
+
+    (join, _, bias, width), *rest = _layers(spec)
+    t = np.zeros((n, width), dtype) + params[bias]
+    # accumulate in sorted name order so branch declaration order cannot
+    # perturb floating-point summation
     for name in sorted(spec.block_names):
-        t += branch_out[name] @ params[f"trunk0/{name}"].T
-    cache["t_pre0"] = t
-    t = np.maximum(t, 0.0)
-    if use_dropout:
-        mask = _dropout_mask(rng, t.shape, dropout, dtype)
-        cache["mask0"] = mask
-        t = t * mask
-    cache["t_drop0"] = t
-
-    n_trunk = len(spec.trunk_hidden) if spec.variant in ("deep", "residual_deep") else 1
-    for i in range(1, n_trunk):
-        pre = t @ params[f"trunk/W{i}"].T + params[f"trunk/b{i}"]
-        cache[f"t_pre{i}"] = pre
-        t = np.maximum(pre, 0.0)
+        t += branch_out[name] @ params[f"{join}/{name}"].T
+    for k, (_, weight, bias, _) in enumerate(rest):
+        cache[f"t_pre{k}"] = t
+        t = np.maximum(t, 0.0)
         if use_dropout:
             mask = _dropout_mask(rng, t.shape, dropout, dtype)
-            cache[f"mask{i}"] = mask
+            cache[f"mask{k}"] = mask
             t = t * mask
-        cache[f"t_drop{i}"] = t
-    cache["n_trunk"] = n_trunk
+        cache[f"t_drop{k}"] = t
+        t = t @ params[weight].T + params[bias]
 
-    logits = t @ params["out/W"].T + params["out/b"]
-    probs = _softmax(logits)
+    probs = _softmax(t)
     cache["probs"] = probs
     return probs, cache
 
@@ -222,51 +204,33 @@ def backward(params, spec: NetworkSpec, cache, onehot: np.ndarray,
     if sample_weights is not None:
         dlogits = dlogits * sample_weights.astype(probs.dtype, copy=False)[:, None]
     grads: dict[str, np.ndarray] = {}
-    features = cache["features"]
+    n_hidden, skip, _ = LAYOUT[spec.variant]
 
-    if spec.variant == "logistic":
-        for name, _ in spec.branches:
-            grads[f"out/{name}"] = dlogits.T @ features[name]
-        grads["out/b"] = dlogits.sum(axis=0)
-        return grads
+    (join, _, join_bias, _), *rest = _layers(spec)
+    dt = dlogits
+    for k in range(len(rest) - 1, -1, -1):
+        _, weight, bias, _ = rest[k]
+        grads[weight] = dt.T @ cache[f"t_drop{k}"]
+        grads[bias] = dt.sum(axis=0)
+        dt = dt @ params[weight]
+        if cache["dropout"] > 0:
+            dt = dt * cache[f"mask{k}"]
+        dt = dt * (cache[f"t_pre{k}"] > 0)
+    grads[join_bias] = dt.sum(axis=0)
 
-    n_trunk = cache["n_trunk"]
-    t_last = cache[f"t_drop{n_trunk - 1}"]
-    grads["out/W"] = dlogits.T @ t_last
-    grads["out/b"] = dlogits.sum(axis=0)
-    dt = dlogits @ params["out/W"]
-
-    dropout = cache["dropout"]
-    for i in range(n_trunk - 1, 0, -1):
-        if dropout > 0:
-            dt = dt * cache[f"mask{i}"]
-        dt = dt * (cache[f"t_pre{i}"] > 0)
-        grads[f"trunk/W{i}"] = dt.T @ cache[f"t_drop{i - 1}"]
-        grads[f"trunk/b{i}"] = dt.sum(axis=0)
-        dt = dt @ params[f"trunk/W{i}"]
-    if dropout > 0:
-        dt = dt * cache["mask0"]
-    dt = dt * (cache["t_pre0"] > 0)
-    grads["trunk/b0"] = dt.sum(axis=0)
-
-    branch_out = cache["branch_out"]
-    for name, _ in spec.branches:
-        grads[f"trunk0/{name}"] = dt.T @ branch_out[name]
-        dh2 = dt @ params[f"trunk0/{name}"]
-        x = features[name]
-        h1 = cache[f"{name}/h1"]
-        if spec.variant == "shallow":
-            dh1 = dh2
-        else:
-            dr = dh2 * (cache[f"{name}/a2"] > 0)
-            grads[f"branch/{name}/W2"] = dr.T @ h1
-            grads[f"branch/{name}/b2"] = dr.sum(axis=0)
-            dh1 = dr @ params[f"branch/{name}/W2"]
-            if spec.variant == "residual_deep":
-                dh1 = dh1 + dh2
-        da1 = dh1 * (cache[f"{name}/a1"] > 0)
-        grads[f"branch/{name}/W1"] = da1.T @ x
-        grads[f"branch/{name}/b1"] = da1.sum(axis=0)
+    for name in spec.block_names:
+        grads[f"{join}/{name}"] = dt.T @ cache["branch_out"][name]
+        if not n_hidden:
+            continue
+        dout = dh = dt @ params[f"{join}/{name}"]
+        for j in range(n_hidden, 0, -1):
+            da = dh * (cache[f"{name}/a{j}"] > 0)
+            grads[f"branch/{name}/W{j}"] = da.T @ cache[f"{name}/h{j - 1}"]
+            grads[f"branch/{name}/b{j}"] = da.sum(axis=0)
+            if j > 1:
+                dh = da @ params[f"branch/{name}/W{j}"]
+                if skip and j == 2:
+                    dh = dh + dout
     return grads
 
 
@@ -282,7 +246,7 @@ class FeatureDataset:
         return len(self.ids)
 
     def subset(self, idx) -> "FeatureDataset":
-        idx = np.asarray(idx)
+        idx = np.asarray(idx, dtype=np.intp)  # an empty list indexes too
         return FeatureDataset(
             [self.ids[i] for i in idx],
             {k: v[idx] for k, v in self.features.items()},

@@ -481,8 +481,16 @@ def run_eval(cfg: dict) -> dict:
     split = dict(read_records(split_path, _split_row))
     train_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "train"]
     test_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "test"]
-    train_ds, test_ds = nnet.standardize(
-        labeled.subset(train_idx), labeled.subset(test_idx))
+    inputs = [model_path, split_path] + _dataset_inputs(out)
+    truth_path = out / "truth_labels.tsv"
+    truth = weak_label.LabelSet()
+    if truth_path.exists():
+        inputs.append(truth_path)
+        truth = weak_label.LabelSet.read_tsv(truth_path)
+    unlabeled_idx = [i for i, rid in enumerate(dataset.ids)
+                     if dataset.labels[i] < 0 and rid in truth]
+    _, test_ds, un_ds = nnet.standardize(
+        labeled.subset(train_idx), labeled.subset(test_idx), dataset.subset(unlabeled_idx))
     probs = nnet.predict_proba(params, spec, test_ds)
     report = eval_harness.evaluate(probs, test_ds.labels)
     metrics_path = out / "metrics.tsv"
@@ -493,26 +501,17 @@ def run_eval(cfg: dict) -> dict:
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(report.render() + "\n")
 
-    inputs = [model_path, split_path] + _dataset_inputs(out)
     outputs = [metrics_path, confusion_path, text_path]
     extra = {"test_accuracy": f"{report.accuracy:.4f}"}
 
-    truth_path = out / "truth_labels.tsv"
-    if truth_path.exists():
-        inputs.append(truth_path)
-        truth = weak_label.LabelSet.read_tsv(truth_path)
-        unlabeled_idx = [i for i, rid in enumerate(dataset.ids)
-                        if dataset.labels[i] < 0 and rid in truth]
-        if unlabeled_idx:
-            _, un_ds = nnet.standardize(labeled.subset(train_idx),
-                                        dataset.subset(unlabeled_idx))
-            un_truth = np.array([int(truth.get(rid)) for rid in un_ds.ids])
-            un_probs = nnet.predict_proba(params, spec, un_ds)
-            un_report = eval_harness.evaluate(un_probs, un_truth)
-            truth_metrics = out / "metrics_truth.tsv"
-            un_report.write_tsv(truth_metrics)
-            outputs.append(truth_metrics)
-            extra["truth_accuracy_unlabeled"] = f"{un_report.accuracy:.4f}"
+    if len(un_ds):
+        un_truth = np.array([int(truth.get(rid)) for rid in un_ds.ids])
+        un_probs = nnet.predict_proba(params, spec, un_ds)
+        un_report = eval_harness.evaluate(un_probs, un_truth)
+        truth_metrics = out / "metrics_truth.tsv"
+        un_report.write_tsv(truth_metrics)
+        outputs.append(truth_metrics)
+        extra["truth_accuracy_unlabeled"] = f"{un_report.accuracy:.4f}"
 
     if cfg["eval"]["ablation"]:
         raw_train, raw_test = labeled.subset(train_idx), labeled.subset(test_idx)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, derive_seed, valid_zip5
+from .txn_core import RestaurantIndex, derive_seed, read_records, valid_zip5
 
 STAT_BLOCK_DIMS = {
     "price_deciles": 9,
@@ -41,13 +41,10 @@ def deciles(values) -> np.ndarray:
     n = len(v)
     if n == 0:
         return np.zeros(9)
-    out = np.empty(9)
-    for i, p in enumerate(np.arange(1, 10) / 10.0):
-        h = (n - 1) * p
-        lo = int(np.floor(h))
-        hi = min(lo + 1, n - 1)
-        out[i] = v[lo] + (h - lo) * (v[hi] - v[lo])
-    return out
+    h = (n - 1) * (np.arange(1, 10) / 10.0)
+    lo = np.floor(h).astype(np.int64)
+    hi = np.minimum(lo + 1, n - 1)
+    return v[lo] + (h - lo) * (v[hi] - v[lo])
 
 
 def temporal_dists(minute: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,14 +370,10 @@ def write_features(path, features: dict[str, StatFeatureBlock]) -> None:
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.rstrip("\n").split("\t") != feature_header():
-            raise ValueError("bad feature file header")
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 1 + STAT_DIM:
-                raise ValueError(f"{path}: {parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
-            out[parts[0]] = np.array([float(x) for x in parts[1:]])
-    return out
+    """The vectors of a file written by `write_features`, by restaurant id."""
+    def row(parts):
+        if len(parts) != 1 + STAT_DIM:
+            raise ValueError(f"{parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
+        return parts[0], np.array([float(x) for x in parts[1:]])
+
+    return dict(read_records(path, row, header=feature_header()))

@@ -182,12 +182,17 @@ def write_transactions(path, txns: Transactions) -> None:
                              txns.settle_amount.tolist()))
 
 
-def read_records(path, parse, sep: str = "\t") -> list:
-    """parse(fields) of each non-empty line of a `sep`-separated text file.
-    A ValueError from `parse` is raised again naming the file and line."""
+def read_records(path, parse, sep: str = "\t", header: list[str] | None = None) -> list:
+    """parse(fields) of each non-empty line of a `sep`-separated text file,
+    after a first line of fields equal to `header` when one is given. A
+    ValueError from `parse`, or another first line, is raised naming the
+    file and line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        if header is not None and fh.readline().rstrip("\n").split(sep) != header:
+            raise ValueError(f"{path}:1: bad header: expected the {len(header)} fields "
+                             f"{header[0]} .. {header[-1]}")
+        for line_no, line in enumerate(fh, start=1 if header is None else 2):
             if line := line.rstrip("\n"):
                 try:
                     out.append(parse(line.split(sep)))

@@ -58,20 +58,34 @@ class Taxonomy:
 
 
 def load_taxonomy(path=None) -> Taxonomy:
-    """Load a taxonomy file (CUISINE<TAB>kw1,kw2,...); default: bundled list."""
+    """Load a taxonomy file (CUISINE<TAB>kw1,kw2,...); default: bundled list.
+
+    An unknown cuisine, a cuisine on two lines or a line with no keywords
+    is a ValueError naming the file and line."""
     if path is None:
-        text = resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt").read_text("utf-8")
+        path = resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt")
+        text = path.read_text("utf-8")
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     keywords: dict[CuisineClass, set[str]] = {}
-    for line in text.splitlines():
+    first_line: dict[CuisineClass, int] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         cls_name, _, words = line.partition("\t")
-        cuisine = CuisineClass.from_name(cls_name)
-        keywords[cuisine] = {w.strip().upper() for w in words.split(",") if w.strip()}
+        try:
+            cuisine = CuisineClass.from_name(cls_name)
+            if cuisine in first_line:
+                raise ValueError(f"{cuisine.name} already listed on line {first_line[cuisine]}")
+            words = {w.strip().upper() for w in words.split(",") if w.strip()}
+            if not words:
+                raise ValueError(f"no keywords for {cuisine.name}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+        keywords[cuisine] = words
+        first_line[cuisine] = line_no
     return Taxonomy(keywords)
 
 

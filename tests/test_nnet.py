@@ -83,6 +83,89 @@ class TestForward:
             forward(params, spec, bad)
 
 
+def _relu(x):
+    return np.maximum(x, 0.0)
+
+
+def _longhand_forward(p, variant, feats):
+    """Each variant's forward pass written out on its own in float64, with
+    the branch outputs concatenated before the join."""
+    names = sorted(feats)
+    if variant == "logistic":
+        logits = (np.hstack([feats[n] for n in names])
+                  @ np.hstack([p[f"out/{n}"] for n in names]).T + p["out/b"])
+    else:
+        outs = []
+        for n in names:
+            h1 = _relu(feats[n] @ p[f"branch/{n}/W1"].T + p[f"branch/{n}/b1"])
+            if variant == "shallow":
+                outs.append(h1)
+                continue
+            h2 = _relu(h1 @ p[f"branch/{n}/W2"].T + p[f"branch/{n}/b2"])
+            outs.append(h2 + h1 if variant == "residual_deep" else h2)
+        t = _relu(np.hstack(outs) @ np.hstack([p[f"trunk0/{n}"] for n in names]).T
+                  + p["trunk/b0"])
+        if variant != "shallow":
+            t = _relu(t @ p["trunk/W1"].T + p["trunk/b1"])
+            t = _relu(t @ p["trunk/W2"].T + p["trunk/b2"])
+        logits = t @ p["out/W"].T + p["out/b"]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+_DEEP_SHAPES = {
+    "branch/alpha/W1": (4, 3), "branch/alpha/b1": (4,),
+    "branch/alpha/W2": (4, 4), "branch/alpha/b2": (4,),
+    "branch/beta/W1": (4, 2), "branch/beta/b1": (4,),
+    "branch/beta/W2": (4, 4), "branch/beta/b2": (4,),
+    "trunk0/alpha": (6, 4), "trunk0/beta": (6, 4), "trunk/b0": (6,),
+    "trunk/W1": (5, 6), "trunk/b1": (5,), "trunk/W2": (4, 5), "trunk/b2": (4,),
+    "out/W": (3, 4), "out/b": (3,),
+}
+# parameter shapes for branches alpha (3) and beta (2), branch_hidden 4,
+# trunk_hidden (6, 5, 4) and 3 classes
+_SHAPES = {
+    "residual_deep": _DEEP_SHAPES,
+    "deep": _DEEP_SHAPES,
+    "shallow": {
+        "branch/alpha/W1": (4, 3), "branch/alpha/b1": (4,),
+        "branch/beta/W1": (4, 2), "branch/beta/b1": (4,),
+        "trunk0/alpha": (6, 4), "trunk0/beta": (6, 4), "trunk/b0": (6,),
+        "out/W": (3, 6), "out/b": (3,),
+    },
+    "logistic": {"out/alpha": (3, 3), "out/beta": (3, 2), "out/b": (3,)},
+}
+
+
+class TestLayout:
+    """Each variant's wiring against a longhand reference. The
+    finite-difference check cannot see a mis-wired variant: its gradient
+    stays consistent with the wrong forward pass."""
+
+    @staticmethod
+    def _spec(variant):
+        return NetworkSpec(branches=(("beta", 2), ("alpha", 3)), branch_hidden=4,
+                           trunk_hidden=(6, 5, 4), n_classes=3, variant=variant)
+
+    @pytest.mark.parametrize("variant", list(_SHAPES))
+    def test_init_params_shapes(self, variant):
+        params = init_params(self._spec(variant), seed=0)
+        assert {k: v.shape for k, v in params.items()} == _SHAPES[variant]
+
+    @pytest.mark.parametrize("variant", list(_SHAPES))
+    def test_forward_matches_longhand(self, variant):
+        rng = np.random.default_rng(21)
+        spec = self._spec(variant)
+        # nonzero biases, so a bias wired to the wrong layer shows
+        params = {k: v + rng.normal(0, 0.3, v.shape)
+                  for k, v in init_params(spec, seed=8).items()}
+        feats = {"alpha": rng.normal(size=(7, 3)), "beta": rng.normal(size=(7, 2))}
+        probs, _ = forward(params, spec, feats)
+        assert probs.dtype == np.float64
+        np.testing.assert_allclose(probs, _longhand_forward(params, variant, feats),
+                                   rtol=0, atol=1e-12)
+
+
 class TestGradients:
     def test_softmax_ce_output_gradient_identity(self):
         ds = _toy_dataset(n=8)

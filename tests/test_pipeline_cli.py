@@ -326,6 +326,25 @@ def test_malformed_split_line_exit_code(pipeline_run, tmp_path, bad_line):
 
 
 @pytest.mark.parametrize("stage", ["train", "eval", "report"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].replace("restaurant_id", "rid", 1), *lines[1:]],
+     ":1: bad header"),
+    (lambda lines: [*lines[:2], lines[2].replace("\t", "\tx", 1), *lines[3:]],
+     ":3: could not convert string to float: 'x"),
+], ids=["header", "non-numeric value"])
+def test_malformed_features_exit_code(pipeline_run, tmp_path, stage, edit, message):
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    path = out / "features_stat.tsv"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    result = CliRunner().invoke(main, [
+        stage, "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{path}{message}" in result.output
+
+
+@pytest.mark.parametrize("stage", ["train", "eval", "report"])
 def test_truncated_labels_line_exit_code(pipeline_run, tmp_path, stage):
     _, artifacts, run_dir = pipeline_run
     out = tmp_path / "out"
@@ -450,6 +469,23 @@ class TestTaxonomyInput:
             assert result.exit_code == 0, result.output
             assert taxonomy in _manifest_inputs(out / f"manifest_{stage}.txt")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines + ["Bar\tBREWERY"], ":11: Bar already listed on line 9"),
+        (lambda lines: lines + ["Pizza\tPIZZA"], ":11: unknown cuisine class: 'Pizza'"),
+        (lambda lines: lines[:9] + ["Dessert\t , "], ":10: no keywords for Dessert"),
+    ], ids=["repeated cuisine", "unknown cuisine", "no keywords"])
+    def test_bad_taxonomy_line_exit_code(self, synthed, edit, message):
+        tmp_path, cfg = synthed
+        lines = (resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt")
+                 .read_text("utf-8").splitlines())
+        assert [line.split("\t")[0] for line in lines[8:]] == ["Bar", "Dessert"]
+        taxonomy = tmp_path / "taxonomy.txt"
+        taxonomy.write_text("\n".join(edit(lines)) + "\n")
+        result = self._run("label", tmp_path, cfg, taxonomy)
+        assert result.exit_code == 4, result.output
+        assert f"{taxonomy}{message}" in result.output
+        assert not (Path(cfg["out_dir"]) / "labels.tsv").exists()
+
 
 def test_manifests_count_ingest_rejects(tmp_path):
     cfg = _tiny_cfg(tmp_path)
@@ -564,7 +600,7 @@ class TestReport:
         path.write_text("\n".join(lines) + "\n")
         result = self._report(tmp_path, out)
         assert result.exit_code == 4
-        assert f"{rid}: 99 values" in result.output
+        assert f"{path}:4: {rid}: 99 values" in result.output
 
 
 class TestDeterminism:
