@@ -143,6 +143,11 @@ def btm_fit(biterms: Counter, cfg: BtmConfig) -> BtmModel:
 
     P(z=t | b=(wi,wj)) is proportional to
     (n_t + alpha) (n_wi|t + beta) (n_wj|t + beta) / (sum_w n_w|t + V beta)^2.
+
+    The sweep runs on Python float lists: for k topics an update costs one
+    k-step loop, where numpy would spend most of it in per-call dispatch on
+    length-k arrays. Each sweep draws its B uniforms at once, the same
+    stream as B scalar draws.
     """
     if not biterms:
         raise ValueError("btm_fit requires a nonempty biterm multiset")
@@ -158,31 +163,45 @@ def btm_fit(biterms: Counter, cfg: BtmConfig) -> BtmModel:
     B = len(pairs)
     rng = np.random.default_rng(cfg.seed)
 
-    z = rng.integers(0, k, size=B)
-    n_t = np.bincount(z, minlength=k).astype(float)
-    n_wt = np.zeros((k, V))
+    # word-major counts: n_w[w][t] is n_w|t
+    z = rng.integers(0, k, size=B).tolist()
+    n_t = [0.0] * k
+    n_w = [[0.0] * k for _ in range(V)]
     for (wi, wj), t in zip(pairs, z):
-        n_wt[t, wi] += 1
-        n_wt[t, wj] += 1
+        n_t[t] += 1
+        n_w[wi][t] += 1
+        n_w[wj][t] += 1
 
+    v_beta = V * beta
+    topics = range(k)
+    last = k - 1
     for _ in range(cfg.gibbs_iters):
-        for b_idx in range(B):
+        for b_idx, u in enumerate(rng.random(B).tolist()):
             wi, wj = pairs[b_idx]
-            t_old = z[b_idx]
-            n_t[t_old] -= 1
-            n_wt[t_old, wi] -= 1
-            n_wt[t_old, wj] -= 1
-            # each biterm holds two word slots, so sum_w n_w|t = 2 n_t
-            totals = 2.0 * n_t + V * beta
-            p = (n_t + alpha) * (n_wt[:, wi] + beta) * (n_wt[:, wj] + beta) / totals**2
-            cum = np.cumsum(p)
-            t_new = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            t_new = min(t_new, k - 1)
-            z[b_idx] = t_new
-            n_t[t_new] += 1
-            n_wt[t_new, wi] += 1
-            n_wt[t_new, wj] += 1
+            ci, cj = n_w[wi], n_w[wj]
+            t = z[b_idx]
+            n_t[t] -= 1
+            ci[t] -= 1
+            cj[t] -= 1
+            acc = 0.0
+            cum = []
+            for s in topics:
+                # each biterm holds two word slots, so sum_w n_w|t = 2 n_t
+                tot = 2.0 * n_t[s] + v_beta
+                acc += (n_t[s] + alpha) * (ci[s] + beta) * (cj[s] + beta) / (tot * tot)
+                cum.append(acc)
+            # the first topic whose cumulative weight exceeds u * total
+            threshold = u * acc
+            t = 0
+            while t < last and cum[t] <= threshold:
+                t += 1
+            z[b_idx] = t
+            n_t[t] += 1
+            ci[t] += 1
+            cj[t] += 1
 
+    n_wt = np.ascontiguousarray(np.array(n_w).T)
+    n_t = np.array(n_t)
     topic_word = (n_wt + beta) / (n_wt.sum(axis=1, keepdims=True) + V * beta)
     topic_prior = (n_t + alpha) / (n_t.sum() + k * alpha)
     meta = {"alpha": alpha, "beta": beta, "n_biterms": B, "vocab_size": V}

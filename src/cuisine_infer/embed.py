@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, read_records
+from .txn_core import RestaurantIndex, read_keyed_records
 from .weak_label import tokenize_name
 
 
@@ -314,7 +314,7 @@ def load_pretrained_vectors(path) -> EmbeddingMatrix:
             raise ValueError(f"expected {dim} components, got {len(vec)}")
         return parts[0], vec
 
-    vectors = dict(read_records(path, row, sep=" "))
+    vectors = read_keyed_records(path, row, sep=" ")
     if not vectors:
         raise ValueError(f"{path}: no vectors")
     return EmbeddingMatrix(vectors, {"source": str(path), "dim": dim})

@@ -20,6 +20,8 @@ draws in float64, which the gradient checks use as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +63,12 @@ class NetworkSpec:
     def block_names(self) -> list[str]:
         return [name for name, _ in self.branches]
 
+    @cached_property
+    def keys(self) -> "_Keys":
+        """The parameter and cache keys of forward and backward, built on
+        first use and kept with the spec."""
+        return _keys(self)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -99,6 +107,32 @@ def _layers(spec: NetworkSpec) -> list[tuple[str, str, str, int]]:
     widths = spec.trunk_hidden[:LAYOUT[spec.variant][2]]
     return [(f"trunk{i}", f"trunk/W{i}", f"trunk/b{i}", w) for i, w in enumerate(widths)] \
         + [("out", "out/W", "out/b", spec.n_classes)]
+
+
+class _Keys(NamedTuple):
+    # per block, in declaration order: (name, join weight key, per hidden
+    # layer (weight key, bias key, input cache key, pre-activation cache key))
+    branches: tuple
+    # the same sorted by block name: the join's summation order
+    joined: tuple
+    join_bias: str
+    join_width: int
+    # per layer after the join: (weight key, bias key, and the cache keys of
+    # its input before ReLU, its dropout mask and its input after dropout)
+    layers: tuple
+
+
+def _keys(spec: NetworkSpec) -> _Keys:
+    n_hidden = LAYOUT[spec.variant][0]
+    (join, _, join_bias, join_width), *rest = _layers(spec)
+    branches = tuple(
+        (name, f"{join}/{name}",
+         tuple((f"branch/{name}/W{j}", f"branch/{name}/b{j}", f"{name}/h{j - 1}", f"{name}/a{j}")
+               for j in range(1, n_hidden + 1)))
+        for name in spec.block_names)
+    layers = tuple((weight, bias, f"t_pre{k}", f"mask{k}", f"t_drop{k}")
+                   for k, (_, weight, bias, _) in enumerate(rest))
+    return _Keys(branches, tuple(sorted(branches)), join_bias, join_width, layers)
 
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> dict[str, np.ndarray]:
@@ -147,37 +181,38 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
             raise ValueError(
                 f"branch {name}: expected shape {(n, dim)}, got {features[name].shape}")
     dtype = params["out/b"].dtype
-    n_hidden, skip, _ = LAYOUT[spec.variant]
+    skip = LAYOUT[spec.variant][1]
+    keys = spec.keys
     use_dropout = train_mode and dropout > 0
     if use_dropout and rng is None:
         raise ValueError("dropout in train mode requires an rng")
     cache: dict = {"dropout": dropout if use_dropout else 0.0}
 
     branch_out = {}
-    for name in spec.block_names:
+    for name, _, hidden in keys.branches:
         h = features[name].astype(dtype, copy=False)
-        for j in range(1, n_hidden + 1):
-            cache[f"{name}/h{j - 1}"] = h
-            a = h @ params[f"branch/{name}/W{j}"].T + params[f"branch/{name}/b{j}"]
-            cache[f"{name}/a{j}"] = a
+        for weight, bias, h_key, a_key in hidden:
+            cache[h_key] = h
+            a = h @ params[weight].T + params[bias]
+            cache[a_key] = a
             h = np.maximum(a, 0.0)
-        branch_out[name] = h + cache[f"{name}/h1"] if skip else h
+        # the skip adds h1, the second hidden layer's input
+        branch_out[name] = h + cache[hidden[1][2]] if skip else h
     cache["branch_out"] = branch_out
 
-    (join, _, bias, width), *rest = _layers(spec)
-    t = np.zeros((n, width), dtype) + params[bias]
+    t = np.zeros((n, keys.join_width), dtype) + params[keys.join_bias]
     # accumulate in sorted name order so branch declaration order cannot
     # perturb floating-point summation
-    for name in sorted(spec.block_names):
-        t += branch_out[name] @ params[f"{join}/{name}"].T
-    for k, (_, weight, bias, _) in enumerate(rest):
-        cache[f"t_pre{k}"] = t
+    for name, join_weight, _ in keys.joined:
+        t += branch_out[name] @ params[join_weight].T
+    for weight, bias, pre_key, mask_key, drop_key in keys.layers:
+        cache[pre_key] = t
         t = np.maximum(t, 0.0)
         if use_dropout:
             mask = _dropout_mask(rng, t.shape, dropout, dtype)
-            cache[f"mask{k}"] = mask
+            cache[mask_key] = mask
             t = t * mask
-        cache[f"t_drop{k}"] = t
+        cache[drop_key] = t
         t = t @ params[weight].T + params[bias]
 
     probs = _softmax(t)
@@ -204,32 +239,32 @@ def backward(params, spec: NetworkSpec, cache, onehot: np.ndarray,
     if sample_weights is not None:
         dlogits = dlogits * sample_weights.astype(probs.dtype, copy=False)[:, None]
     grads: dict[str, np.ndarray] = {}
-    n_hidden, skip, _ = LAYOUT[spec.variant]
+    skip = LAYOUT[spec.variant][1]
+    keys = spec.keys
 
-    (join, _, join_bias, _), *rest = _layers(spec)
     dt = dlogits
-    for k in range(len(rest) - 1, -1, -1):
-        _, weight, bias, _ = rest[k]
-        grads[weight] = dt.T @ cache[f"t_drop{k}"]
+    for weight, bias, pre_key, mask_key, drop_key in reversed(keys.layers):
+        grads[weight] = dt.T @ cache[drop_key]
         grads[bias] = dt.sum(axis=0)
         dt = dt @ params[weight]
         if cache["dropout"] > 0:
-            dt = dt * cache[f"mask{k}"]
-        dt = dt * (cache[f"t_pre{k}"] > 0)
-    grads[join_bias] = dt.sum(axis=0)
+            dt = dt * cache[mask_key]
+        dt = dt * (cache[pre_key] > 0)
+    grads[keys.join_bias] = dt.sum(axis=0)
 
-    for name in spec.block_names:
-        grads[f"{join}/{name}"] = dt.T @ cache["branch_out"][name]
-        if not n_hidden:
+    for name, join_weight, hidden in keys.branches:
+        grads[join_weight] = dt.T @ cache["branch_out"][name]
+        if not hidden:
             continue
-        dout = dh = dt @ params[f"{join}/{name}"]
-        for j in range(n_hidden, 0, -1):
-            da = dh * (cache[f"{name}/a{j}"] > 0)
-            grads[f"branch/{name}/W{j}"] = da.T @ cache[f"{name}/h{j - 1}"]
-            grads[f"branch/{name}/b{j}"] = da.sum(axis=0)
-            if j > 1:
-                dh = da @ params[f"branch/{name}/W{j}"]
-                if skip and j == 2:
+        dout = dh = dt @ params[join_weight]
+        for j in range(len(hidden) - 1, -1, -1):
+            weight, bias, h_key, a_key = hidden[j]
+            da = dh * (cache[a_key] > 0)
+            grads[weight] = da.T @ cache[h_key]
+            grads[bias] = da.sum(axis=0)
+            if j:
+                dh = da @ params[weight]
+                if skip and j == 1:
                     dh = dh + dout
     return grads
 

@@ -20,7 +20,7 @@ import yaml
 
 from . import btm, embed, eval_harness, nnet, stat_features, synthgen, weak_label
 from .txn_core import (build_index, derive_seed, merchant_names, parse_transactions,
-                       read_records, write_reject_report)
+                       read_keyed_records, write_reject_report)
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
@@ -274,6 +274,7 @@ def run_label(cfg: dict) -> dict:
         outputs.append(rejects_path)
     else:  # not one left from an earlier run on other input
         rejects_path.unlink(missing_ok=True)
+    btm_extra = {}
     if cfg["label"]["topic_augment"] or cfg["label"]["coherence_sweep"]:
         bcfg = _btm_cfg(cfg)
         biterms = btm.extract_biterms(names, sprinkle=labels)
@@ -287,7 +288,12 @@ def run_label(cfg: dict) -> dict:
             btm.write_coherence_report(coherence_path, rows)
             outputs.append(coherence_path)
         if cfg["label"]["topic_augment"]:
-            btm.topic_labels(btm.btm_fit(biterms, bcfg), names, labels)
+            fit_started = time.perf_counter()
+            model = btm.btm_fit(biterms, bcfg)
+            btm_extra = {"btm_biterms": model.metadata["n_biterms"],
+                         "btm_vocab": model.metadata["vocab_size"],
+                         "btm_fit_s": f"{time.perf_counter() - fit_started:.3f}"}
+            btm.topic_labels(model, names, labels)
 
     by_source = Counter(source for _, source in labels.labels.values())
     extra = {"n_rejected": len(parsed.rejects),
@@ -295,7 +301,7 @@ def run_label(cfg: dict) -> dict:
              "coverage": f"{len(labels) / max(1, len(names)):.4f}",
              "n_seed": by_source["seed"], "n_bootstrap": by_source["bootstrap"],
              "n_topic": by_source["topic"],
-             "n_bootstrap_words": len(bootstrapped)}
+             "n_bootstrap_words": len(bootstrapped), **btm_extra}
     labels_path = out / "labels.tsv"
     labels.write_tsv(labels_path)
     boot_path = out / "bootstrap_report.tsv"
@@ -478,7 +484,7 @@ def run_eval(cfg: dict) -> dict:
     dataset = load_dataset(cfg)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     split_path = _require(out / "split.tsv", "train/test split")
-    split = dict(read_records(split_path, _split_row))
+    split = read_keyed_records(split_path, _split_row)
     train_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "train"]
     test_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "test"]
     inputs = [model_path, split_path] + _dataset_inputs(out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, derive_seed, read_records, valid_zip5
+from .txn_core import RestaurantIndex, derive_seed, read_keyed_records, valid_zip5
 
 STAT_BLOCK_DIMS = {
     "price_deciles": 9,
@@ -376,4 +376,4 @@ def read_features(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
         return parts[0], np.array([float(x) for x in parts[1:]])
 
-    return dict(read_records(path, row, header=feature_header()))
+    return read_keyed_records(path, row, header=feature_header())

@@ -182,12 +182,11 @@ def write_transactions(path, txns: Transactions) -> None:
                              txns.settle_amount.tolist()))
 
 
-def read_records(path, parse, sep: str = "\t", header: list[str] | None = None) -> list:
-    """parse(fields) of each non-empty line of a `sep`-separated text file,
-    after a first line of fields equal to `header` when one is given. A
-    ValueError from `parse`, or another first line, is raised naming the
-    file and line."""
-    out = []
+def _numbered_records(path, parse, sep: str, header: list[str] | None):
+    """(line number, parse(fields)) of each non-empty line of a
+    `sep`-separated text file, after a first line of fields equal to
+    `header` when one is given. A ValueError from `parse`, or another first
+    line, is raised naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         if header is not None and fh.readline().rstrip("\n").split(sep) != header:
             raise ValueError(f"{path}:1: bad header: expected the {len(header)} fields "
@@ -195,9 +194,27 @@ def read_records(path, parse, sep: str = "\t", header: list[str] | None = None) 
         for line_no, line in enumerate(fh, start=1 if header is None else 2):
             if line := line.rstrip("\n"):
                 try:
-                    out.append(parse(line.split(sep)))
+                    record = parse(line.split(sep))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from None
+                yield line_no, record
+
+
+def read_records(path, parse, sep: str = "\t", header: list[str] | None = None) -> list:
+    """parse(fields) of each non-empty line; see _numbered_records."""
+    return [record for _, record in _numbered_records(path, parse, sep, header)]
+
+
+def read_keyed_records(path, parse, sep: str = "\t",
+                       header: list[str] | None = None) -> dict:
+    """A dict of the (key, value) pairs `parse` returns, one per non-empty
+    line; see _numbered_records. A key on two lines is a ValueError naming
+    the file and the second line."""
+    out, first_line = {}, {}
+    for line_no, (key, value) in _numbered_records(path, parse, sep, header):
+        if key in out:
+            raise ValueError(f"{path}:{line_no}: {key} already listed on line {first_line[key]}")
+        out[key], first_line[key] = value, line_no
     return out
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .txn_core import CuisineClass, read_records
+from .txn_core import CuisineClass, read_keyed_records, read_records
 
 CORPORATE_SUFFIXES = {"LLC", "INC", "CO", "CORP"}
 
@@ -60,8 +60,8 @@ class Taxonomy:
 def load_taxonomy(path=None) -> Taxonomy:
     """Load a taxonomy file (CUISINE<TAB>kw1,kw2,...); default: bundled list.
 
-    An unknown cuisine, a cuisine on two lines or a line with no keywords
-    is a ValueError naming the file and line."""
+    An unknown cuisine, a cuisine on two lines, a line with no keywords or
+    a keyword under two cuisines is a ValueError naming the file and line."""
     if path is None:
         path = resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt")
         text = path.read_text("utf-8")
@@ -70,6 +70,7 @@ def load_taxonomy(path=None) -> Taxonomy:
             text = fh.read()
     keywords: dict[CuisineClass, set[str]] = {}
     first_line: dict[CuisineClass, int] = {}
+    owner: dict[str, CuisineClass] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -82,6 +83,10 @@ def load_taxonomy(path=None) -> Taxonomy:
             words = {w.strip().upper() for w in words.split(",") if w.strip()}
             if not words:
                 raise ValueError(f"no keywords for {cuisine.name}")
+            for w in sorted(words):
+                if w in owner:
+                    raise ValueError(f"keyword {w} in both {owner[w].name} and {cuisine.name}")
+                owner[w] = cuisine
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
         keywords[cuisine] = words
@@ -141,12 +146,9 @@ class LabelSet:
             if len(parts) < 2:
                 raise ValueError("expected id<TAB>cuisine")
             source = parts[2] if len(parts) > 2 else "truth"
-            return parts[0], CuisineClass.from_name(parts[1]), source
+            return parts[0], (CuisineClass.from_name(parts[1]), source)
 
-        out = cls()
-        for rid, cuisine, source in read_records(path, row):
-            out.add(rid, cuisine, source)
-        return out
+        return cls(read_keyed_records(path, row))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cuisine_infer import btm, pipeline
 from cuisine_infer.btm import (
+    BETA,
     BtmConfig,
     BtmModel,
     btm_fit,
@@ -80,6 +85,93 @@ def _two_cluster_biterms():
             for j in range(i + 1, len(words)):
                 biterms[(words[i], words[j])] = 4
     return a_words, b_words, biterms
+
+
+def _reference_btm_fit(biterms: Counter, cfg: BtmConfig) -> BtmModel:
+    """The sampler on numpy arrays, one scalar uniform per update: the
+    oracle btm_fit must equal bit for bit."""
+    vocab = sorted({w for pair in biterms for w in pair})
+    w_index = {w: i for i, w in enumerate(vocab)}
+    V = len(vocab)
+    k = cfg.k
+    alpha = 50.0 / k
+    beta = BETA
+    pairs = []
+    for (a, b), n in sorted(biterms.items()):
+        pairs.extend([(w_index[a], w_index[b])] * n)
+    B = len(pairs)
+    rng = np.random.default_rng(cfg.seed)
+
+    z = rng.integers(0, k, size=B)
+    n_t = np.bincount(z, minlength=k).astype(float)
+    n_wt = np.zeros((k, V))
+    for (wi, wj), t in zip(pairs, z):
+        n_wt[t, wi] += 1
+        n_wt[t, wj] += 1
+
+    for _ in range(cfg.gibbs_iters):
+        for b_idx in range(B):
+            wi, wj = pairs[b_idx]
+            t_old = z[b_idx]
+            n_t[t_old] -= 1
+            n_wt[t_old, wi] -= 1
+            n_wt[t_old, wj] -= 1
+            totals = 2.0 * n_t + V * beta
+            p = (n_t + alpha) * (n_wt[:, wi] + beta) * (n_wt[:, wj] + beta) / totals**2
+            cum = np.cumsum(p)
+            t_new = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            t_new = min(t_new, k - 1)
+            z[b_idx] = t_new
+            n_t[t_new] += 1
+            n_wt[t_new, wi] += 1
+            n_wt[t_new, wj] += 1
+
+    topic_word = (n_wt + beta) / (n_wt.sum(axis=1, keepdims=True) + V * beta)
+    topic_prior = (n_t + alpha) / (n_t.sum() + k * alpha)
+    meta = {"alpha": alpha, "beta": beta, "n_biterms": B, "vocab_size": V}
+    return BtmModel(vocab, topic_word, topic_prior, cfg, meta)
+
+
+_WORDS = ["AA", "BB", "CC", "DD", "EE", "#BAR"]
+# (w, w) pairs included: a name can repeat a token
+_BITERM = st.tuples(st.sampled_from(_WORDS), st.sampled_from(_WORDS)).map(
+    lambda pair: tuple(sorted(pair)))
+
+
+class TestBtmFitOracle:
+    @given(st.dictionaries(_BITERM, st.integers(1, 4), min_size=1, max_size=12),
+           st.integers(1, 7), st.integers(0, 5), st.integers(0, 2**32))
+    @settings(max_examples=120, deadline=None)
+    @example({("AA", "AA"): 2, ("AA", "BB"): 1}, 1, 0, 0)
+    @example({("AA", "AA"): 3, ("BB", "CC"): 1}, 1, 4, 5)
+    @example({("AA", "AA"): 1}, 3, 5, 7)
+    def test_equals_numpy_sampler(self, counts, k, gibbs_iters, seed):
+        biterms = Counter(counts)
+        cfg = BtmConfig(k=k, gibbs_iters=gibbs_iters, seed=seed)
+        model, ref = btm_fit(biterms, cfg), _reference_btm_fit(biterms, cfg)
+        assert np.array_equal(model.topic_word, ref.topic_word)
+        assert np.array_equal(model.topic_prior, ref.topic_prior)
+        assert model.vocab == ref.vocab
+        assert model.metadata == ref.metadata
+
+    def test_label_stage_writes_the_oracle_labels(self, tmp_path, monkeypatch):
+        """A smoke-scale `label` run with topic labels writes the labels.tsv
+        of the numpy sampler and records the fit in its manifest."""
+        cfg = pipeline.load_config(None, {
+            "seed": 1, "out_dir": str(tmp_path), "synth.n_restaurants": 150,
+            "synth.n_customers": 750, "synth.days": 14, "label.topic_augment": True,
+            "label.btm.k": 5})
+        pipeline.run_synth(cfg)
+        labels_path = pipeline.run_label(cfg)["labels"]
+        written = labels_path.read_bytes()
+        manifest = dict(line.split("\t", 1) for line in
+                        (Path(cfg["out_dir"]) / "manifest_label.txt").read_text().splitlines())
+        monkeypatch.setattr(btm, "btm_fit", _reference_btm_fit)
+        pipeline.run_label(cfg)
+        assert labels_path.read_bytes() == written
+        assert int(manifest["n_topic"]) > 0
+        assert int(manifest["btm_biterms"]) > 0 and int(manifest["btm_vocab"]) > 0
+        assert float(manifest["btm_fit_s"]) >= 0
 
 
 class TestBtmFit:

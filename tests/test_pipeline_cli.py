@@ -358,6 +358,29 @@ def test_truncated_labels_line_exit_code(pipeline_run, tmp_path, stage):
     assert f"{labels}:3: expected id<TAB>cuisine" in result.output
 
 
+@pytest.mark.parametrize("name, stage", [
+    ("features_stat.tsv", "train"), ("micro.txt", "train"), ("macro.txt", "train"),
+    ("name_embed.txt", "train"), ("labels.tsv", "train"), ("split.tsv", "eval"),
+])
+def test_repeated_id_exit_code(pipeline_run, tmp_path, name, stage):
+    """An id on two lines of a keyed file is an error naming the second
+    line, not a silently dropped row."""
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    path = out / name
+    sep = " " if name.endswith(".txt") else "\t"
+    first = 1 if name == "features_stat.tsv" else 0  # the header line
+    lines = path.read_text().splitlines(keepends=True)
+    rid = lines[first].split(sep)[0]
+    lines[first + 1] = rid + sep + lines[first + 1].split(sep, 1)[1]
+    path.write_text("".join(lines))
+    result = CliRunner().invoke(main, [
+        stage, "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{path}:{first + 2}: {rid} already listed on line {first + 1}" in result.output
+
+
 def _manifest_inputs(path: Path) -> set[Path]:
     return {Path(line.split("\t", 1)[1]) for line in path.read_text().splitlines()
             if line.startswith("input\t")}
@@ -419,6 +442,18 @@ class TestEmbedInputs:
         assert f"{vectors}: no vectors" in result.output
         assert not (out / "name_embed.txt").exists()
 
+    def test_repeated_pretrained_token_exit_code(self, upstream):
+        tmp_path, out = upstream
+        vectors = out / "pretrained_vectors.txt"
+        lines = vectors.read_text().splitlines(keepends=True)
+        token = lines[0].split(" ")[0]
+        lines[1] = token + " " + lines[1].split(" ", 1)[1]
+        vectors.write_text("".join(lines))
+        result = self._embed(tmp_path, out)
+        assert result.exit_code == 4, result.output
+        assert f"{vectors}:2: {token} already listed on line 1" in result.output
+        assert not (out / "name_embed.txt").exists()
+
     def test_failing_macro_step_writes_no_file(self, upstream):
         tmp_path, out = upstream
         assert self._embed(tmp_path, out).exit_code == 0
@@ -473,7 +508,9 @@ class TestTaxonomyInput:
         (lambda lines: lines + ["Bar\tBREWERY"], ":11: Bar already listed on line 9"),
         (lambda lines: lines + ["Pizza\tPIZZA"], ":11: unknown cuisine class: 'Pizza'"),
         (lambda lines: lines[:9] + ["Dessert\t , "], ":10: no keywords for Dessert"),
-    ], ids=["repeated cuisine", "unknown cuisine", "no keywords"])
+        (lambda lines: lines[:8] + [lines[8] + ",TACO"] + lines[9:],
+         ":9: keyword TACO in both LatinAmerican and Bar"),
+    ], ids=["repeated cuisine", "unknown cuisine", "no keywords", "keyword in two cuisines"])
     def test_bad_taxonomy_line_exit_code(self, synthed, edit, message):
         tmp_path, cfg = synthed
         lines = (resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt")
