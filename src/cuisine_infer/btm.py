@@ -283,11 +283,11 @@ def topic_cuisine_map(model: BtmModel, min_posterior: float = 0.8) -> dict[int, 
     return out
 
 
-def topic_labels(model: BtmModel, names: dict[str, str], labels: LabelSet) -> int:
+def topic_labels(model: BtmModel, mapping: dict[int, CuisineClass],
+                 names: dict[str, str], labels: LabelSet) -> int:
     """Add a "topic" label to each unlabeled name whose most probable topic
-    (prior x product of its in-vocabulary token probabilities) maps to a
-    cuisine; returns how many were added."""
-    mapping = topic_cuisine_map(model)
+    (prior x product of its in-vocabulary token probabilities) is a key of
+    `mapping`, from `topic_cuisine_map`; returns how many were added."""
     column = {w: i for i, w in enumerate(model.vocab)}
     added = 0
     for rid, name in sorted(names.items()):

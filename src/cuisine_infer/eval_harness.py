@@ -115,11 +115,10 @@ def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
     base_acc = nnet.accuracy(params, spec, te)
     rows = [("none", base_acc, 0.0)]
     for name, _ in spec.branches:
+        # z-scores are per block: dropping one leaves the others standardized
         sub_spec = replace(spec, branches=tuple(b for b in spec.branches if b[0] != name))
-        tr_sub, te_sub = nnet.standardize(
-            train_ds.drop_block(name), test_ds.drop_block(name))
-        sub_params, _ = nnet.train(tr_sub, sub_spec, cfg)
-        acc = nnet.accuracy(sub_params, sub_spec, te_sub)
+        sub_params, _ = nnet.train(tr.drop_block(name), sub_spec, cfg)
+        acc = nnet.accuracy(sub_params, sub_spec, te.drop_block(name))
         rows.append((name, acc, acc - base_acc))
     return rows
 

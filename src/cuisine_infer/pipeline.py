@@ -244,7 +244,9 @@ def run_synth(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     scfg = _synth_cfg(cfg)
+    generate_started = time.perf_counter()
     result = synthgen.generate(scfg)
+    generated = time.perf_counter()
     txn_path = _txn_path(cfg)
     labels_path = out / "truth_labels.tsv"
     party_path = out / "truth_party.tsv"
@@ -253,7 +255,9 @@ def run_synth(cfg: dict) -> dict:
     synthgen.write_pretrained_vectors(
         vec_path, merchant_names(result.transactions), cfg["embed"]["name_dim"], scfg.seed)
     _write_manifest(cfg, "synth", [], [txn_path, labels_path, party_path, vec_path],
-                    started, {"n_transactions": len(result.transactions)})
+                    started, {"n_transactions": len(result.transactions),
+                              "generate_s": f"{generated - generate_started:.3f}",
+                              "write_s": f"{time.perf_counter() - generated:.3f}"})
     return {"transactions": txn_path, "truth_labels": labels_path}
 
 
@@ -293,7 +297,9 @@ def run_label(cfg: dict) -> dict:
             btm_extra = {"btm_biterms": model.metadata["n_biterms"],
                          "btm_vocab": model.metadata["vocab_size"],
                          "btm_fit_s": f"{time.perf_counter() - fit_started:.3f}"}
-            btm.topic_labels(model, names, labels)
+            mapping = btm.topic_cuisine_map(model)
+            btm_extra["btm_topics_mapped"] = len(mapping)
+            btm.topic_labels(model, mapping, names, labels)
 
     by_source = Counter(source for _, source in labels.labels.values())
     extra = {"n_rejected": len(parsed.rejects),
@@ -384,19 +390,18 @@ def _dataset_inputs(out: Path) -> list[Path]:
                                      *EMBEDDING_FILES.values())]
 
 
-def load_dataset(cfg: dict, labels: weak_label.LabelSet | None = None) -> nnet.FeatureDataset:
+def load_dataset(cfg: dict) -> nnet.FeatureDataset:
     """Assemble the per-block dataset for every restaurant with features.
 
-    Labels come from the given LabelSet (weak labels by default); unlabeled
-    restaurants get label -1.
+    Labels are the weak labels of `labels.tsv`; unlabeled restaurants get
+    label -1.
     """
     out = _out(cfg)
     stat_path = _require(out / "features_stat.tsv", "statistical features")
     stat_vecs = stat_features.read_features(stat_path)
     embeddings = {b: embed.load_pretrained_vectors(_require(out / name, b))
                   for b, name in EMBEDDING_FILES.items()}
-    if labels is None:
-        labels = weak_label.LabelSet.read_tsv(_require(out / "labels.tsv", "labels"))
+    labels = weak_label.LabelSet.read_tsv(_require(out / "labels.tsv", "labels"))
 
     ids = sorted(stat_vecs)
     block_mats = {b: [] for b in (*stat_features.STAT_BLOCK_DIMS, *EMBEDDING_FILES)}

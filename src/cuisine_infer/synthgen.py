@@ -15,7 +15,7 @@ import numpy as np
 
 from .embed import EmbeddingMatrix
 from .txn_core import CuisineClass, Transactions, derive_seed, to_minute, write_transactions
-from .weak_label import LabelSet, load_taxonomy, tokenize_name
+from .weak_label import LabelSet, Taxonomy, load_taxonomy, tokenize_name
 
 START_DATE = datetime(2025, 1, 6)  # a Monday
 
@@ -179,15 +179,13 @@ class SynthConfig:
 
 
 def name_for(cuisine: CuisineClass, rng: np.random.Generator, cfg: SynthConfig,
-             taxonomy=None) -> str:
+             taxonomy: Taxonomy) -> str:
     """Draw a 1-4 token restaurant name for a cuisine.
 
     With probability p_kw the name embeds a uniformly chosen seed keyword of
     the cuisine; remaining tokens come from the cuisine's style vocabulary or
     the shared filler list.
     """
-    if taxonomy is None:
-        taxonomy = load_taxonomy()
     tokens = []
     use_kw = rng.random() < cfg.p_kw
     n_extra = int(rng.integers(1, 4)) if use_kw else int(rng.integers(1, 5))
@@ -213,52 +211,73 @@ class SynthResult:
     names: dict[str, str]                   # restaurant_id -> generated name
 
 
+def _cdf(p) -> np.ndarray:
+    """Cumulative table of the categorical p, for `_draw`."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """The index, and the one `rng.random()`, of `rng.choice(len(p), p=p)`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def generate(cfg: SynthConfig) -> SynthResult:
-    """Generate a deterministic transaction log with planted cuisine signals."""
+    """Generate a deterministic transaction log with planted cuisine signals.
+
+    Each distribution becomes a cumulative table once, where its inputs are
+    known; every sampled category is then one inverse-CDF draw.
+    """
     rng = np.random.default_rng(cfg.seed)
     taxonomy = load_taxonomy()
     classes = list(CuisineClass)
     mix = np.asarray(DEFAULT_CUISINE_MIX, dtype=float)
-    mix = mix / mix.sum()
+    mix_cdf = _cdf(mix / mix.sum())
 
     zips = [f"{int(z):05d}" for z in rng.integers(10000, 99999, size=N_ZIPS)]
 
-    pair_of = {}
-    for a, b in XOR_PAIRS:
-        pair_of[a] = (a, b)
-        pair_of[b] = (a, b)
-
-    rest_ids = [f"R{i:06d}" for i in range(cfg.n_restaurants)]
-    rest_cuisine = {}
-    rest_zip = {}
-    rest_name = {}
-    rest_subtype = {}   # 1 = high-price subtype, only for paired cuisines
+    # (id, name, zip, cuisine, log-price mean, [weekday, weekend] hour tables)
+    restaurants = []
     truth = LabelSet()
-    for rid in rest_ids:
-        cuisine = classes[int(rng.choice(10, p=mix))]
-        rest_cuisine[rid] = cuisine
-        rest_zip[rid] = zips[int(rng.integers(0, len(zips)))]
-        rest_name[rid] = name_for(cuisine, rng, cfg, taxonomy)
-        if cuisine in pair_of:
-            rest_subtype[rid] = int(rng.random() < 0.5)
+    for i in range(cfg.n_restaurants):
+        rid = f"R{i:06d}"
+        cuisine = classes[_draw(rng, mix_cdf)]
+        zip_code = zips[int(rng.integers(0, len(zips)))]
+        name = name_for(cuisine, rng, cfg, taxonomy)
+        params = DEFAULT_CUISINE_PARAMS[cuisine]
+        price_mu = params.price_log_mu
+        hours = (np.asarray(params.weekday_hours), np.asarray(params.weekend_hours))
+        for first, second in XOR_PAIRS:
+            if cuisine in (first, second):
+                subtype = int(rng.random() < 0.5)  # 1 = high-price subtype
+                price_mu += SUBTYPE_PRICE_SHIFT * (1 if subtype else -1)
+                # XOR coupling: first pair member is dinner-leaning when
+                # expensive, second pair member when cheap
+                dinner = (subtype == 1) == (cuisine is first)
+                hours = (_hour_profile(DINNER_PEAKS if dinner else LUNCH_PEAKS),) * 2
+        restaurants.append((rid, name, zip_code, cuisine, price_mu,
+                            [_cdf(w / w.sum()) for w in hours]))
         truth.add(rid, cuisine, "truth")
 
-    lunch_profile = _hour_profile(LUNCH_PEAKS)
-    dinner_profile = _hour_profile(DINNER_PEAKS)
-
-    by_cuisine: dict[CuisineClass, list[str]] = {c: [] for c in classes}
-    for rid in rest_ids:
-        by_cuisine[rest_cuisine[rid]].append(rid)
-
-    # start of each day in the window, in minutes, per day-of-week
-    dates_by_dow: dict[int, list[int]] = {d: [] for d in range(7)}
-    for d in range(cfg.days):
-        day = START_DATE + timedelta(days=d)
-        dates_by_dow[day.weekday()].append(to_minute(day))
+    # start of each day in the window, in minutes, by day of week from Monday
+    dates_by_dow = [[to_minute(START_DATE + timedelta(days=d)) for d in range(dow, cfg.days, 7)]
+                    for dow in range(7)]
+    tables = {}  # cuisine -> (params, day-of-week table, party-size table)
+    pools = {}  # (cuisine, home zip) -> (restaurants, table favouring the home zip)
+    for cuisine, params in DEFAULT_CUISINE_PARAMS.items():
+        dow_w = np.array([w if dates else 0.0
+                          for w, dates in zip(params.dow_weights, dates_by_dow)])
+        # without days there are no visits, so no day is drawn
+        tables[cuisine] = (params, _cdf(dow_w / dow_w.sum()) if cfg.days else None,
+                           _cdf(params.party_probs))
+        pool = [r for r in restaurants if r[3] is cuisine]
+        for home in set(zips) if pool else ():
+            w = np.array([HOME_ZIP_WEIGHT if r[2] == home else 1.0 for r in pool])
+            pools[cuisine, home] = (pool, _cdf(w / w.sum()))
 
     rows: list[tuple] = []
-    party_sizes: dict[str, dict[int, int]] = {rid: {} for rid in rest_ids}
-
+    party_sizes: dict[str, dict[int, int]] = {r[0]: {} for r in restaurants}
     for c_idx in range(cfg.n_customers):
         chid = f"C{c_idx:06d}"
         home = zips[int(rng.integers(0, len(zips)))]
@@ -268,56 +287,33 @@ def generate(cfg: SynthConfig) -> SynthResult:
         for a, b in XOR_PAIRS:
             avg = (pref[a] + pref[b]) / 2.0
             pref[a] = pref[b] = avg
+        pref_cdf = _cdf(pref)
         n_visits = int(rng.poisson(VISITS_PER_DAY * cfg.days))
         for _ in range(n_visits):
-            cuisine = classes[int(rng.choice(10, p=pref))]
-            pool = by_cuisine[cuisine]
-            if not pool:
+            pool, pool_cdf = pools.get((classes[_draw(rng, pref_cdf)], home), ((), None))
+            if not pool:  # no restaurant of the drawn cuisine
                 continue
-            weights = np.array(
-                [HOME_ZIP_WEIGHT if rest_zip[r] == home else 1.0 for r in pool])
-            rid = pool[int(rng.choice(len(pool), p=weights / weights.sum()))]
-            params: CuisineParams = DEFAULT_CUISINE_PARAMS[rest_cuisine[rid]]
-
-            dow_w = np.array([params.dow_weights[d] if dates_by_dow[d] else 0.0
-                              for d in range(7)])
-            if dow_w.sum() <= 0:
-                continue
-            dow = int(rng.choice(7, p=dow_w / dow_w.sum()))
+            rid, name, zip_code, cuisine, price_mu, hour_cdfs = pool[_draw(rng, pool_cdf)]
+            params, dow_cdf, party_cdf = tables[cuisine]
+            dow = _draw(rng, dow_cdf)
             day = dates_by_dow[dow][int(rng.integers(0, len(dates_by_dow[dow])))]
-            price_mu = params.price_log_mu
-            if rid in rest_subtype:
-                subtype = rest_subtype[rid]
-                price_mu += SUBTYPE_PRICE_SHIFT * (1 if subtype else -1)
-                first, _second = pair_of[rest_cuisine[rid]]
-                # XOR coupling: first pair member is dinner-leaning when
-                # expensive, second pair member when cheap
-                dinner = (subtype == 1) if rest_cuisine[rid] is first \
-                    else (subtype == 0)
-                profile = dinner_profile if dinner else lunch_profile
-            else:
-                profile = np.asarray(
-                    params.weekend_hours if dow >= 5 else params.weekday_hours)
-            hour = int(rng.choice(24, p=profile / profile.sum()))
-            minute = int(rng.integers(0, 60))
-            ts = day + 60 * hour + minute
+            ts = day + 60 * _draw(rng, hour_cdfs[dow >= 5]) + int(rng.integers(0, 60))
 
-            party = 1 + int(rng.choice(6, p=np.asarray(params.party_probs)))
+            party = 1 + _draw(rng, party_cdf)
             per_person = np.exp(rng.normal(price_mu, params.price_log_sigma))
             auth = max(1, int(round(party * per_person)))
+            settle = auth
             if params.tip_rate > 0:
                 tip_frac = params.tip_rate * rng.uniform(0.85, 1.15)
-                settle = int(round(auth * (1 + tip_frac)))
-            else:
-                settle = auth
-            settle = max(settle, auth)
+                settle = max(int(round(auth * (1 + tip_frac))), auth)
 
-            rows.append((rid, rest_name[rid], rest_zip[rid], ts, chid, auth, settle))
+            rows.append((rid, name, zip_code, ts, chid, auth, settle))
             party_sizes[rid][party] = party_sizes[rid].get(party, 0) + 1
 
     # by timestamp, cardholder, merchant and auth amount
     rows.sort(key=lambda t: (t[3], t[4], t[0], t[5]))
-    return SynthResult(Transactions.from_rows(rows), truth, party_sizes, rest_name)
+    names = {r[0]: r[1] for r in restaurants}
+    return SynthResult(Transactions.from_rows(rows), truth, party_sizes, names)
 
 
 def write_outputs(result: SynthResult, txn_path, labels_path, party_path) -> None:

@@ -27,8 +27,6 @@ def tokenize_name(name: str) -> list[str]:
             continue
         if ch.isalpha():
             chars.append(ch.upper())
-        elif ch.isspace():
-            chars.append(" ")
         else:
             chars.append(" ")
     tokens = "".join(chars).split()

@@ -172,6 +172,7 @@ class TestBtmFitOracle:
         assert int(manifest["n_topic"]) > 0
         assert int(manifest["btm_biterms"]) > 0 and int(manifest["btm_vocab"]) > 0
         assert float(manifest["btm_fit_s"]) >= 0
+        assert 0 < int(manifest["btm_topics_mapped"]) <= 5
 
 
 class TestBtmFit:
@@ -328,7 +329,9 @@ def test_topic_labels_by_most_probable_mapped_topic():
              "r4": "ZZ TOP", "r5": "CAKE HOUSE"}
     labels = LabelSet()
     labels.add("r5", CuisineClass.Bar, "seed")
-    assert topic_labels(model, names, labels) == 2
+    mapping = topic_cuisine_map(model)
+    assert mapping == {0: CuisineClass.Bar, 1: CuisineClass.Dessert}
+    assert topic_labels(model, mapping, names, labels) == 2
     assert labels.labels == {"r1": (CuisineClass.Bar, "topic"),
                              "r2": (CuisineClass.Dessert, "topic"),
                              "r5": (CuisineClass.Bar, "seed")}

@@ -161,6 +161,16 @@ class TestPipeline:
         assert int(lines["seed"]) == stage_seed(cfg, "train")
         assert float(lines["duration_s"]) >= 0
 
+    def test_synth_manifest_times_generate_and_write(self, pipeline_run):
+        _, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        lines = dict(line.split("\t", 1)
+                     for line in (out / "manifest_synth.txt").read_text().splitlines())
+        steps = [float(lines["generate_s"]), float(lines["write_s"])]
+        assert min(steps) >= 0 and sum(steps) <= float(lines["duration_s"]) + 0.01
+        assert int(lines["n_transactions"]) == len(
+            parse_transactions(out / "transactions.csv").transactions)
+
     def test_manifest_inputs_list_every_file_read(self, pipeline_run):
         _, artifacts, _ = pipeline_run
         out = artifacts["metrics"].parent
@@ -673,6 +683,30 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (out / "transactions.csv").exists()
         assert (out / "manifest_synth.txt").exists()
+
+    def test_label_coherence_sweep(self, tmp_path):
+        """`label` with the sweep writes one finite UMass score per k and
+        lists the report in its manifest; the topic labels stay the same."""
+        cfg = _tiny_cfg(tmp_path)
+        pipeline.run_synth(cfg)
+        out = Path(cfg["out_dir"])
+        args = ["label", "--config", str(tmp_path / "config.yaml"), "--out-dir", str(out),
+                "--set", "label.topic_augment=true"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        labels = (out / "labels.tsv").read_bytes()
+        assert not (out / "coherence.tsv").exists()
+
+        result = CliRunner().invoke(main, args + ["--set", "label.coherence_sweep=true"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split("\t") for line in
+                (out / "coherence.tsv").read_text().splitlines()]
+        ks = [int(k) for k, _ in rows]
+        assert len(rows) == 7 and ks == sorted(set(ks))
+        assert np.isfinite([float(score) for _, score in rows]).all()
+        manifest = (out / "manifest_label.txt").read_text().splitlines()
+        assert f"output\t{out / 'coherence.tsv'}" in manifest
+        assert (out / "labels.tsv").read_bytes() == labels
 
     def test_config_error_exit_code(self):
         result = CliRunner().invoke(main, ["synth", "--set", "nope=1"])
