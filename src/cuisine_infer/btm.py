@@ -243,12 +243,18 @@ def coherence_sweep(
     docs: list[list[str]],
     k_values=(5, 10, 15, 20, 30, 40, 50),
     base_cfg: BtmConfig = BtmConfig(),
+    fitted: dict[int, BtmModel] | None = None,
 ) -> list[tuple[int, float]]:
-    """Fit one model per k and report mean UMass coherence, rows sorted by k."""
+    """Fit one model per k and report mean UMass coherence, rows sorted by k.
+
+    `fitted` maps a k to the model already fitted to `biterms` with
+    `base_cfg` at that k; the sweep scores it instead of fitting it again.
+    """
+    fitted = fitted or {}
     rows = []
     for k in sorted(k_values):
         cfg = replace(base_cfg, k=k)
-        model = btm_fit(biterms, cfg)
+        model = fitted[k] if k in fitted else btm_fit(biterms, cfg)
         scores = umass_coherence(model, docs, cfg.top_n)
         rows.append((k, float(np.mean(scores))))
     return rows

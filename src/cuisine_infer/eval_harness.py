@@ -10,6 +10,7 @@ import numpy as np
 
 from .txn_core import N_CLASSES, CuisineClass
 from . import nnet
+from .stat_features import BLOCKS
 from .nnet import FeatureDataset, NetworkSpec, TrainConfig, topk_from_probs
 
 
@@ -138,8 +139,8 @@ CUISINE_SUMMARY_COLUMNS = [
 
 
 def cuisine_summary(labels: dict[str, CuisineClass],
-                    stat_blocks: dict[str, dict[str, np.ndarray]]) -> list[dict]:
-    """Per-cuisine aggregate of restaurant id -> block name -> block vector.
+                    features: dict[str, np.ndarray]) -> list[dict]:
+    """Per-cuisine aggregate of restaurant id -> statistical feature row.
 
     One row per cuisine: median of per-restaurant median price (d5), median
     tip, mean capacity, 90th-percentile revisits (d9), median loyalty tally,
@@ -149,28 +150,26 @@ def cuisine_summary(labels: dict[str, CuisineClass],
     """
     groups: dict[CuisineClass, list] = {c: [] for c in CuisineClass}
     for rid, cuisine in labels.items():
-        if rid in stat_blocks:
-            groups[cuisine].append(stat_blocks[rid])
+        if rid in features:
+            groups[cuisine].append(features[rid])
     rows = []
-    for cuisine, blocks_list in groups.items():
-        if not blocks_list:
+    for cuisine, group in groups.items():
+        if not group:
             rows.append({"cuisine": cuisine.name, "empty": True})
             continue
-        med_price = float(np.median([b["price_deciles"][4] for b in blocks_list]))
-        med_tip = float(np.median([b["tip_deciles"][4] for b in blocks_list]))
-        mean_cap = float(np.mean([b["capacity_deciles"][4] for b in blocks_list]))
-        p90_rev = float(np.median([b["revisit_deciles"][8] for b in blocks_list]))
-        med_loyal = float(np.median([b["loyalty_deciles"][4] for b in blocks_list]))
-        expense = float(np.mean(
-            [float(b["party_prop"] @ b["party_price"]) for b in blocks_list]))
-        single = 100.0 * float(np.mean([b["party_prop"][0] for b in blocks_list]))
-        weekend = 100.0 * float(np.mean([b["dow_dist"][5:].sum() for b in blocks_list]))
+        table = np.array(group)
+        b = {name: table[:, cols] for name, cols in BLOCKS.items()}
         rows.append({
             "cuisine": cuisine.name, "empty": False,
-            "median_price": med_price, "median_tip": med_tip,
-            "mean_capacity": mean_cap, "p90_revisits": p90_rev,
-            "median_loyalty": med_loyal, "mean_expense_per_person": expense,
-            "pct_single_diner": single, "pct_weekend": weekend,
+            "median_price": float(np.median(b["price_deciles"][:, 4])),
+            "median_tip": float(np.median(b["tip_deciles"][:, 4])),
+            "mean_capacity": float(np.mean(b["capacity_deciles"][:, 4])),
+            "p90_revisits": float(np.median(b["revisit_deciles"][:, 8])),
+            "median_loyalty": float(np.median(b["loyalty_deciles"][:, 4])),
+            "mean_expense_per_person": float(np.mean(
+                [p @ q for p, q in zip(b["party_prop"], b["party_price"])])),
+            "pct_single_diner": 100.0 * float(np.mean(b["party_prop"][:, 0])),
+            "pct_weekend": 100.0 * float(np.mean(b["dow_dist"][:, 5:].sum(axis=1))),
         })
     return rows
 

@@ -121,8 +121,13 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     every field has its default's type and is in range."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = yaml.safe_load(fh) or {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         cfg = _merge(cfg, user)
@@ -285,21 +290,22 @@ def run_label(cfg: dict) -> dict:
         biterms = btm.stratified_sample_biterms(
             biterms, cfg["label"]["btm"]["strata"], cfg["label"]["btm"]["cap_ratio"],
             bcfg.seed)
-        docs = [weak_label.tokenize_name(n) for n in names.values()]
-        if cfg["label"]["coherence_sweep"]:
-            rows = btm.coherence_sweep(biterms, docs, base_cfg=bcfg)
-            coherence_path = out / "coherence.tsv"
-            btm.write_coherence_report(coherence_path, rows)
-            outputs.append(coherence_path)
+        fitted = {}
         if cfg["label"]["topic_augment"]:
             fit_started = time.perf_counter()
-            model = btm.btm_fit(biterms, bcfg)
+            model = fitted[bcfg.k] = btm.btm_fit(biterms, bcfg)
             btm_extra = {"btm_biterms": model.metadata["n_biterms"],
                          "btm_vocab": model.metadata["vocab_size"],
                          "btm_fit_s": f"{time.perf_counter() - fit_started:.3f}"}
             mapping = btm.topic_cuisine_map(model)
             btm_extra["btm_topics_mapped"] = len(mapping)
             btm.topic_labels(model, mapping, names, labels)
+        if cfg["label"]["coherence_sweep"]:
+            docs = [weak_label.tokenize_name(n) for n in names.values()]
+            rows = btm.coherence_sweep(biterms, docs, base_cfg=bcfg, fitted=fitted)
+            coherence_path = out / "coherence.tsv"
+            btm.write_coherence_report(coherence_path, rows)
+            outputs.append(coherence_path)
 
     by_source = Counter(source for _, source in labels.labels.values())
     extra = {"n_rejected": len(parsed.rejects),
@@ -323,14 +329,13 @@ def run_features(cfg: dict) -> dict:
     txn_path = _require(_txn_path(cfg), "transactions")
     parsed = parse_transactions(txn_path)
     index = build_index(parsed.transactions)
-    feats = stat_features.extract_all(index, seed=stage_seed(cfg, "features"))
+    table, models = stat_features.extract_all(index, seed=stage_seed(cfg, "features"))
     path = out / "features_stat.tsv"
-    stat_features.write_features(path, feats)
-    models = [f.gmm for f in feats.values()]
+    stat_features.write_features(path, index.restaurant_ids.tolist(), table)
     k_hist = Counter(m.K for m in models)
     _write_manifest(cfg, "features", [txn_path], [path], started, {
         "n_rejected": len(parsed.rejects),
-        "n_restaurants": len(feats),
+        "n_restaurants": len(table),
         "gmm_k_hist": ",".join(f"{k}:{k_hist[k]}" for k in sorted(k_hist)),
         "gmm_iter_cap_hits": sum(m.iter_cap_hits for m in models)})
     return {"features_stat": path}
@@ -404,17 +409,15 @@ def load_dataset(cfg: dict) -> nnet.FeatureDataset:
     labels = weak_label.LabelSet.read_tsv(_require(out / "labels.tsv", "labels"))
 
     ids = sorted(stat_vecs)
-    block_mats = {b: [] for b in (*stat_features.STAT_BLOCK_DIMS, *EMBEDDING_FILES)}
-    y = []
-    for rid in ids:
-        for bname, vec in stat_features.split_blocks(stat_vecs[rid]).items():
-            block_mats[bname].append(vec)
-        for bname, m in embeddings.items():
-            block_mats[bname].append(m.vectors.get(rid, np.zeros(m.dim)))
-        cuisine = labels.get(rid)
-        y.append(int(cuisine) if cuisine is not None else -1)
-    features = {b: np.vstack(m) for b, m in block_mats.items()}
-    return nnet.FeatureDataset(ids, features, np.array(y, dtype=int))
+    stat = np.array([stat_vecs[rid] for rid in ids]).reshape(len(ids), stat_features.STAT_DIM)
+    features = {b: stat[:, cols] for b, cols in stat_features.BLOCKS.items()}
+    for b, m in embeddings.items():
+        missing = np.zeros(m.dim)
+        features[b] = np.array([m.vectors.get(rid, missing) for rid in ids]).reshape(
+            len(ids), m.dim)
+    y = [labels.get(rid) for rid in ids]
+    return nnet.FeatureDataset(
+        ids, features, np.array([-1 if c is None else int(c) for c in y], dtype=int))
 
 
 def _make_spec(cfg: dict, branches: tuple) -> nnet.NetworkSpec:
@@ -490,8 +493,12 @@ def run_eval(cfg: dict) -> dict:
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     split_path = _require(out / "split.tsv", "train/test split")
     split = read_keyed_records(split_path, _split_row)
-    train_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "train"]
-    test_idx = [i for i, rid in enumerate(labeled.ids) if split.get(rid) == "test"]
+    if set(split) != set(labeled.ids):
+        stale = sorted(set(split) ^ set(labeled.ids))
+        raise ValueError(f"{split_path}: {len(stale)} ids differ from the labelled "
+                         f"restaurants (first: {stale[0]}); rerun train")
+    train_idx = [i for i, rid in enumerate(labeled.ids) if split[rid] == "train"]
+    test_idx = [i for i, rid in enumerate(labeled.ids) if split[rid] == "test"]
     inputs = [model_path, split_path] + _dataset_inputs(out)
     truth_path = out / "truth_labels.tsv"
     truth = weak_label.LabelSet()
@@ -541,11 +548,10 @@ def run_report(cfg: dict) -> dict:
     out = _out(cfg)
     stat_path = _require(out / "features_stat.tsv", "statistical features")
     labels_path = _require(out / "labels.tsv", "labels")
-    blocks = {rid: stat_features.split_blocks(vec)
-              for rid, vec in stat_features.read_features(stat_path).items()}
     labels = weak_label.LabelSet.read_tsv(labels_path)
     rows = eval_harness.cuisine_summary(
-        {rid: c for rid, (c, _src) in labels.items()}, blocks)
+        {rid: c for rid, (c, _src) in labels.items()},
+        stat_features.read_features(stat_path))
     path = out / "cuisine_summary.tsv"
     eval_harness.write_cuisine_summary_tsv(path, rows)
     _write_manifest(cfg, "report", [stat_path, labels_path], [path], started)

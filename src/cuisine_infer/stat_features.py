@@ -2,12 +2,14 @@
 
 Eleven blocks: five decile vectors (price, tip, hourly capacity, revisits,
 loyalty), three temporal distributions, GMM-based party-size proportions and
-prices, and a positional zip-digit one-hot. Total dimensionality 162.
+prices, and a positional zip-digit one-hot. Total dimensionality 162: a
+restaurant's statistics are one row, and `BLOCKS` gives each block's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +29,9 @@ STAT_BLOCK_DIMS = {
     "zip_onehot": 50,
 }
 STAT_DIM = sum(STAT_BLOCK_DIMS.values())  # 162
+# Each block's columns in a feature row, in STAT_BLOCK_DIMS order.
+BLOCKS = {name: slice(end - dim, end) for (name, dim), end in
+          zip(STAT_BLOCK_DIMS.items(), accumulate(STAT_BLOCK_DIMS.values()))}
 # Largest mixture tried per restaurant: one component per party-size slot.
 GMM_KMAX = STAT_BLOCK_DIMS["party_prop"]
 
@@ -271,70 +276,41 @@ def zip_feature(zip5: str) -> np.ndarray:
     return out
 
 
-@dataclass
-class StatFeatureBlock:
-    blocks: dict[str, np.ndarray]
-    gmm: GmmModel | None = None   # the party-size mixture
-
-    def __post_init__(self):
-        if set(self.blocks) != set(STAT_BLOCK_DIMS):
-            raise ValueError("wrong block set")
-        for name, arr in self.blocks.items():
-            if len(arr) != STAT_BLOCK_DIMS[name]:
-                raise ValueError(f"block {name}: expected {STAT_BLOCK_DIMS[name]}, got {len(arr)}")
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.blocks[name] for name in STAT_BLOCK_DIMS])
-
-
-def split_blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
-    """Inverse of StatFeatureBlock.concat: block name -> slice of `vec`."""
-    blocks = {}
-    pos = 0
-    for name, dim in STAT_BLOCK_DIMS.items():
-        blocks[name] = vec[pos:pos + dim]
-        pos += dim
-    return blocks
-
-
 def _amounts(index: RestaurantIndex, r: int) -> np.ndarray:
     return index.auth_amount[index.starts[r]:index.starts[r + 1]].astype(float)
 
 
-def _restaurant_blocks(r: int, index: RestaurantIndex, model: GmmModel,
-                       loyal: np.ndarray) -> StatFeatureBlock:
-    """All 11 statistical blocks for restaurant r, given its fitted
-    party-size mixture and every cardholder's `loyalty`."""
+def _restaurant_row(r: int, index: RestaurantIndex, model: GmmModel,
+                    loyal: np.ndarray) -> np.ndarray:
+    """The 162 statistics of restaurant r, its 11 blocks in `BLOCKS` order,
+    given its fitted party-size mixture and every cardholder's `loyalty`."""
     rows = slice(index.starts[r], index.starts[r + 1])
     minute, amounts = index.minute[rows], _amounts(index, r)
     customers, visits = np.unique(index.cardholder[rows], return_counts=True)
-    dow, wd, we = temporal_dists(minute)
-    party_prop, party_price = party_features(model, amounts)
-    blocks = {
-        "price_deciles": deciles(amounts),
-        "tip_deciles": deciles(index.settle_amount[rows] - index.auth_amount[rows]),
-        "capacity_deciles": deciles(np.unique(minute // 60, return_counts=True)[1]),
-        "revisit_deciles": deciles(visits),
-        "loyalty_deciles": deciles(loyal[customers]),
-        "dow_dist": dow,
-        "weekday_hour_dist": wd,
-        "weekend_hour_dist": we,
-        "party_prop": party_prop,
-        "party_price": party_price,
-        "zip_onehot": zip_feature(index.zips[r]),
-    }
-    return StatFeatureBlock(blocks, gmm=model)
+    return np.concatenate([
+        deciles(amounts),
+        deciles(index.settle_amount[rows] - index.auth_amount[rows]),
+        deciles(np.unique(minute // 60, return_counts=True)[1]),
+        deciles(visits),
+        deciles(loyal[customers]),
+        *temporal_dists(minute),
+        *party_features(model, amounts),
+        zip_feature(index.zips[r]),
+    ])
 
 
-def extract_restaurant(rid: str, index: RestaurantIndex, seed: int = 0) -> StatFeatureBlock:
-    """All 11 statistical blocks for one restaurant."""
+def extract_restaurant(rid: str, index: RestaurantIndex,
+                       seed: int = 0) -> tuple[np.ndarray, GmmModel]:
+    """One restaurant's feature row and its party-size mixture."""
     r = index.restaurant_ids.tolist().index(rid)
     model = select_k_aic(_amounts(index, r), K_max=GMM_KMAX, seed=seed)
-    return _restaurant_blocks(r, index, model, loyalty(index))
+    return _restaurant_row(r, index, model, loyalty(index)), model
 
 
-def extract_all(index: RestaurantIndex, seed: int = 0) -> dict[str, StatFeatureBlock]:
-    """extract_restaurant for every restaurant, each seeded by its id.
+def extract_all(index: RestaurantIndex, seed: int = 0) -> tuple[np.ndarray, list[GmmModel]]:
+    """The (restaurants, STAT_DIM) feature table, rows in index order, and
+    each restaurant's party-size mixture: `extract_restaurant` for every
+    restaurant, each seeded by its id.
 
     The party-size mixtures of all restaurants with the same transaction
     count are fitted as one batch, which gives the same models as fitting
@@ -344,14 +320,16 @@ def extract_all(index: RestaurantIndex, seed: int = 0) -> dict[str, StatFeatureB
     by_count: dict[int, list[int]] = {}
     for r, n in enumerate(np.diff(index.starts).tolist()):
         by_count.setdefault(n, []).append(r)
-    models: dict[int, GmmModel] = {}
+    models: list = [None] * len(rids)
     for n, rs in by_count.items():
         fits = _fit_rows(np.stack([_amounts(index, r) for r in rs]),
                          [derive_seed(seed, rids[r]) for r in rs],
                          range(1, min(GMM_KMAX, n) + 1))
-        models.update(zip(rs, fits))
+        for r, fit in zip(rs, fits):
+            models[r] = fit
     loyal = loyalty(index)
-    return {rid: _restaurant_blocks(r, index, models[r], loyal) for r, rid in enumerate(rids)}
+    table = np.array([_restaurant_row(r, index, models[r], loyal) for r in range(len(rids))])
+    return table.reshape(len(rids), STAT_DIM), models
 
 
 def feature_header() -> list[str]:
@@ -361,11 +339,11 @@ def feature_header() -> list[str]:
     return cols
 
 
-def write_features(path, features: dict[str, StatFeatureBlock]) -> None:
+def write_features(path, ids: list[str], table: np.ndarray) -> None:
+    """One line per restaurant: its id and its row of `table`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(feature_header()) + "\n")
-        for rid in sorted(features):
-            vec = features[rid].concat()
+        for rid, vec in zip(ids, table):
             fh.write(rid + "\t" + "\t".join(f"{x:.9g}" for x in vec) + "\n")
 
 

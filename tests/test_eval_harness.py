@@ -130,9 +130,10 @@ def summary_rows():
     res = generate(SynthConfig(n_restaurants=200, n_customers=1500,
                                days=30, seed=17))
     index = build_index(res.transactions)
-    feats = extract_all(index, seed=0)
+    table, _ = extract_all(index, seed=0)
+    feats = dict(zip(index.restaurant_ids.tolist(), table))
     labels = {rid: c for rid, (c, _) in res.truth.items() if rid in feats}
-    return cuisine_summary(labels, {rid: f.blocks for rid, f in feats.items()})
+    return cuisine_summary(labels, feats)
 
 
 class TestCuisineSummary:
@@ -158,6 +159,32 @@ class TestCuisineSummary:
         lines = p.read_text().splitlines()
         assert lines[0].split("\t") == CUISINE_SUMMARY_COLUMNS
         assert len(lines) == 11
+
+    def test_reads_the_block_columns(self):
+        """Each figure from its columns of the 162-value row: price deciles
+        0-8, tip 9-17, capacity 18-26, revisits 27-35, loyalty 36-44, day of
+        week 45-51, party shares 100-105 and party prices 106-111."""
+        rng = np.random.default_rng(3)
+        rows = {f"R{i}": rng.uniform(0, 1, 162) for i in range(5)}
+        labels = {"R0": CuisineClass(0), "R1": CuisineClass(0), "R2": CuisineClass(0),
+                  "R3": CuisineClass(1), "missing": CuisineClass(1)}
+        got = {r["cuisine"]: r for r in cuisine_summary(labels, rows)}
+        group = [rows[rid] for rid in ("R0", "R1", "R2")]
+        want = {
+            "median_price": np.median([v[4] for v in group]),
+            "median_tip": np.median([v[13] for v in group]),
+            "mean_capacity": np.mean([v[22] for v in group]),
+            "p90_revisits": np.median([v[35] for v in group]),
+            "median_loyalty": np.median([v[40] for v in group]),
+            "mean_expense_per_person": np.mean([v[100:106] @ v[106:112] for v in group]),
+            "pct_single_diner": 100 * np.mean([v[100] for v in group]),
+            "pct_weekend": 100 * np.mean([v[50] + v[51] for v in group]),
+        }
+        row = got[CuisineClass(0).name]
+        for key, value in want.items():
+            assert row[key] == pytest.approx(value, rel=1e-12), key
+        assert got[CuisineClass(1).name]["median_price"] == rows["R3"][4]
+        assert all(got[c.name]["empty"] for c in CuisineClass if c > 1)
 
     def test_empty_cuisine_flagged(self, tmp_path):
         rows = cuisine_summary({}, {})

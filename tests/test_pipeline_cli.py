@@ -27,7 +27,7 @@ from cuisine_infer.pipeline import (
     run_pipeline,
     stage_seed,
 )
-from cuisine_infer.stat_features import extract_all
+from cuisine_infer.stat_features import STAT_BLOCK_DIMS, extract_all, read_features
 from cuisine_infer.txn_core import build_index, parse_transactions
 from cuisine_infer.weak_label import LabelSet
 
@@ -186,8 +186,7 @@ class TestPipeline:
         lines = dict(line.split("\t", 1)
                      for line in (out / "manifest_features.txt").read_text().splitlines())
         index = build_index(parse_transactions(out / "transactions.csv").transactions)
-        models = [f.gmm for f in extract_all(
-            index, seed=stage_seed(cfg, "features")).values()]
+        _, models = extract_all(index, seed=stage_seed(cfg, "features"))
         hist = Counter(m.K for m in models)
         assert lines["gmm_k_hist"] == ",".join(f"{k}:{hist[k]}" for k in sorted(hist))
         assert int(lines["gmm_iter_cap_hits"]) == sum(m.iter_cap_hits for m in models)
@@ -236,11 +235,15 @@ class TestPipeline:
         ds = load_dataset(cfg)
         assert len(ds) <= cfg["synth"]["n_restaurants"]
         assert len(ds) > 100
-        assert set(ds.features) == {
+        assert list(ds.features) == [
             "price_deciles", "tip_deciles", "capacity_deciles", "revisit_deciles",
             "loyalty_deciles", "dow_dist", "weekday_hour_dist", "weekend_hour_dist",
             "party_prop", "party_price", "zip_onehot",
-            "micro_embed", "macro_embed", "name_embed"}
+            "micro_embed", "macro_embed", "name_embed"]
+        stat = read_features(Path(cfg["out_dir"]) / "features_stat.tsv")
+        assert ds.ids == sorted(stat)
+        assert np.array_equal(np.hstack([ds.features[b] for b in STAT_BLOCK_DIMS]),
+                              np.array([stat[rid] for rid in ds.ids]))
         assert ds.features["name_embed"].shape[1] == cfg["embed"]["name_dim"]
         assert ((ds.labels >= -1) & (ds.labels <= 9)).all()
         assert (ds.labels >= 0).any() and (ds.labels == -1).any()
@@ -333,6 +336,26 @@ def test_malformed_split_line_exit_code(pipeline_run, tmp_path, bad_line):
         "eval", "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
     assert result.exit_code == 4, result.output
     assert f"{split}:3: expected id<TAB>train or id<TAB>test" in result.output
+
+
+@pytest.mark.parametrize("drop_from", ["labels.tsv", "split.tsv"])
+def test_stale_split_exit_code(pipeline_run, tmp_path, drop_from):
+    """`eval` refuses a split.tsv whose ids are not the labelled restaurants
+    instead of scoring a smaller test set."""
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    rid = next(line.split("\t")[0] for line in (out / "split.tsv").read_text().splitlines()
+               if line.endswith("\ttest"))
+    path = out / drop_from
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if line.split("\t")[0] != rid))
+    (out / "metrics.tsv").unlink()
+    result = CliRunner().invoke(main, [
+        "eval", "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{out / 'split.tsv'}: " in result.output and rid in result.output
+    assert not (out / "metrics.tsv").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "eval", "report"])
@@ -618,10 +641,10 @@ class TestReport:
         result = self._report(tmp_path, out)
         assert result.exit_code == 0, result.output
 
-        feats = extract_all(index, seed=stage_seed(cfg, "features"))
+        table, _ = extract_all(index, seed=stage_seed(cfg, "features"))
         labels = LabelSet.read_tsv(out / "labels.tsv")
         expected = cuisine_summary({rid: c for rid, (c, _src) in labels.items()},
-                                   {rid: f.blocks for rid, f in feats.items()})
+                                   dict(zip(index.restaurant_ids.tolist(), table)))
         got = _read_summary(out / "cuisine_summary.tsv")
         assert list(got) == [row["cuisine"] for row in expected]
         for row in expected:
@@ -708,9 +731,46 @@ class TestCli:
         assert f"output\t{out / 'coherence.tsv'}" in manifest
         assert (out / "labels.tsv").read_bytes() == labels
 
+    def test_label_fits_each_topic_count_once(self, tmp_path, monkeypatch):
+        """With the sweep and topic labels on, the sweep scores the topic
+        labels' model at label.btm.k: 7 fits, not 8, and the same files as a
+        run of each alone."""
+        cfg = _tiny_cfg(tmp_path)
+        pipeline.run_synth(cfg)
+        out = Path(cfg["out_dir"])
+        alone = {}
+        for flag, name in (("topic_augment", "labels.tsv"), ("coherence_sweep", "coherence.tsv")):
+            pipeline.run_label({**cfg, "label": {**cfg["label"], flag: True}})
+            alone[name] = (out / name).read_bytes()
+
+        fit, ks = btm.btm_fit, []
+
+        def counting_fit(biterms, bcfg):
+            ks.append(bcfg.k)
+            return fit(biterms, bcfg)
+
+        monkeypatch.setattr(btm, "btm_fit", counting_fit)
+        pipeline.run_label({**cfg, "label": {**cfg["label"], "topic_augment": True,
+                                             "coherence_sweep": True}})
+        assert sorted(ks) == [5, 10, 15, 20, 30, 40, 50]
+        for name, data in alone.items():
+            assert (out / name).read_bytes() == data, name
+
     def test_config_error_exit_code(self):
         result = CliRunner().invoke(main, ["synth", "--set", "nope=1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", [None, "train: {epochs: [1\n"],
+                             ids=["missing", "invalid YAML"])
+    def test_config_file_error_exit_code(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text)
+        result = CliRunner().invoke(main, [
+            "label", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {path}: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("override", ["features.gmm_kmax=2", "eval.folds=3"])
     def test_deleted_field_exit_code(self, override):

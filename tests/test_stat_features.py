@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuisine_infer.stat_features import (
+    BLOCKS,
     GMM_KMAX,
     STAT_BLOCK_DIMS,
     STAT_DIM,
     GmmError,
     _fit_rows,
-    StatFeatureBlock,
     deciles,
     extract_all,
     extract_restaurant,
@@ -22,7 +22,6 @@ from cuisine_infer.stat_features import (
     party_features,
     read_features,
     select_k_aic,
-    split_blocks,
     temporal_dists,
     write_features,
     zip_feature,
@@ -40,9 +39,14 @@ def txn(mid="R1", chid="C1", ts="2025-01-06T12:00", auth=1000, settle=1100,
             settle)
 
 
+def split(row: np.ndarray) -> dict:
+    """Block name -> that block's columns of a feature row."""
+    return {name: row[cols] for name, cols in BLOCKS.items()}
+
+
 def blocks_of(*rows) -> dict:
     """The feature blocks of restaurant R1 in a log of `rows`."""
-    return extract_restaurant("R1", build_index(Transactions.from_rows(rows))).blocks
+    return split(extract_restaurant("R1", build_index(Transactions.from_rows(rows)))[0])
 
 
 def minutes(*stamps) -> np.ndarray:
@@ -115,7 +119,7 @@ def test_revisit_and_loyalty_recount():
     brute = [len(set(t.merchant_id[t.cardholder_id == c])) for c in custs]
     assert loyalty(index)[np.searchsorted(index.cardholder_ids, custs)].tolist() == brute
     assert all(v >= 1 for v in brute)
-    blocks = extract_restaurant(rid, index).blocks
+    blocks = split(extract_restaurant(rid, index)[0])
     assert np.array_equal(blocks["revisit_deciles"], deciles(revisits))
     assert np.array_equal(blocks["loyalty_deciles"], deciles(brute))
 
@@ -139,11 +143,12 @@ def test_table_matches_per_row_recount(log):
     log = [(m, n, z, ts, c, a, a + tip) for m, n, z, ts, c, a, tip in log]
     index = build_index(Transactions.from_rows(
         [(m, n, z, to_minute(ts), c, a, s) for m, n, z, ts, c, a, s in log]))
-    feats = extract_all(index)
+    table, models = extract_all(index)
 
     rids = sorted({row[0] for row in log})
     cids = sorted({row[4] for row in log})
-    assert index.restaurant_ids.tolist() == rids == list(feats)
+    assert index.restaurant_ids.tolist() == rids
+    assert table.shape == (len(rids), STAT_DIM) and len(models) == len(rids)
     assert index.cardholder_ids.tolist() == cids
     visited = {c: {row[0] for row in log if row[4] == c} for c in cids}
     for r, rid in enumerate(rids):
@@ -172,7 +177,7 @@ def test_table_matches_per_row_recount(log):
             "weekend_hour_dist": we / we.sum() if we.sum() else we,
         }
         for name, want in expected.items():
-            assert np.array_equal(feats[rid].blocks[name], want), name
+            assert np.array_equal(table[r, BLOCKS[name]], want), name
     for c, cid in enumerate(cids):
         visits = sorted((ts, a, m, s) for m, _n, _z, ts, ch, a, s in log if ch == cid)
         got = index.merchants[index.card_starts[c]:index.card_starts[c + 1]]
@@ -322,55 +327,72 @@ class TestZipFeature:
 
 class TestAssembly:
     def test_dim_and_blocks(self):
+        """A table row is the 11 block functions' outputs, concatenated in
+        STAT_BLOCK_DIMS order."""
         res = generate(SynthConfig(n_restaurants=20, n_customers=150, days=10, seed=8))
         index = build_index(res.transactions)
-        block = extract_restaurant(index.restaurant_ids[0], index)
-        assert set(block.blocks) == set(STAT_BLOCK_DIMS)
-        vec = block.concat()
-        assert len(vec) == STAT_DIM == 162
-        assert np.isfinite(vec).all()
+        table, models = extract_all(index, seed=4)
+        r = 3
+        row, model = table[r], models[r]
+        at = slice(index.starts[r], index.starts[r + 1])
+        amounts = index.auth_amount[at].astype(float)
+        assert same_model(model, select_k_aic(
+            amounts, K_max=GMM_KMAX, seed=derive_seed(4, index.restaurant_ids[r])))
+        customers, visits = np.unique(index.cardholder[at], return_counts=True)
+        blocks = [
+            deciles(amounts),
+            deciles(index.settle_amount[at] - index.auth_amount[at]),
+            deciles(np.unique(index.minute[at] // 60, return_counts=True)[1]),
+            deciles(visits),
+            deciles(loyalty(index)[customers]),
+            *temporal_dists(index.minute[at]),
+            *party_features(model, amounts),
+            zip_feature(index.zips[r]),
+        ]
+        assert [len(b) for b in blocks] == list(STAT_BLOCK_DIMS.values())
+        assert len(row) == STAT_DIM == 162
+        assert np.array_equal(row, np.concatenate(blocks))
+        assert np.isfinite(table).all()
+        for name, block in zip(STAT_BLOCK_DIMS, blocks):
+            assert np.array_equal(row[BLOCKS[name]], block), name
 
-    def test_split_blocks_inverts_concat(self):
-        rng = np.random.default_rng(2)
-        blocks = {name: rng.normal(size=dim) for name, dim in STAT_BLOCK_DIMS.items()}
-        back = split_blocks(StatFeatureBlock(blocks).concat())
-        assert list(back) == list(STAT_BLOCK_DIMS)
-        for name, arr in blocks.items():
-            assert np.array_equal(back[name], arr)
-
-    def test_wrong_dim_rejected(self):
-        blocks = {name: np.zeros(dim) for name, dim in STAT_BLOCK_DIMS.items()}
-        blocks["dow_dist"] = np.zeros(6)
-        with pytest.raises(ValueError):
-            StatFeatureBlock(blocks)
+    def test_blocks_tile_the_row(self):
+        assert list(BLOCKS) == list(STAT_BLOCK_DIMS)
+        end = 0
+        for name, cols in BLOCKS.items():
+            assert (cols.start, cols.stop, cols.step) == (end, end + STAT_BLOCK_DIMS[name], None)
+            end = cols.stop
+        assert end == STAT_DIM
 
     def test_purity_under_transaction_shuffle(self):
         res = generate(SynthConfig(n_restaurants=15, n_customers=120, days=10, seed=9))
         idx1 = build_index(res.transactions)
         idx2 = build_index(take(res.transactions, slice(None, None, -1)))
-        f1 = extract_all(idx1, seed=1)
-        f2 = extract_all(idx2, seed=1)
-        assert sorted(f1) == sorted(f2)
-        for rid in f1:
-            assert np.array_equal(f1[rid].concat(), f2[rid].concat())
+        assert idx1.restaurant_ids.tolist() == idx2.restaurant_ids.tolist()
+        assert np.array_equal(extract_all(idx1, seed=1)[0], extract_all(idx2, seed=1)[0])
 
     def test_extract_all_equals_extract_restaurant(self):
         res = generate(SynthConfig(n_restaurants=40, n_customers=300, days=10, seed=11))
         index = build_index(res.transactions)
-        feats = extract_all(index, seed=5)
-        assert list(feats) == index.restaurant_ids.tolist()
-        for rid, got in feats.items():
-            one = extract_restaurant(rid, index, seed=derive_seed(5, rid))
-            assert np.array_equal(got.concat(), one.concat())
-            assert same_model(got.gmm, one.gmm)
+        table, models = extract_all(index, seed=5)
+        assert table.shape == (len(index), STAT_DIM) and len(models) == len(index)
+        for rid, got, model in zip(index.restaurant_ids.tolist(), table, models):
+            row, one = extract_restaurant(rid, index, seed=derive_seed(5, rid))
+            assert np.array_equal(got, row)
+            assert same_model(model, one)
+
+    def test_empty_index(self):
+        table, models = extract_all(build_index(Transactions.from_rows([])))
+        assert table.shape == (0, STAT_DIM) and models == []
 
     def test_write_read_round_trip(self, tmp_path):
         res = generate(SynthConfig(n_restaurants=10, n_customers=80, days=8, seed=10))
         index = build_index(res.transactions)
-        feats = extract_all(index, seed=0)
+        table, _ = extract_all(index, seed=0)
+        ids = index.restaurant_ids.tolist()
         path = tmp_path / "features.tsv"
-        write_features(path, feats)
+        write_features(path, ids, table)
         back = read_features(path)
-        assert sorted(back) == sorted(feats)
-        for rid in feats:
-            assert np.allclose(back[rid], feats[rid].concat(), rtol=1e-6, atol=1e-6)
+        assert list(back) == ids
+        for rid, row in zip(ids, table):
+            assert np.allclose(back[rid], row, rtol=1e-6, atol=1e-6)
