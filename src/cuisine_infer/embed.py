@@ -298,7 +298,8 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
 
 
 def load_pretrained_vectors(path) -> EmbeddingMatrix:
-    """Parse a text vector file of one or more `token v1 v2 ... vd` lines, single spaces."""
+    """Parse a text vector file of one or more `token v1 v2 ... vd` lines, single
+    spaces. A malformed or non-finite component is a ValueError naming file and line."""
     dim = None
 
     def row(parts):
@@ -307,6 +308,8 @@ def load_pretrained_vectors(path) -> EmbeddingMatrix:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError:
             raise ValueError("non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{parts[0]}: non-finite vector component")
         dim = len(vec) if dim is None else dim
         if dim == 0:
             raise ValueError("no vector components")

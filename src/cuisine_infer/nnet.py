@@ -326,7 +326,9 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
 
     The float64 initial parameters, the features, the one-hot targets and the
     class weights are cast to DTYPE once, before the first step.
-    Loss curve rows: (epoch, train loss, val loss or nan).
+    Loss curve rows: (epoch, train loss, val loss or nan). The train loss is
+    the batch-size-weighted mean of the epoch's minibatch losses, each taken
+    before its step; the val loss is that of the parameters after the epoch.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -347,17 +349,18 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = {k: v[idx] for k, v in features.items()}
             probs, cache = forward(params, spec, batch, train_mode=True,
                                    dropout=cfg.dropout, rng=rng)
-            grads = backward(params, spec, cache, onehot[idx],
-                             None if weights is None else weights[idx])
+            batch_weights = None if weights is None else weights[idx]
+            loss_sum += cross_entropy(probs, onehot[idx], batch_weights) * len(idx)
+            grads = backward(params, spec, cache, onehot[idx], batch_weights)
             for key, g in grads.items():
                 params[key] -= cfg.learning_rate * g
-        probs, _ = forward(params, spec, features)
-        tr_loss = cross_entropy(probs, onehot, weights)
+        tr_loss = loss_sum / n
         if val is not None and len(val) > 0:
             vp, _ = forward(params, spec, val_features)
             v_loss = cross_entropy(vp, val_onehot)
@@ -394,16 +397,17 @@ def accuracy(params, spec: NetworkSpec, dataset: FeatureDataset) -> float:
     return float((top1 == dataset.labels).mean())
 
 
-MODEL_MAGIC = "cuisine-infer-model v2"
+MODEL_MAGIC = "cuisine-infer-model v3"
 HEADER_FIELDS = ("variant", "branch_hidden", "trunk_hidden", "n_classes", "branches", "dtype")
 DTYPES = ("float32", "float64")
 
 
 def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:
-    """Versioned text dump: spec and dtype line, then one `key shape values`
-    line per parameter. A value is the repr of its exact float64 value, so
-    it parses back bit-exact in float32 as in float64."""
+    """Versioned text dump: spec and dtype line, then one `key shape hex`
+    line per parameter. The hex field is the parameter's little-endian bytes
+    in the recorded dtype, so it loads back bit-exact."""
     dtype = params["out/b"].dtype.name
+    le = np.dtype(dtype).newbyteorder("<")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"variant={spec.variant}\tbranch_hidden={spec.branch_hidden}\t"
@@ -414,20 +418,19 @@ def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:
         for key in sorted(params):
             arr = params[key]
             shape = ",".join(map(str, arr.shape))
-            vals = " ".join(map(repr, arr.ravel().tolist()))
-            fh.write(f"{key}\t{shape}\t{vals}\n")
+            fh.write(f"{key}\t{shape}\t{np.asarray(arr, le).tobytes().hex()}\n")
 
 
 def load_params(path):
     """Read a save_params file; returns (spec, params in the recorded dtype).
 
     Raises ValueError naming the header field or parameter key when the
-    file's fields, keys or shapes differ from those init_params gives the
-    recorded spec."""
+    file's fields, keys, shapes or byte counts differ from those init_params
+    gives the recorded spec, or a value is not finite."""
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().strip()
         if magic != MODEL_MAGIC:
-            raise ValueError(f"bad model file magic: {magic!r}")
+            raise ValueError(f"{path}: model file magic {magic!r}, expected {MODEL_MAGIC!r}")
         meta = dict(kv.partition("=")[::2] for kv in fh.readline().rstrip("\n").split("\t"))
         for field in HEADER_FIELDS:
             if field not in meta:
@@ -437,6 +440,7 @@ def load_params(path):
                 raise ValueError(f"{path}: unknown model header field {field!r}")
         if meta["dtype"] not in DTYPES:
             raise ValueError(f"{path}: dtype must be one of {DTYPES}, got {meta['dtype']!r}")
+        le = np.dtype(meta["dtype"]).newbyteorder("<")
         try:
             spec = NetworkSpec(
                 branches=tuple((n, int(d)) for n, d in
@@ -457,15 +461,22 @@ def load_params(path):
             if key in params:
                 raise ValueError(f"{path}: parameter {key} appears twice")
             try:
-                shape_text, vals = rest.split("\t")
+                shape_text, hex_text = rest.split("\t")
                 shape = tuple(int(s) for s in shape_text.split(","))
-                arr = np.array([float(x) for x in vals.split(" ")])
+                raw = bytes.fromhex(hex_text)
             except ValueError:
                 raise ValueError(f"{path}: parameter {key}: malformed line") from None
-            if shape != shapes[key] or arr.size != np.prod(shape):
-                raise ValueError(f"{path}: parameter {key}: shape {shape} with {arr.size} "
-                                 f"values, expected {shapes[key]}")
-            params[key] = arr.reshape(shape).astype(meta["dtype"])
+            n_bytes = int(np.prod(shape)) * le.itemsize
+            if len(raw) != n_bytes:
+                raise ValueError(f"{path}: parameter {key}: {len(raw)} bytes, expected "
+                                 f"{n_bytes} for shape {shape} of {meta['dtype']}")
+            if shape != shapes[key]:
+                raise ValueError(f"{path}: parameter {key}: shape {shape}, "
+                                 f"expected {shapes[key]}")
+            arr = np.frombuffer(raw, le).reshape(shape).astype(meta["dtype"])
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: parameter {key}: non-finite value")
+            params[key] = arr
     for key in shapes:
         if key not in params:
             raise ValueError(f"{path}: missing parameter {key}")

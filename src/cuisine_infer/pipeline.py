@@ -453,10 +453,12 @@ def run_train(cfg: dict) -> dict:
         labeled.labels, cfg["train"]["train_frac"], seed=stage_seed(cfg, "split"))
     train_ds, test_ds = nnet.standardize(
         labeled.subset(train_idx), labeled.subset(test_idx))
+    fit_started = time.perf_counter()
     params, curve = nnet.train(train_ds, spec, tcfg, val=test_ds)
-
+    fitted = time.perf_counter()
     model_path = out / "model.txt"
     nnet.save_params(model_path, spec, params)
+    saved = time.perf_counter()
     curve_path = out / "loss_curve.tsv"
     with open(curve_path, "w", encoding="utf-8") as fh:
         for epoch, tr, va in curve:
@@ -474,7 +476,9 @@ def run_train(cfg: dict) -> dict:
                      "dtype": params["out/b"].dtype.name,
                      "n_params": sum(p.size for p in params.values()),
                      "final_train_loss": repr(final_train_loss),
-                     "final_val_loss": repr(final_val_loss)})
+                     "final_val_loss": repr(final_val_loss),
+                     "fit_s": f"{fitted - fit_started:.3f}",
+                     "save_s": f"{saved - fitted:.3f}"})
     return {"model": model_path, "loss_curve": curve_path, "split": split_path}
 
 
@@ -488,7 +492,9 @@ def run_eval(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     model_path = _require(out / "model.txt", "model")
+    load_started = time.perf_counter()
     spec, params = nnet.load_params(model_path)
+    load_s = time.perf_counter() - load_started
     dataset = load_dataset(cfg)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     split_path = _require(out / "split.tsv", "train/test split")
@@ -520,7 +526,7 @@ def run_eval(cfg: dict) -> dict:
         fh.write(report.render() + "\n")
 
     outputs = [metrics_path, confusion_path, text_path]
-    extra = {"test_accuracy": f"{report.accuracy:.4f}"}
+    extra = {"test_accuracy": f"{report.accuracy:.4f}", "load_s": f"{load_s:.3f}"}
 
     if len(un_ds):
         un_truth = np.array([int(truth.get(rid)) for rid in un_ds.ids])
@@ -532,12 +538,14 @@ def run_eval(cfg: dict) -> dict:
         extra["truth_accuracy_unlabeled"] = f"{un_report.accuracy:.4f}"
 
     if cfg["eval"]["ablation"]:
+        ablation_started = time.perf_counter()
         raw_train, raw_test = labeled.subset(train_idx), labeled.subset(test_idx)
         rows = eval_harness.ablation(raw_train, raw_test, spec, _make_train_cfg(cfg),
                                      params=params)
         ablation_path = out / "ablation.tsv"
         eval_harness.write_ablation_tsv(ablation_path, rows)
         outputs.append(ablation_path)
+        extra["ablation_s"] = f"{time.perf_counter() - ablation_started:.3f}"
 
     _write_manifest(cfg, "eval", inputs, outputs, started, extra)
     return {"metrics": metrics_path, "confusion": confusion_path}

@@ -348,10 +348,14 @@ def write_features(path, ids: list[str], table: np.ndarray) -> None:
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    """The vectors of a file written by `write_features`, by restaurant id."""
+    """The vectors of a file written by `write_features`, by restaurant id.
+    A malformed or non-finite value is a ValueError naming file and line."""
     def row(parts):
         if len(parts) != 1 + STAT_DIM:
             raise ValueError(f"{parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
-        return parts[0], np.array([float(x) for x in parts[1:]])
+        vec = np.array([float(x) for x in parts[1:]])
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{parts[0]}: non-finite value")
+        return parts[0], vec
 
     return read_keyed_records(path, row, header=feature_header())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cuisine_infer import nnet
 from cuisine_infer.nnet import (
     FeatureDataset,
     NetworkSpec,
@@ -268,6 +269,52 @@ class TestTraining:
         assert np.array_equal(prob_a, prob_b)
 
 
+class TestLossCurve:
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(batch_size=16, epochs=4, seed=5),
+        TrainConfig(batch_size=16, epochs=4, seed=5, dropout=0.3, class_weights=True),
+    ], ids=["plain", "weights-dropout"])
+    def test_train_loss_is_the_mean_step_loss(self, cfg):
+        """Replay train's RNG, permutations and steps longhand: each train
+        loss row is the batch-size-weighted mean of the epoch's step losses,
+        each taken before its update."""
+        ds, spec = _toy_dataset(n=50, seed=2), _spec()
+        params, curve = train(ds, spec, cfg)
+
+        replay = {k: v.astype(np.float32) for k, v in init_params(spec, cfg.seed).items()}
+        features = {k: v.astype(np.float32) for k, v in ds.features.items()}
+        onehot = np.eye(3, dtype=np.float32)[ds.labels]
+        weights = None
+        if cfg.class_weights:
+            inv = 1.0 / np.bincount(ds.labels, minlength=3).astype(float)
+            weights = (inv / inv.mean())[ds.labels].astype(np.float32)
+        rng = np.random.default_rng((cfg.seed << 32) ^ 0x5EED)
+        assert [row[0] for row in curve] == list(range(cfg.epochs))
+        for _, train_loss, val_loss in curve:
+            order, total = rng.permutation(len(ds)), 0.0
+            for start in range(0, len(ds), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                probs, cache = forward(replay, spec, {k: v[idx] for k, v in features.items()},
+                                       train_mode=True, dropout=cfg.dropout, rng=rng)
+                w = None if weights is None else weights[idx]
+                total += cross_entropy(probs, onehot[idx], w) * len(idx)
+                for key, g in backward(replay, spec, cache, onehot[idx], w).items():
+                    replay[key] -= cfg.learning_rate * g
+            assert train_loss == total / len(ds)
+            assert np.isnan(val_loss)
+        for key in params:
+            assert np.array_equal(params[key], replay[key])
+
+    @pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
+    def test_forward_calls(self, monkeypatch, with_val):
+        """One forward pass per SGD step, plus one per epoch on `val`."""
+        calls, real = [], nnet.forward
+        monkeypatch.setattr(nnet, "forward", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        val = _toy_dataset(n=10, seed=4) if with_val else None
+        train(_toy_dataset(n=50), _spec(), TrainConfig(batch_size=16, epochs=3), val=val)
+        assert len(calls) == 3 * 4 + (3 if with_val else 0)
+
+
 class TestPrediction:
     def test_topk_tie_rule(self):
         probs = np.array([[0.25, 0.25, 0.4, 0.1],
@@ -366,16 +413,29 @@ class TestSerialization:
             assert params2[key].dtype == dtype
             assert np.array_equal(params[key], params2[key])
 
-    # a missing key or header field is checked through the CLI in test_pipeline_cli
+    # a missing key or header field, and a v2 file, are checked through the
+    # CLI in test_pipeline_cli. The float32 out/b of the file below is three
+    # zeros, 24 hex digits.
     @pytest.mark.parametrize("edit, named", [
-        (lambda lines: lines + ["trunk/W9\t1\t0.0\n"], "trunk/W9"),
-        (lambda lines: [l.replace("out/b\t3\t", "out/b\t4\t0.0 ") for l in lines],
-         "out/b"),
+        (lambda lines: lines + ["trunk/W9\t1\t00000000\n"], "trunk/W9"),
+        (lambda lines: [l.replace("out/b\t3\t", "out/b\t4\t") for l in lines],
+         r"out/b: 12 bytes, expected 16 for shape \(4,\)"),
         (lambda lines: [l.replace("out/b\t3\t", "out/b\t3\tx ") for l in lines],
-         "out/b"),
+         "out/b: malformed"),
         (lambda lines: [lines[0], lines[1].replace("float32", "float16"), *lines[2:]],
          "float16"),
-    ], ids=["extra key", "wrong shape", "bad value", "bad dtype"])
+        (lambda lines: [l.replace("out/b\t3\t", "out/b\t4\t00000000") for l in lines],
+         r"out/b: shape \(4,\), expected \(3,\)"),
+        (lambda lines: [l.replace("out/b\t3\t", "out/b\t3\t0") for l in lines],
+         "out/b: malformed"),
+        (lambda lines: [l.replace("out/b\t3\t0", "out/b\t3\tg") for l in lines],
+         "out/b: malformed"),
+        (lambda lines: [l.replace("out/b\t3\t00000000", "out/b\t3\t0000c07f")
+                        for l in lines], "out/b: non-finite"),
+        (lambda lines: [l.replace("out/b\t3\t00000000", "out/b\t3\t0000807f")
+                        for l in lines], "out/b: non-finite"),
+    ], ids=["extra key", "wrong shape", "bad value", "bad dtype", "shape mismatch",
+            "odd-length hex", "non-hex character", "nan", "inf"])
     def test_corrupt_file_names_the_field(self, tmp_path, edit, named):
         spec = _spec()
         path = tmp_path / "model.txt"
@@ -385,6 +445,15 @@ class TestSerialization:
         path.write_text("".join(edit(lines)))
         with pytest.raises(ValueError, match=named):
             load_params(path)
+
+    def test_lines_are_little_endian_hex(self, tmp_path):
+        spec = _spec("logistic")
+        params = {k: np.full(v.shape, 1.0, np.float32) for k, v in init_params(spec).items()}
+        path = tmp_path / "model.txt"
+        save_params(path, spec, params)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "cuisine-infer-model v3"
+        assert "out/b\t3\t" + "0000803f" * 3 in lines
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.txt"

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -229,6 +230,8 @@ class TestPipeline:
         assert rows == fresh
         eval_harness.write_ablation_tsv(tmp_path / "fresh.tsv", fresh)
         assert (out / "ablation.tsv").read_bytes() == (tmp_path / "fresh.tsv").read_bytes()
+        manifest = _manifest(out / "manifest_eval.txt")
+        assert _step_times(manifest, "load_s", "ablation_s") <= float(manifest["duration_s"])
 
     def test_dataset_block_layout(self, pipeline_run):
         cfg, _, _ = pipeline_run
@@ -267,6 +270,7 @@ class TestPipeline:
         assert int(train["n_params"]) == sum(p.size for p in params.values())
         last = (out / "loss_curve.tsv").read_text().splitlines()[-1].split("\t")
         assert [train["final_train_loss"], train["final_val_loss"]] == last[1:]
+        assert _step_times(train, "fit_s", "save_s") <= float(train["duration_s"])
 
         emb = _manifest(out / "manifest_embed.txt")
         index = build_index(parse_transactions(out / "transactions.csv").transactions)
@@ -280,6 +284,12 @@ class TestPipeline:
         micro_cfg = pipeline._embed_cfg(cfg, "micro")
         assert int(emb["micro_pair_count"]) == embed.count_skipgram_pairs(
             embed.build_customer_corpus(index), micro_cfg.window, micro_cfg.min_count)
+
+    def test_eval_manifest_times_the_model_load(self, pipeline_run):
+        _, artifacts, _ = pipeline_run
+        manifest = _manifest(artifacts["metrics"].parent / "manifest_eval.txt")
+        assert _step_times(manifest, "load_s") <= float(manifest["duration_s"])
+        assert "ablation_s" not in manifest
 
     def test_eval_before_train_missing_artifact(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)
@@ -296,17 +306,37 @@ def _manifest(path: Path) -> dict[str, str]:
     return dict(line.split("\t", 1) for line in path.read_text().splitlines())
 
 
+def _step_times(manifest: dict[str, str], *keys: str) -> float:
+    """The sum of the manifest's step times `keys`, each checked to be a
+    nonnegative figure with three decimals."""
+    for key in keys:
+        assert re.fullmatch(r"\d+\.\d{3}", manifest[key]), (key, manifest[key])
+    return sum(float(manifest[key]) for key in keys)
+
+
+def _run_on_edited_copy(pipeline_run, tmp_path, stage, name, edit):
+    """Run `stage` through the CLI on a copy of the pipeline's output whose
+    file `name` had its lines passed through `edit`; returns the result and
+    the edited file's path."""
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    path = out / name
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    return CliRunner().invoke(main, [
+        stage, "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)]), path
+
+
+def _set_field(line: str, sep: str, i: int, value: str) -> str:
+    """`line` with its field `i` set to `value`."""
+    parts = line.rstrip("\n").split(sep)
+    parts[i] = value
+    return sep.join(parts) + "\n"
+
+
 class TestCorruptModel:
     def _eval(self, pipeline_run, tmp_path, edit):
-        """Run `eval` on a copy of the pipeline's output whose model.txt lines
-        went through `edit`."""
-        _, artifacts, run_dir = pipeline_run
-        out = tmp_path / "out"
-        shutil.copytree(artifacts["metrics"].parent, out)
-        path = out / "model.txt"
-        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-        return CliRunner().invoke(main, [
-            "eval", "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
+        return _run_on_edited_copy(pipeline_run, tmp_path, "eval", "model.txt", edit)[0]
 
     def test_missing_parameter_exit_code(self, pipeline_run, tmp_path):
         result = self._eval(pipeline_run, tmp_path, lambda lines: [
@@ -322,6 +352,47 @@ class TestCorruptModel:
         result = self._eval(pipeline_run, tmp_path, drop_n_classes)
         assert result.exit_code == 4, result.output
         assert "lacks field n_classes" in result.output
+
+    def test_v2_model_exit_code(self, pipeline_run, tmp_path):
+        """A model.txt in the v2 format, decimal values, fails on its magic."""
+        def to_v2(lines):
+            v2 = ["cuisine-infer-model v2\n", lines[1]]
+            for line in lines[2:]:
+                key, shape, hex_text = line.rstrip("\n").split("\t")
+                values = np.frombuffer(bytes.fromhex(hex_text), "<f4").tolist()
+                v2.append(f"{key}\t{shape}\t{' '.join(map(repr, values))}\n")
+            return v2
+
+        result = self._eval(pipeline_run, tmp_path, to_v2)
+        assert result.exit_code == 4, result.output
+        assert "model file magic 'cuisine-infer-model v2'" in result.output
+
+    def test_non_finite_parameter_exit_code(self, pipeline_run, tmp_path):
+        def nan_first_bias(line):
+            return _set_field(line, "\t", 2, "0000c07f" + line.split("\t")[2][8:])
+
+        result = self._eval(pipeline_run, tmp_path, lambda lines: [
+            nan_first_bias(line) if line.startswith("out/b\t") else line for line in lines])
+        assert result.exit_code == 4, result.output
+        assert "parameter out/b: non-finite value" in result.output
+
+
+def test_non_finite_feature_exit_code(pipeline_run, tmp_path):
+    result, path = _run_on_edited_copy(
+        pipeline_run, tmp_path, "train", "features_stat.tsv",
+        lambda lines: [lines[0], _set_field(lines[1], "\t", 1, "nan"), *lines[2:]])
+    assert result.exit_code == 4, result.output
+    rid = path.read_text().splitlines()[1].split("\t")[0]
+    assert f"{path}:2: {rid}: non-finite value" in result.output
+
+
+def test_non_finite_pretrained_vector_exit_code(pipeline_run, tmp_path):
+    result, path = _run_on_edited_copy(
+        pipeline_run, tmp_path, "embed", "pretrained_vectors.txt",
+        lambda lines: [lines[0], _set_field(lines[1], " ", 2, "-inf"), *lines[2:]])
+    assert result.exit_code == 4, result.output
+    token = path.read_text().splitlines()[1].split(" ")[0]
+    assert f"{path}:2: {token}: non-finite vector component" in result.output
 
 
 @pytest.mark.parametrize("bad_line", ["R000001\tvalidate\n", "R000001\ttrain\textra\n"])
