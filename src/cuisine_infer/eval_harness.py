@@ -174,6 +174,19 @@ def cuisine_summary(labels: dict[str, CuisineClass],
     return rows
 
 
+def party_l1(party_prop: dict[str, np.ndarray],
+             party_sizes: dict[str, dict[int, int]]) -> float | None:
+    """Mean over restaurants of sum_k |party_prop[k] - true share of party
+    size k + 1|, over the restaurants with both a `party_prop` block (6,)
+    and true party-size counts; None when no restaurant has both."""
+    l1 = []
+    for rid, prop in party_prop.items():
+        if counts := party_sizes.get(rid):
+            share = np.array([counts.get(k + 1, 0) for k in range(len(prop))])
+            l1.append(np.abs(prop - share / sum(counts.values())).sum())
+    return float(np.mean(l1)) if l1 else None
+
+
 def write_cuisine_summary_tsv(path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(CUISINE_SUMMARY_COLUMNS) + "\n")

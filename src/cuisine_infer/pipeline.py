@@ -169,7 +169,10 @@ def _validate(cfg: dict) -> None:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = yaml.safe_dump(cfg, sort_keys=True)
+    """A digest of the settings: every field but `out_dir`, which says where a
+    run writes and not what it computes. `paths.*` choose inputs and count."""
+    settings = {key: value for key, value in cfg.items() if key != "out_dir"}
+    canonical = yaml.safe_dump(settings, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -327,17 +330,24 @@ def run_features(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
+    marks = [time.perf_counter()]
     parsed = parse_transactions(txn_path)
+    marks.append(time.perf_counter())
     index = build_index(parsed.transactions)
+    marks.append(time.perf_counter())
     table, models = stat_features.extract_all(index, seed=stage_seed(cfg, "features"))
+    marks.append(time.perf_counter())
     path = out / "features_stat.tsv"
     stat_features.write_features(path, index.restaurant_ids.tolist(), table)
+    marks.append(time.perf_counter())
     k_hist = Counter(m.K for m in models)
     _write_manifest(cfg, "features", [txn_path], [path], started, {
         "n_rejected": len(parsed.rejects),
         "n_restaurants": len(table),
         "gmm_k_hist": ",".join(f"{k}:{k_hist[k]}" for k in sorted(k_hist)),
-        "gmm_iter_cap_hits": sum(m.iter_cap_hits for m in models)})
+        "gmm_iter_cap_hits": sum(m.iter_cap_hits for m in models),
+        **{f"{step}_s": f"{end - begin:.3f}" for step, begin, end in zip(
+            ("parse", "index", "extract", "write"), marks, marks[1:])}})
     return {"features_stat": path}
 
 
@@ -536,6 +546,14 @@ def run_eval(cfg: dict) -> dict:
         un_report.write_tsv(truth_metrics)
         outputs.append(truth_metrics)
         extra["truth_accuracy_unlabeled"] = f"{un_report.accuracy:.4f}"
+
+    party_path = out / "truth_party.tsv"
+    if party_path.exists():
+        inputs.append(party_path)
+        l1 = eval_harness.party_l1(dict(zip(dataset.ids, dataset.features["party_prop"])),
+                                   synthgen.read_party_sizes(party_path))
+        if l1 is not None:
+            extra["party_l1"] = f"{l1:.4f}"
 
     if cfg["eval"]["ablation"]:
         ablation_started = time.perf_counter()

@@ -110,9 +110,24 @@ def gmm_log_joint(x: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     `x` is (..., n) and the parameters are (..., K); leading axes are a batch.
     """
     mu, sigma = mu[..., :, None], sigma[..., :, None]
-    return np.log(phi)[..., :, None] + (
-        -0.5 * np.log(2 * np.pi) - np.log(sigma)
-        - 0.5 * ((x[..., None, :] - mu) / sigma) ** 2)
+    return _log_joint(x[..., None, :], np.log(phi)[..., :, None], _log_norm(sigma), mu, sigma)
+
+
+def _log_norm(sigma: np.ndarray) -> np.ndarray:
+    """-log(sqrt(2 pi) sigma): a Gaussian's log density at its mean."""
+    return -0.5 * np.log(2 * np.pi) - np.log(sigma)
+
+
+def _log_joint(x, log_phi, log_norm, mu, sigma) -> np.ndarray:
+    """log phi + log N(x | mu, sigma), elementwise over the broadcast arguments,
+    given log phi and `_log_norm(sigma)`."""
+    out = x - mu
+    out /= sigma
+    np.square(out, out=out)
+    out *= 0.5
+    np.subtract(log_norm, out, out=out)
+    out += log_phi
+    return out
 
 
 def _logsumexp(log_p: np.ndarray) -> np.ndarray:
@@ -125,100 +140,138 @@ def _kmeanspp_centres(x: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
     """K k-means++ centres in draw order. The first J of them are the centres
     a J-centre draw from the same RNG state would give."""
     centers = [x[int(rng.integers(0, len(x)))]]
+    d2 = (x - centers[0]) ** 2  # squared distance to the nearest centre
     for _ in range(K - 1):
-        d2 = np.min([(x - c) ** 2 for c in centers], axis=0)
-        if d2.sum() <= 0:
+        total = d2.sum()
+        if total <= 0:
             centers.append(x[int(rng.integers(0, len(x)))])
-            continue
-        centers.append(x[int(np.searchsorted(np.cumsum(d2), rng.random() * d2.sum()))])
+        else:
+            centers.append(x[int(np.searchsorted(np.cumsum(d2), rng.random() * total))])
+        d2 = np.minimum(d2, (x - centers[-1]) ** 2)
     return np.asarray(centers, dtype=float)
 
 
-def _em(X: np.ndarray, mu: np.ndarray, sd: np.ndarray, floor: np.ndarray,
+def _run_starts(n: np.ndarray) -> np.ndarray:
+    """Where each run of `n` (B,) consecutive points begins."""
+    return np.concatenate(([0], np.cumsum(n[:-1])))
+
+
+def _runs_log_joint(x: np.ndarray, n: np.ndarray, phi: np.ndarray, mu: np.ndarray,
+                    sigma: np.ndarray) -> np.ndarray:
+    """(K, N) array of log phi_k + log N(x_i | mu_k, sigma_k), where `x` (N,)
+    holds runs of `n` (B,) points and run b's parameters are column b of the
+    (K, B) `phi`, `mu` and `sigma`."""
+    params = np.concatenate((np.log(phi), _log_norm(sigma), mu, sigma))
+    return _log_joint(x, *np.repeat(params, n, axis=1).reshape(4, len(phi), -1))
+
+
+def _em(x: np.ndarray, n: np.ndarray, mu: np.ndarray, sd: np.ndarray, floor: np.ndarray,
         max_iter: int, tol: float) -> list[GmmModel]:
-    """EM fits of a K-component 1-D mixture to each row of X (B, n), in lockstep.
+    """EM fits of a K-component 1-D mixture to each of B runs of points, in lockstep.
 
-    `mu` (B, K) holds the sorted initial means, `sd` and `floor` (B,) each
-    row's initial sigma and sigma floor. Every row runs exactly the
-    iterations a batch of one would: it stops once its log-likelihood gains
-    less than `tol` after the first iteration, or after `max_iter`. Raises
-    GmmError when any running row's log-likelihood decreases.
-
-    Rows are neither padded nor mixed with other K: numpy's pairwise sums
-    group by the row length and BLAS matrix-vector products by the number of
-    components, so either would change the result in the last bits.
+    `x` (N,) holds the runs end to end and `n` (B,) their lengths. `mu`
+    (K, B) holds each run's sorted initial means, `sd` and `floor` (B,) its
+    initial sigma and sigma floor. A run's parameters are repeated over its
+    points, and each per-run sum is a segment sum over its own points, so a
+    run's fit does not depend on the other runs in the batch. A run stops
+    once its log-likelihood gains less than `tol` after the first iteration,
+    or after `max_iter`, and its points leave the batch. Raises GmmError when
+    any running run's log-likelihood decreases.
     """
-    B, n = X.shape
-    K = mu.shape[1]
-    phi = np.full((B, K), 1.0 / K)
-    sigma = np.repeat(sd[:, None], K, axis=1)
-    out_phi, out_mu, out_sigma = np.empty((B, K)), np.empty((B, K)), np.empty((B, K))
+    K, B = mu.shape
+    phi = np.full((K, B), 1.0 / K)
+    sigma = np.repeat(sd[None], K, axis=0)
+    out_phi, out_mu, out_sigma = np.empty((K, B)), np.empty((K, B)), np.empty((K, B))
     n_iter = np.full(B, max_iter)
-    rows = np.arange(B)
-    x, x2, fl = X, X ** 2, floor[:, None]
+    runs, m, xs, x2, fl = np.arange(B), n, x, x ** 2, floor
+    starts = _run_starts(m)
     prev = np.full(B, -np.inf)
     for it in range(1, max_iter + 1):
         # E step
-        log_p = gmm_log_joint(x, phi, mu, sigma)
+        log_p = _runs_log_joint(xs, m, phi, mu, sigma)
         log_total = _logsumexp(log_p)
-        ll = log_total.sum(axis=1)
+        ll = np.add.reduceat(log_total, starts)
         worse = ll + 1e-9 < prev
         if worse.any():
             b = np.argmax(worse)
             raise GmmError(f"log-likelihood decreased: {prev[b]} -> {ll[b]}")
-        resp = np.exp(log_p - log_total[:, None, :])
-        # M step
-        nk = np.maximum(resp.sum(axis=2), 1e-12)
-        phi = nk / n
-        mu = np.matmul(resp, x[:, :, None])[:, :, 0] / nk
-        var = np.matmul(resp, x2[:, :, None])[:, :, 0] / nk - mu ** 2
+        # M step: the responsibilities and their products with x and x^2,
+        # summed per run in one call
+        weighted = np.empty((3, K, len(xs)))
+        resp = np.exp(np.subtract(log_p, log_total, out=log_p), out=weighted[0])
+        np.multiply(resp, xs, out=weighted[1])
+        np.multiply(resp, x2, out=weighted[2])
+        nk, sum_x, sum_x2 = np.add.reduceat(
+            weighted.reshape(3 * K, -1), starts, axis=1).reshape(3, K, -1)
+        nk = np.maximum(nk, 1e-12)
+        phi = nk / m
+        mu = sum_x / nk
+        var = sum_x2 / nk - mu ** 2
         sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), fl)
         stop = (ll - prev < tol) & (it > 1)
         prev = ll
         if stop.any():
-            done = rows[stop]
-            out_phi[done], out_mu[done], out_sigma[done] = phi[stop], mu[stop], sigma[stop]
+            done = runs[stop]
+            out_phi[:, done], out_mu[:, done], out_sigma[:, done] = (
+                phi[:, stop], mu[:, stop], sigma[:, stop])
             n_iter[done] = it
             keep = ~stop
-            rows, x, x2, fl, prev, phi, mu, sigma = (
-                a[keep] for a in (rows, x, x2, fl, prev, phi, mu, sigma))
-            if not len(rows):
+            points = np.repeat(keep, m)
+            xs, x2 = xs[points], x2[points]
+            runs, m, fl, prev = (a[keep] for a in (runs, m, fl, prev))
+            phi, mu, sigma = (a[:, keep] for a in (phi, mu, sigma))
+            starts = _run_starts(m)
+            if not len(runs):
                 break
-    out_phi[rows], out_mu[rows], out_sigma[rows] = phi, mu, sigma
+    out_phi[:, runs], out_mu[:, runs], out_sigma[:, runs] = phi, mu, sigma
     capped = np.zeros(B, dtype=int)
-    capped[rows] = 1
+    capped[runs] = 1
 
-    order = np.argsort(out_mu, axis=1)
-    phi, mu, sigma = (np.take_along_axis(a, order, axis=1)
+    order = np.argsort(out_mu, axis=0)
+    phi, mu, sigma = (np.take_along_axis(a, order, axis=0)
                       for a in (out_phi, out_mu, out_sigma))
-    loglik = _logsumexp(gmm_log_joint(X, phi, mu, sigma)).sum(axis=1)
+    loglik = np.add.reduceat(_logsumexp(_runs_log_joint(x, n, phi, mu, sigma)), _run_starts(n))
     aic = 2.0 * (3 * K - 1) - 2.0 * loglik
+    phi, mu, sigma = (np.ascontiguousarray(a.T) for a in (phi, mu, sigma))
     return [GmmModel(phi[b], mu[b], sigma[b], float(loglik[b]), float(aic[b]),
                      int(n_iter[b]), int(capped[b])) for b in range(B)]
 
 
-def _fit_rows(X: np.ndarray, seeds, Ks: range, max_iter: int = 200,
+def _fit_rows(x: np.ndarray, n, seeds, Ks: range, max_iter: int = 200,
               tol: float = 1e-6) -> list[GmmModel]:
-    """For each row of X (B, n), the minimum-AIC EM fit over the mixture
-    sizes `Ks` (ascending; ties: the smaller K).
+    """For each run of `n` (B,) consecutive points of `x` (N,), the
+    minimum-AIC EM fit over the mixture sizes in `Ks` (ascending; ties: the
+    smaller K) that the run has at least as many points as. Every run must
+    have at least Ks[0] points.
 
-    Each row draws its k-means++ centres once, for the largest K, from an RNG
+    One EM per K fits every run long enough for it. Each run draws its
+    k-means++ centres once, for the largest K it is fitted with, from an RNG
     seeded with its seed; a K-component fit starts from the first K of them,
     sorted. sigma starts at std(x), floored at max(1, 1e-3 * std(x)).
     """
-    centres, sd, floor = [], [], []
-    for x, seed in zip(X, seeds):
-        std = float(np.std(x))
-        centres.append(_kmeanspp_centres(x, Ks[-1], np.random.default_rng(seed)))
-        floor.append(max(1.0, 1e-3 * std))
-        sd.append(max(std, floor[-1]))
-    centres, sd, floor = np.array(centres), np.array(sd), np.array(floor)
-    best, hits = None, np.zeros(len(X), dtype=int)
+    n = np.asarray(n, dtype=np.int64)
+    B, kmax = len(n), Ks[-1]
+    centres, sd, floor = np.zeros((B, kmax)), np.empty(B), np.empty(B)
+    for b, (run, seed) in enumerate(zip(np.split(x, np.cumsum(n)[:-1]), seeds)):
+        std = float(np.std(run))
+        k = min(kmax, len(run))
+        centres[b, :k] = _kmeanspp_centres(run, k, np.random.default_rng(seed))
+        floor[b] = max(1.0, 1e-3 * std)
+        sd[b] = max(std, floor[b])
+    best: list = [None] * B
+    hits = np.zeros(B, dtype=int)
     for K in Ks:
-        fits = _em(X, np.sort(centres[:, :K], axis=1), sd, floor, max_iter, tol)
-        hits += [fit.iter_cap_hits for fit in fits]
-        best = fits if best is None else [
-            fit if fit.aic < prior.aic else prior for fit, prior in zip(fits, best)]
+        long_enough = n >= K
+        fitted = np.flatnonzero(long_enough)
+        if not len(fitted):
+            break
+        fits = _em(x[np.repeat(long_enough, n)], n[fitted],
+                   np.sort(centres[fitted, :K], axis=1).T, sd[fitted], floor[fitted],
+                   max_iter, tol)
+        for b, fit in zip(fitted, fits):
+            hits[b] += fit.iter_cap_hits
+            if best[b] is None or fit.aic < best[b].aic:
+                best[b] = fit
     for model, h in zip(best, hits):
         model.iter_cap_hits = int(h)
     return best
@@ -233,16 +286,16 @@ def gmm_fit(x, K: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-6) ->
     x = np.asarray(x, dtype=float)
     if len(x) < K:
         raise GmmError(f"need at least {K} points for K={K}, got {len(x)}")
-    return _fit_rows(x[None], [seed], range(K, K + 1), max_iter, tol)[0]
+    return _fit_rows(x, [len(x)], [seed], range(K, K + 1), max_iter, tol)[0]
 
 
 def select_k_aic(x, K_max: int = 6, seed: int = 0) -> GmmModel:
     """Fit K = 1..min(K_max, |x|) and return the minimum-AIC model (ties:
-    smaller K)."""
+    smaller K): a batch of one."""
     x = np.asarray(x, dtype=float)
     if len(x) < 1:
         raise GmmError("select_k_aic requires at least one point")
-    return _fit_rows(x[None], [seed], range(1, min(K_max, len(x)) + 1))[0]
+    return _fit_rows(x, [len(x)], [seed], range(1, K_max + 1))[0]
 
 
 def party_features(model: GmmModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -312,21 +365,12 @@ def extract_all(index: RestaurantIndex, seed: int = 0) -> tuple[np.ndarray, list
     each restaurant's party-size mixture: `extract_restaurant` for every
     restaurant, each seeded by its id.
 
-    The party-size mixtures of all restaurants with the same transaction
-    count are fitted as one batch, which gives the same models as fitting
-    them one at a time.
+    The party-size mixtures are fitted with one EM per K over the whole
+    amount column, each restaurant's amounts one run of it.
     """
     rids = index.restaurant_ids.tolist()
-    by_count: dict[int, list[int]] = {}
-    for r, n in enumerate(np.diff(index.starts).tolist()):
-        by_count.setdefault(n, []).append(r)
-    models: list = [None] * len(rids)
-    for n, rs in by_count.items():
-        fits = _fit_rows(np.stack([_amounts(index, r) for r in rs]),
-                         [derive_seed(seed, rids[r]) for r in rs],
-                         range(1, min(GMM_KMAX, n) + 1))
-        for r, fit in zip(rs, fits):
-            models[r] = fit
+    models = _fit_rows(index.auth_amount.astype(float), np.diff(index.starts),
+                       [derive_seed(seed, rid) for rid in rids], range(1, GMM_KMAX + 1))
     loyal = loyalty(index)
     table = np.array([_restaurant_row(r, index, models[r], loyal) for r in range(len(rids))])
     return table.reshape(len(rids), STAT_DIM), models

@@ -14,7 +14,8 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .txn_core import CuisineClass, Transactions, derive_seed, to_minute, write_transactions
+from .txn_core import (CuisineClass, Transactions, derive_seed, read_records, to_minute,
+                       write_transactions)
 from .weak_label import LabelSet, Taxonomy, load_taxonomy, tokenize_name
 
 START_DATE = datetime(2025, 1, 6)  # a Monday
@@ -323,6 +324,27 @@ def write_outputs(result: SynthResult, txn_path, labels_path, party_path) -> Non
         for rid in sorted(result.party_sizes):
             for size in sorted(result.party_sizes[rid]):
                 fh.write(f"{rid}\t{size}\t{result.party_sizes[rid][size]}\n")
+
+
+def read_party_sizes(path) -> dict[str, dict[int, int]]:
+    """Restaurant id -> {party size: transaction count}, from the party-size
+    file `write_outputs` writes: one `id<TAB>size<TAB>count` line per
+    restaurant and size. Sizes are 1..6 and counts positive; a malformed or
+    repeated (id, size) line is a ValueError naming file and line."""
+    out: dict[str, dict[int, int]] = {}
+
+    def row(parts):
+        if len(parts) != 3 or not parts[0]:
+            raise ValueError("expected id<TAB>size<TAB>count")
+        rid, size, count = parts[0], int(parts[1]), int(parts[2])
+        if not 1 <= size <= 6 or count < 1:
+            raise ValueError(f"{rid}: size {size} not in 1..6 or count {count} < 1")
+        if size in out.setdefault(rid, {}):
+            raise ValueError(f"{rid}: party size {size} listed twice")
+        out[rid][size] = count
+
+    read_records(path, row)
+    return out
 
 
 def write_pretrained_vectors(path, names: dict[str, str], dim: int, seed: int) -> None:

@@ -6,13 +6,14 @@ from cuisine_infer.eval_harness import (
     ablation,
     cuisine_summary,
     evaluate,
+    party_l1,
     stratified_split,
     write_ablation_tsv,
     write_cuisine_summary_tsv,
 )
 from cuisine_infer.nnet import FeatureDataset, NetworkSpec, TrainConfig
-from cuisine_infer.stat_features import extract_all
-from cuisine_infer.synthgen import SynthConfig, generate
+from cuisine_infer.stat_features import BLOCKS, STAT_DIM, extract_all, read_features, write_features
+from cuisine_infer.synthgen import SynthConfig, generate, read_party_sizes
 from cuisine_infer.txn_core import CuisineClass, build_index
 
 
@@ -192,3 +193,23 @@ class TestCuisineSummary:
         p = tmp_path / "e.tsv"
         write_cuisine_summary_tsv(p, rows)
         assert "NA" in p.read_text()
+
+
+class TestPartyL1:
+    def test_hand_built_files(self, tmp_path):
+        """Three restaurants with true party-size counts, two with features:
+        the mean L1 over the two, each summed over the six slots."""
+        table = np.zeros((3, STAT_DIM))
+        table[0, BLOCKS["party_prop"]] = [0.5, 0.5, 0, 0, 0, 0]
+        table[1, BLOCKS["party_prop"]] = [1, 0, 0, 0, 0, 0]
+        table[2, BLOCKS["party_prop"]] = [0, 0, 0, 0, 0, 1]
+        write_features(tmp_path / "features.tsv", ["A", "B", "D"], table)
+        (tmp_path / "party.tsv").write_text(
+            "A\t1\t1\nA\t2\t3\nB\t1\t2\nB\t6\t2\nC\t3\t5\n")
+        props = {rid: row[BLOCKS["party_prop"]]
+                 for rid, row in read_features(tmp_path / "features.tsv").items()}
+        # A: |0.5 - 0.25| + |0.5 - 0.75| = 0.5; B: |1 - 0.5| + |0 - 0.5| = 1.0
+        assert party_l1(props, read_party_sizes(tmp_path / "party.tsv")) == 0.75
+
+    def test_no_common_restaurant(self):
+        assert party_l1({"A": np.ones(6) / 6}, {"B": {1: 3}}) is None

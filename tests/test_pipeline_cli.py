@@ -28,7 +28,7 @@ from cuisine_infer.pipeline import (
     run_pipeline,
     stage_seed,
 )
-from cuisine_infer.stat_features import STAT_BLOCK_DIMS, extract_all, read_features
+from cuisine_infer.stat_features import BLOCKS, STAT_BLOCK_DIMS, extract_all, read_features
 from cuisine_infer.txn_core import build_index, parse_transactions
 from cuisine_infer.weak_label import LabelSet
 
@@ -129,6 +129,20 @@ class TestConfig:
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(load_config())
 
+    def test_hash_ignores_the_output_directory(self, tmp_path):
+        """The same settings run into two directories give one config_hash;
+        an input path still counts."""
+        cfgs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            cfgs.append(_tiny_cfg(tmp_path / run))
+            pipeline.run_synth(cfgs[-1])
+        hashes = {_manifest(Path(cfg["out_dir"]) / "manifest_synth.txt")["config_hash"]
+                  for cfg in cfgs}
+        assert hashes == {config_hash(cfgs[0])}
+        moved = load_config(None, {"paths.transactions": str(tmp_path / "t.csv")})
+        assert config_hash(moved) != config_hash(load_config())
+
     def test_stage_seeds_distinct(self):
         cfg = load_config()
         seeds = {stage_seed(cfg, s) for s in pipeline.PIPELINE_ORDER}
@@ -179,7 +193,8 @@ class TestPipeline:
                                            "macro.txt", "name_embed.txt")}
         assert _manifest_inputs(out / "manifest_train.txt") == dataset
         assert _manifest_inputs(out / "manifest_eval.txt") == dataset | {
-            out / "model.txt", out / "split.tsv", out / "truth_labels.tsv"}
+            out / "model.txt", out / "split.tsv", out / "truth_labels.tsv",
+            out / "truth_party.tsv"}
 
     def test_features_manifest_gmm_counts(self, pipeline_run):
         cfg, artifacts, _ = pipeline_run
@@ -191,6 +206,8 @@ class TestPipeline:
         hist = Counter(m.K for m in models)
         assert lines["gmm_k_hist"] == ",".join(f"{k}:{hist[k]}" for k in sorted(hist))
         assert int(lines["gmm_iter_cap_hits"]) == sum(m.iter_cap_hits for m in models)
+        steps = _step_times(lines, "parse_s", "index_s", "extract_s", "write_s")
+        assert steps <= float(lines["duration_s"]) + 0.01
 
     def test_label_manifest_counts_labels_by_source(self, pipeline_run):
         _, artifacts, _ = pipeline_run
@@ -290,6 +307,16 @@ class TestPipeline:
         manifest = _manifest(artifacts["metrics"].parent / "manifest_eval.txt")
         assert _step_times(manifest, "load_s") <= float(manifest["duration_s"])
         assert "ablation_s" not in manifest
+
+    def test_eval_manifest_scores_the_party_sizes(self, pipeline_run):
+        _, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        props = {rid: row[BLOCKS["party_prop"]]
+                 for rid, row in read_features(out / "features_stat.tsv").items()}
+        want = eval_harness.party_l1(props, synthgen.read_party_sizes(out / "truth_party.tsv"))
+        manifest = _manifest(out / "manifest_eval.txt")
+        assert manifest["party_l1"] == f"{want:.4f}"
+        assert 0 < want < 2 and "truth_accuracy_unlabeled" in manifest
 
     def test_eval_before_train_missing_artifact(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)

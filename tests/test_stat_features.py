@@ -252,7 +252,7 @@ def same_model(a, b) -> bool:
 
 
 class TestBatchedEm:
-    """Each row of a batched fit equals the same fit as a batch of one."""
+    """Each run of a batched fit equals the same fit as a batch of one."""
 
     @staticmethod
     def batch(n, rows=6, constant_rows=1, seed=0):
@@ -262,27 +262,71 @@ class TestBatchedEm:
         seeds = [int(s) for s in rng.integers(0, 2**40, size=rows)]
         return X, seeds
 
+    @staticmethod
+    def ragged(seed=19):
+        """Runs of 1, 2, 5, 6, 9, 40 and 200 points, three of each length:
+        random amounts, one constant amount, and amounts that each appear
+        twice, so that a K = n fit has duplicate components."""
+        rng = np.random.default_rng(seed)
+        runs = []
+        for n in (1, 2, GMM_KMAX - 1, GMM_KMAX, 9, 40, 200):
+            runs.append(rng.integers(300, 20000, size=n).astype(float))
+            runs.append(np.full(n, 1500.0))
+            runs.append(np.repeat(rng.integers(300, 20000, size=(n + 1) // 2), 2)[:n]
+                        .astype(float))
+        seeds = [int(s) for s in rng.integers(0, 2**40, size=len(runs))]
+        return runs, seeds
+
     @pytest.mark.parametrize("n", [1, 2, GMM_KMAX - 1, GMM_KMAX, 9, 40])
     def test_select_k_rows_equal_batch_of_one(self, n):
         X, seeds = self.batch(n, seed=n)
-        fits = _fit_rows(X, seeds, range(1, min(GMM_KMAX, n) + 1))
+        fits = _fit_rows(X.ravel(), [n] * len(X), seeds, range(1, GMM_KMAX + 1))
         assert len(fits) == len(X)
         for x, seed, fit in zip(X, seeds, fits):
             assert same_model(fit, select_k_aic(x, K_max=GMM_KMAX, seed=seed))
 
     def test_sigma_floor_rows(self):
         X, seeds = self.batch(12, rows=4, constant_rows=4)
-        for fit, x, seed in zip(_fit_rows(X, seeds, range(2, 3)), X, seeds):
+        for fit, x, seed in zip(_fit_rows(X.ravel(), [12] * 4, seeds, range(2, 3)), X, seeds):
             assert same_model(fit, gmm_fit(x, K=2, seed=seed))
             assert np.array_equal(fit.sigma, np.ones(2))
 
     def test_iteration_cap_hit_by_some_rows(self):
         X, seeds = self.batch(40, rows=8, constant_rows=3)
-        fits = _fit_rows(X, seeds, range(3, 4), max_iter=5)
+        fits = _fit_rows(X.ravel(), [40] * 8, seeds, range(3, 4), max_iter=5)
         assert {f.iter_cap_hits for f in fits} == {0, 1}
         for fit, x, seed in zip(fits, X, seeds):
             assert fit.iter_cap_hits == 0 or fit.n_iter == 5
             assert same_model(fit, gmm_fit(x, K=3, seed=seed, max_iter=5))
+
+    def test_ragged_select_k_equals_batch_of_one_in_any_order(self):
+        runs, seeds = self.ragged()
+        fits = _fit_rows(np.concatenate(runs), [len(x) for x in runs], seeds,
+                         range(1, GMM_KMAX + 1))
+        assert len(fits) == len(runs)
+        assert any(f.iter_cap_hits for f in fits)
+        for x, seed, fit in zip(runs, seeds, fits):
+            assert same_model(fit, select_k_aic(x, K_max=GMM_KMAX, seed=seed))
+        order = np.random.default_rng(0).permutation(len(runs))
+        shuffled = _fit_rows(np.concatenate([runs[i] for i in order]),
+                             [len(runs[i]) for i in order], [seeds[i] for i in order],
+                             range(1, GMM_KMAX + 1))
+        for i, fit in zip(order, shuffled):
+            assert same_model(fit, fits[i])
+
+    @pytest.mark.parametrize("K", range(1, GMM_KMAX + 1))
+    def test_ragged_fixed_k_equals_batch_of_one(self, K):
+        """Every run long enough for K, including the K = n fits of runs with
+        duplicate amounts and runs stopped by max_iter."""
+        runs, seeds = self.ragged()
+        runs, seeds = zip(*[(x, s) for x, s in zip(runs, seeds) if len(x) >= K])
+        for max_iter in (5, 200):
+            fits = _fit_rows(np.concatenate(runs), [len(x) for x in runs], seeds,
+                             range(K, K + 1), max_iter=max_iter)
+            for x, seed, fit in zip(runs, seeds, fits):
+                assert same_model(fit, gmm_fit(x, K=K, seed=seed, max_iter=max_iter))
+            if max_iter == 5 and K > 1:
+                assert {f.iter_cap_hits for f in fits} == {0, 1}
 
 
 class TestPartyFeatures:

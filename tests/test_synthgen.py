@@ -27,6 +27,7 @@ from cuisine_infer.synthgen import (
     _hour_profile,
     generate,
     name_for,
+    read_party_sizes,
     write_outputs,
 )
 from cuisine_infer.txn_core import CuisineClass, Transactions, parse_transactions, to_minute
@@ -157,6 +158,26 @@ def test_party_sizes_recorded(medium_result):
     assert total_party == len(medium_result.transactions)
     assert all(1 <= s <= 6 for sizes in medium_result.party_sizes.values()
                for s in sizes)
+
+
+def test_party_sizes_round_trip(medium_result, tmp_path):
+    party = tmp_path / "party.tsv"
+    write_outputs(medium_result, tmp_path / "t.csv", tmp_path / "l.tsv", party)
+    assert read_party_sizes(party) == medium_result.party_sizes
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["R1\t2\t3", "R1\t2\t1"], "party.tsv:2: R1: party size 2 listed twice"),
+    (["R1\t7\t3"], "party.tsv:1: R1: size 7 not in 1..6"),
+    (["R1\t1\t0"], "party.tsv:1: R1: size 1 not in 1..6 or count 0 < 1"),
+    (["R1\t1"], "party.tsv:1: expected id<TAB>size<TAB>count"),
+    (["R1\tone\t1"], "party.tsv:1: invalid literal"),
+])
+def test_party_sizes_reader_names_a_bad_line(tmp_path, lines, message):
+    party = tmp_path / "party.tsv"
+    party.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_party_sizes(party)
 
 
 def _reference_generate(cfg: SynthConfig) -> SynthResult:
