@@ -4,6 +4,7 @@ per-cuisine summary report."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,6 +101,35 @@ def evaluate(probs: np.ndarray, truth: np.ndarray,
     return MetricsReport(accuracy, balanced, topk_acc, per_class, normalized, counts)
 
 
+def ablation_workers(spec: NetworkSpec) -> int:
+    """Worker processes of `ablation`: one per usable CPU, at most one per
+    block."""
+    return min(len(spec.branches), len(os.sched_getaffinity(0)))
+
+
+# What every reduced-model training of an ablation reads: the standardized
+# train and test sets, the spec and the training config. The pool's
+# initializer sets it in each worker, and only there. Under fork a worker
+# inherits the arguments and the imported modules, so no dataset is pickled
+# and no interpreter starts afresh; tasks send block names and return
+# accuracies.
+_ablation_job: tuple = ()
+
+
+def _init_ablation_worker(*job) -> None:
+    global _ablation_job
+    _ablation_job = job
+
+
+def _reduced_accuracy(name: str) -> float:
+    """Test accuracy of the model retrained without block `name`."""
+    tr, te, spec, cfg = _ablation_job
+    # z-scores are per block: dropping one leaves the others standardized
+    sub_spec = replace(spec, branches=tuple(b for b in spec.branches if b[0] != name))
+    sub_params, _ = nnet.train(tr.drop_block(name), sub_spec, cfg)
+    return nnet.accuracy(sub_params, sub_spec, te.drop_block(name))
+
+
 def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
              spec: NetworkSpec, cfg: TrainConfig,
              params: dict[str, np.ndarray] | None = None):
@@ -108,20 +138,22 @@ def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
     Returns rows (removed block or "none", accuracy, delta vs full model).
     The baseline row scores `params`, the full model trained on the
     standardized `train_ds` with `cfg`, and retrains nothing; without them
-    it trains that model first.
+    it trains that model first. The reduced models train in forked worker
+    processes (`ablation_workers`), each with its own seeded RNG, so the
+    rows equal those of training them one after another here.
     """
+    import multiprocessing  # here, so that no other stage pays for the import
+
     tr, te = nnet.standardize(train_ds, test_ds)
     if params is None:
         params, _ = nnet.train(tr, spec, cfg)
     base_acc = nnet.accuracy(params, spec, te)
-    rows = [("none", base_acc, 0.0)]
-    for name, _ in spec.branches:
-        # z-scores are per block: dropping one leaves the others standardized
-        sub_spec = replace(spec, branches=tuple(b for b in spec.branches if b[0] != name))
-        sub_params, _ = nnet.train(tr.drop_block(name), sub_spec, cfg)
-        acc = nnet.accuracy(sub_params, sub_spec, te.drop_block(name))
-        rows.append((name, acc, acc - base_acc))
-    return rows
+    names = [name for name, _ in spec.branches]
+    with multiprocessing.get_context("fork").Pool(
+            ablation_workers(spec), _init_ablation_worker, (tr, te, spec, cfg)) as pool:
+        accs = pool.map(_reduced_accuracy, names, chunksize=1)
+    return [("none", base_acc, 0.0)] + [
+        (name, acc, acc - base_acc) for name, acc in zip(names, accs)]
 
 
 def write_ablation_tsv(path, rows) -> None:

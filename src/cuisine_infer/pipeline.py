@@ -367,8 +367,11 @@ def run_embed(cfg: dict) -> dict:
     labeling_words = taxonomy.all_keywords()
     labeling_words.update(bw.word for bw in weak_label.read_bootstrap_report(boot_path))
     pretrained = embed.load_pretrained_vectors(vec_path)
+    marks = [time.perf_counter()]
     parsed = parse_transactions(txn_path)
+    marks.append(time.perf_counter())
     index = build_index(parsed.transactions)
+    marks.append(time.perf_counter())
     paths = {block.removesuffix("_embed"): out / name
              for block, name in EMBEDDING_FILES.items()}
     # Compute all three before writing any, so a failing step leaves the
@@ -381,14 +384,19 @@ def run_embed(cfg: dict) -> dict:
             matrices[part] = train(corpus_of(index), _embed_cfg(cfg, part))
         except ValueError as exc:  # the corpus is empty after min_count pruning
             raise ValueError(f"embed.{part}: {exc}") from None
+        marks.append(time.perf_counter())
 
     matrices["name"] = embed.EmbeddingMatrix({
         rid: embed.name_embedding(name, labeling_words, pretrained)[0]
         for rid, name in zip(index.restaurant_ids.tolist(), index.names.tolist())})
+    marks.append(time.perf_counter())
 
     for part, path in paths.items():
         matrices[part].write(path)
-    extra = {"n_rejected": len(parsed.rejects)}
+    marks.append(time.perf_counter())
+    extra = {"n_rejected": len(parsed.rejects),
+             **{f"{step}_s": f"{end - begin:.3f}" for step, begin, end in zip(
+                 ("parse", "index", "micro", "macro", "name", "write"), marks, marks[1:])}}
     for part in ("micro", "macro"):
         meta = matrices[part].metadata
         extra[f"{part}_vocab_size"] = meta["vocab_size"]
@@ -564,6 +572,7 @@ def run_eval(cfg: dict) -> dict:
         eval_harness.write_ablation_tsv(ablation_path, rows)
         outputs.append(ablation_path)
         extra["ablation_s"] = f"{time.perf_counter() - ablation_started:.3f}"
+        extra["ablation_workers"] = eval_harness.ablation_workers(spec)
 
     _write_manifest(cfg, "eval", inputs, outputs, started, extra)
     return {"metrics": metrics_path, "confusion": confusion_path}

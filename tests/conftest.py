@@ -40,3 +40,22 @@ def make_corpus(docs, direction):
     return Corpus(np.array([d for d, _ in docs], dtype=object), np.array(words, dtype=object),
                   np.array([code[w] for _, toks in docs for w in toks], dtype=np.int64),
                   np.cumsum([0] + [len(toks) for _, toks in docs]), direction)
+
+
+def pid_logged(fn, path):
+    """`fn`, wrapped to append the calling process id to `path` on each call;
+    a forked worker inherits the wrapper, so the file counts its calls too."""
+    import functools
+    import os
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def logged_pids(path) -> list[int]:
+    return [int(line) for line in path.read_text().splitlines()]

@@ -1,9 +1,16 @@
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import logged_pids, pid_logged
+from cuisine_infer import nnet
 from cuisine_infer.eval_harness import (
     CUISINE_SUMMARY_COLUMNS,
     ablation,
+    ablation_workers,
     cuisine_summary,
     evaluate,
     party_l1,
@@ -104,6 +111,40 @@ def _toy_dataset(n=80, seed=0):
                           {"alpha": fa, "noise": fn}, labels)
 
 
+def _ablation_case(**train):
+    """Train and test sets of four blocks (two informative), a spec and a
+    training config: more reduced models than a small machine has CPUs."""
+    ds = _toy_dataset()
+    rng = np.random.default_rng(1)
+    ds.features["beta"] = rng.normal(0, 0.5, (len(ds), 2)) + ds.labels[:, None]
+    ds.features["gamma"] = rng.normal(size=(len(ds), 5))
+    tr_idx, te_idx = stratified_split(ds.labels, 0.8, seed=0)
+    spec = NetworkSpec(branches=ds.spec_branches(), branch_hidden=8,
+                       trunk_hidden=(16, 8), n_classes=3)
+    cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.1, seed=0, **train)
+    return ds.subset(tr_idx), ds.subset(te_idx), spec, cfg
+
+
+def _sequential_ablation(train_ds, test_ds, spec, cfg):
+    """Longhand oracle: train the full model and each reduced model in turn
+    in this process, and score each on the test set."""
+    tr, te = nnet.standardize(train_ds, test_ds)
+    params, _ = nnet.train(tr, spec, cfg)
+    base = nnet.accuracy(params, spec, te)
+    rows = [("none", base, 0.0)]
+    for name, _ in spec.branches:
+        keep = [b for b in spec.branches if b[0] != name]
+        sub_spec = NetworkSpec(branches=tuple(keep), branch_hidden=spec.branch_hidden,
+                               trunk_hidden=spec.trunk_hidden, n_classes=spec.n_classes,
+                               variant=spec.variant)
+        sub_tr, sub_te = (FeatureDataset(ds.ids, {b: ds.features[b] for b, _ in keep},
+                                         ds.labels) for ds in (tr, te))
+        sub_params, _ = nnet.train(sub_tr, sub_spec, cfg)
+        acc = nnet.accuracy(sub_params, sub_spec, sub_te)
+        rows.append((name, acc, acc - base))
+    return rows
+
+
 class TestAblation:
     def test_rows_and_baseline(self, tmp_path):
         ds = _toy_dataset()
@@ -112,6 +153,7 @@ class TestAblation:
                            trunk_hidden=(16, 8), n_classes=3)
         cfg = TrainConfig(epochs=40, batch_size=16, learning_rate=0.1, seed=0)
         rows = ablation(ds.subset(tr_idx), ds.subset(te_idx), spec, cfg)
+        assert multiprocessing.active_children() == []
         assert len(rows) == 3
         assert rows[0][0] == "none" and rows[0][2] == 0.0
         names = [r[0] for r in rows[1:]]
@@ -119,11 +161,49 @@ class TestAblation:
         by_name = {r[0]: r for r in rows}
         # deltas are consistent
         for name in names:
-            assert by_name[name][2] == pytest.approx(by_name[name][1] - rows[0][1])
+            assert by_name[name][2] == by_name[name][1] - rows[0][1]
         # removing the informative block hurts more than removing noise
         assert by_name["alpha"][1] < by_name["noise"][1]
         write_ablation_tsv(tmp_path / "a.tsv", rows)
         assert len((tmp_path / "a.tsv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("train", [{}, {"dropout": 0.3, "class_weights": True}],
+                             ids=["plain", "dropout-weights"])
+    def test_rows_equal_sequential_retraining(self, train):
+        case = _ablation_case(**train)
+        assert ablation(*case) == _sequential_ablation(*case)
+
+    def test_one_usable_cpu_gives_the_same_rows(self, tmp_path, monkeypatch):
+        case = _ablation_case()
+        want = ablation(*case)
+        log = tmp_path / "pids.txt"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(nnet, "train", pid_logged(nnet.train, log))
+        assert ablation_workers(case[2]) == 1
+        assert ablation(*case) == want
+        pids = logged_pids(log)
+        # the full model here, then every reduced model in the one worker
+        assert pids[0] == os.getpid() and len(pids) == 1 + len(case[2].branches)
+        assert len(set(pids[1:])) == 1 and os.getpid() not in pids[1:]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        case = _ablation_case()
+        parent, train = os.getpid(), nnet.train
+
+        def failing_train(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("boom")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(nnet, "train", failing_train)
+        with pytest.raises(ValueError, match="^boom$"):
+            ablation(*case)
+        assert multiprocessing.active_children() == []
+
+    def test_one_block_gets_one_worker(self):
+        spec = _ablation_case()[2]
+        assert ablation_workers(replace(spec, branches=spec.branches[:1])) == 1
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from conftest import logged_pids, pid_logged
+
 import cuisine_infer
 from cuisine_infer import btm, embed, eval_harness, nnet, pipeline, synthgen, weak_label
 from cuisine_infer.cli import _parse_overrides, main
@@ -223,31 +225,37 @@ class TestPipeline:
     def test_eval_ablation_scores_the_trained_model(self, pipeline_run, tmp_path,
                                                     monkeypatch):
         """The `none` row of ablation.tsv scores model.txt and retrains only
-        the 14 reduced models; its rows equal those of a fresh training."""
+        the 14 reduced models, each in a worker process; its rows equal those
+        of a fresh training."""
         cfg, artifacts, _ = pipeline_run
         cfg = copy.deepcopy(cfg)
         out = tmp_path / "out"
         shutil.copytree(artifacts["metrics"].parent, out)
         cfg["out_dir"], cfg["eval"]["ablation"] = str(out), True
-        trainings, calls = [], []
-        train, ablation = nnet.train, eval_harness.ablation
+        calls = []
+        ablation = eval_harness.ablation
+        # Trainings run in forked workers, so they are counted in a file.
+        log = tmp_path / "trainings.txt"
 
         def recording_ablation(*args, **kwargs):
             calls.append((args, kwargs, ablation(*args, **kwargs)))
             return calls[-1][2]
 
-        monkeypatch.setattr(nnet, "train", lambda *a, **kw: trainings.append(1) or train(*a, **kw))
+        monkeypatch.setattr(nnet, "train", pid_logged(nnet.train, log))
         monkeypatch.setattr(eval_harness, "ablation", recording_ablation)
         pipeline.run_eval(cfg)
-        assert len(trainings) == 14
+        assert len(logged_pids(log)) == 14
+        manifest = _manifest(out / "manifest_eval.txt")
+        workers = min(14, len(os.sched_getaffinity(0)))
+        assert manifest["ablation_workers"] == str(workers)
+        assert os.getpid() not in logged_pids(log) and len(set(logged_pids(log))) <= workers
         (args, kwargs, rows), = calls
         assert set(kwargs) == {"params"}
         fresh = ablation(*args)
-        assert len(trainings) == 14 + 15
+        assert len(logged_pids(log)) == 14 + 15
         assert rows == fresh
         eval_harness.write_ablation_tsv(tmp_path / "fresh.tsv", fresh)
         assert (out / "ablation.tsv").read_bytes() == (tmp_path / "fresh.tsv").read_bytes()
-        manifest = _manifest(out / "manifest_eval.txt")
         assert _step_times(manifest, "load_s", "ablation_s") <= float(manifest["duration_s"])
 
     def test_dataset_block_layout(self, pipeline_run):
@@ -290,6 +298,9 @@ class TestPipeline:
         assert _step_times(train, "fit_s", "save_s") <= float(train["duration_s"])
 
         emb = _manifest(out / "manifest_embed.txt")
+        steps = _step_times(emb, "parse_s", "index_s", "micro_s", "macro_s", "name_s",
+                            "write_s")
+        assert steps <= float(emb["duration_s"])
         index = build_index(parse_transactions(out / "transactions.csv").transactions)
         for part, corpus_of in (("micro", embed.build_customer_corpus),
                                 ("macro", embed.build_restaurant_corpus)):
@@ -306,7 +317,7 @@ class TestPipeline:
         _, artifacts, _ = pipeline_run
         manifest = _manifest(artifacts["metrics"].parent / "manifest_eval.txt")
         assert _step_times(manifest, "load_s") <= float(manifest["duration_s"])
-        assert "ablation_s" not in manifest
+        assert "ablation_s" not in manifest and "ablation_workers" not in manifest
 
     def test_eval_manifest_scores_the_party_sizes(self, pipeline_run):
         _, artifacts, _ = pipeline_run
