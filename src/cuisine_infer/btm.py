@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .txn_core import CuisineClass
+from .txn_core import CuisineClass, write_records
 from .weak_label import LabelSet, tokenize_name
 
 
@@ -261,9 +261,7 @@ def coherence_sweep(
 
 
 def write_coherence_report(path, rows: list[tuple[int, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, score in rows:
-            fh.write(f"{k}\t{score:.6f}\n")
+    write_records(path, ((str(k), f"{score:.6f}") for k, score in rows))
 
 
 def topic_cuisine_map(model: BtmModel, min_posterior: float = 0.8) -> dict[int, CuisineClass]:

@@ -38,17 +38,15 @@ def _parse_overrides(pairs: tuple[str, ...], seed, out_dir) -> dict:
     return overrides
 
 
-def _run(stage_names: list[str], config, set_, seed, out_dir) -> None:
+def _run(stages, config, set_, seed, out_dir) -> None:
     try:
         cfg = pipeline.load_config(config, _parse_overrides(set_, seed, out_dir))
     except pipeline.ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
     try:
-        for stage in stage_names:
-            artifacts = pipeline.STAGES[stage](cfg)
-            for name, path in artifacts.items():
-                click.echo(f"{stage}: wrote {name} -> {path}")
+        for name, path in pipeline.run_pipeline(cfg, stages).items():
+            click.echo(f"wrote {name} -> {path}")
     except pipeline.MissingArtifactError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_MISSING_ARTIFACT)
@@ -57,7 +55,7 @@ def _run(stage_names: list[str], config, set_, seed, out_dir) -> None:
         sys.exit(EXIT_DATA_ERROR)
 
 
-def _stage_command(name: str, help_text: str):
+def _stage_command(name: str, help_text: str, stages):
     @click.command(name=name, help=help_text)
     @click.option("--config", type=click.Path(exists=False), default=None,
                   help="YAML config file; defaults are used if omitted.")
@@ -67,7 +65,6 @@ def _stage_command(name: str, help_text: str):
     @click.option("--out-dir", type=click.Path(), default=None,
                   help="Output directory override.")
     def cmd(config, set_, seed, out_dir):
-        stages = pipeline.PIPELINE_ORDER if name == "pipeline" else [name]
         _run(stages, config, set_, seed, out_dir)
 
     return cmd
@@ -86,9 +83,9 @@ for _name, _help in [
     ("train", "Train the classifier on weakly labeled restaurants."),
     ("eval", "Evaluate the trained model and write metric reports."),
     ("report", "Write the per-cuisine statistical summary."),
-    ("pipeline", "Run every stage in order."),
 ]:
-    main.add_command(_stage_command(_name, _help))
+    main.add_command(_stage_command(_name, _help, [_name]))
+main.add_command(_stage_command("pipeline", "Run every stage in order.", pipeline.PIPELINE_ORDER))
 
 
 if __name__ == "__main__":

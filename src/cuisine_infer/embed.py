@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, read_keyed_records
+from .txn_core import RestaurantIndex, read_keyed_records, write_records
 from .weak_label import tokenize_name
 
 
@@ -33,10 +33,6 @@ class Corpus:
         """Occurrences of each word."""
         counts = np.bincount(self.tokens, minlength=len(self.words))
         return dict(zip(self.words.tolist(), counts.tolist()))
-
-    @property
-    def n_tokens(self) -> int:
-        return len(self.tokens)
 
 
 def build_customer_corpus(index: RestaurantIndex) -> Corpus:
@@ -81,13 +77,9 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return len(next(iter(self.vectors.values()))) if self.vectors else 0
 
-    def get(self, key: str) -> np.ndarray | None:
-        return self.vectors.get(key)
-
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key in sorted(self.vectors):
-                fh.write(key + " " + " ".join(f"{x:.6f}" for x in self.vectors[key]) + "\n")
+        write_records(path, ((key, *(f"{x:.6f}" for x in self.vectors[key].tolist()))
+                             for key in sorted(self.vectors)), sep=" ")
 
 
 class NegativeTable:
@@ -122,12 +114,6 @@ def _positions(corpus: Corpus, min_count: int, window: int):
     hi = np.minimum(np.searchsorted(doc, doc, side="right").astype(np.int32),
                     pos + window + 1)
     return corpus.words[keep], counts[keep], tokens, doc, lo, hi
-
-
-def count_skipgram_pairs(corpus: Corpus, window: int, min_count: int = 1) -> int:
-    """Closed-form (center, context) pair count with window clipping."""
-    *_, lo, hi = _positions(corpus, min_count, window)
-    return int((hi - lo - 1).sum(dtype=np.int64))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

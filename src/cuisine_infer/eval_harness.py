@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .txn_core import N_CLASSES, CuisineClass
+from .txn_core import N_CLASSES, CuisineClass, write_records
 from . import nnet
 from .stat_features import BLOCKS
 from .nnet import FeatureDataset, NetworkSpec, TrainConfig, topk_from_probs
@@ -47,21 +47,18 @@ class MetricsReport:
     class_counts: np.ndarray                 # (10,) truth counts
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"accuracy\t{self.accuracy!r}\n")
-            fh.write(f"balanced_accuracy\t{self.balanced_accuracy!r}\n")
-            for k in sorted(self.topk_accuracy):
-                fh.write(f"top{k}_accuracy\t{self.topk_accuracy[k]!r}\n")
-            for c in CuisineClass:
-                fh.write(f"class_accuracy\t{c.name}\t{float(self.per_class_accuracy[c])!r}"
-                         f"\t{int(self.class_counts[c])}\n")
+        write_records(path, [
+            ("accuracy", repr(self.accuracy)),
+            ("balanced_accuracy", repr(self.balanced_accuracy)),
+            *((f"top{k}_accuracy", repr(self.topk_accuracy[k]))
+              for k in sorted(self.topk_accuracy)),
+            *(("class_accuracy", c.name, repr(float(self.per_class_accuracy[c])),
+               str(int(self.class_counts[c]))) for c in CuisineClass)])
 
     def write_confusion_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("truth\\pred\t" + "\t".join(c.name for c in CuisineClass) + "\n")
-            for c in CuisineClass:
-                row = "\t".join(f"{x:.6f}" for x in self.confusion[c])
-                fh.write(f"{c.name}\t{row}\n")
+        write_records(path, ((c.name, *(f"{x:.6f}" for x in self.confusion[c]))
+                             for c in CuisineClass),
+                      header=["truth\\pred", *(c.name for c in CuisineClass)])
 
     def render(self) -> str:
         lines = [f"accuracy           {self.accuracy:.4f}",
@@ -157,10 +154,8 @@ def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
 
 
 def write_ablation_tsv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("removed_block\taccuracy\tdelta\n")
-        for name, acc, delta in rows:
-            fh.write(f"{name}\t{acc!r}\t{delta!r}\n")
+    write_records(path, ((name, repr(acc), repr(delta)) for name, acc, delta in rows),
+                  header=["removed_block", "accuracy", "delta"])
 
 
 CUISINE_SUMMARY_COLUMNS = [
@@ -220,11 +215,6 @@ def party_l1(party_prop: dict[str, np.ndarray],
 
 
 def write_cuisine_summary_tsv(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(CUISINE_SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            if row.get("empty"):
-                fh.write(row["cuisine"] + "\t" + "\t".join(["NA"] * 8) + "\n")
-            else:
-                fh.write(row["cuisine"] + "\t" + "\t".join(
-                    f"{row[c]:.4f}" for c in CUISINE_SUMMARY_COLUMNS[1:]) + "\n")
+    write_records(path, ((row["cuisine"], *(
+        "NA" if row.get("empty") else f"{row[c]:.4f}" for c in CUISINE_SUMMARY_COLUMNS[1:]))
+        for row in rows), header=CUISINE_SUMMARY_COLUMNS)

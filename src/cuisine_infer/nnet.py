@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .txn_core import N_CLASSES, derive_seed
+from .txn_core import N_CLASSES, derive_seed, write_records
 
 # variant -> (hidden layers per branch, h1 added to the branch output,
 # trunk layers used: None = all of trunk_hidden)
@@ -329,6 +329,8 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
     Loss curve rows: (epoch, train loss, val loss or nan). The train loss is
     the batch-size-weighted mean of the epoch's minibatch losses, each taken
     before its step; the val loss is that of the parameters after the epoch.
+    A non-finite minibatch loss is a ValueError naming its epoch, its step
+    within the epoch and the learning rate.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -356,7 +358,11 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
             probs, cache = forward(params, spec, batch, train_mode=True,
                                    dropout=cfg.dropout, rng=rng)
             batch_weights = None if weights is None else weights[idx]
-            loss_sum += cross_entropy(probs, onehot[idx], batch_weights) * len(idx)
+            loss = cross_entropy(probs, onehot[idx], batch_weights)
+            if not np.isfinite(loss):
+                raise ValueError(f"training diverged: loss {loss} at epoch {epoch}, step "
+                                 f"{start // cfg.batch_size}, learning_rate {cfg.learning_rate}")
+            loss_sum += loss * len(idx)
             grads = backward(params, spec, cache, onehot[idx], batch_weights)
             for key, g in grads.items():
                 params[key] -= cfg.learning_rate * g
@@ -375,17 +381,9 @@ def predict_proba(params, spec: NetworkSpec, dataset: FeatureDataset) -> np.ndar
     return probs
 
 
-def predict_topk(params, spec: NetworkSpec, features: dict[str, np.ndarray],
-                 k: int) -> np.ndarray:
+def topk_from_probs(probs: np.ndarray, k: int) -> np.ndarray:
     """Top-k class codes per sample, probability descending, ties broken by
     ascending class code."""
-    if k < 1 or k > spec.n_classes:
-        raise ValueError(f"k must be in [1, {spec.n_classes}]")
-    probs, _ = forward(params, spec, features)
-    return topk_from_probs(probs, k)
-
-
-def topk_from_probs(probs: np.ndarray, k: int) -> np.ndarray:
     n, c = probs.shape
     codes = np.tile(np.arange(c), (n, 1))
     order = np.lexsort((codes, -probs), axis=1)
@@ -393,7 +391,7 @@ def topk_from_probs(probs: np.ndarray, k: int) -> np.ndarray:
 
 
 def accuracy(params, spec: NetworkSpec, dataset: FeatureDataset) -> float:
-    top1 = predict_topk(params, spec, dataset.features, 1)[:, 0]
+    top1 = topk_from_probs(predict_proba(params, spec, dataset), 1)[:, 0]
     return float((top1 == dataset.labels).mean())
 
 
@@ -405,20 +403,20 @@ DTYPES = ("float32", "float64")
 def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:
     """Versioned text dump: spec and dtype line, then one `key shape hex`
     line per parameter. The hex field is the parameter's little-endian bytes
-    in the recorded dtype, so it loads back bit-exact."""
+    in the recorded dtype, so it loads back bit-exact. A non-finite value is
+    a ValueError naming its parameter, raised before the file is opened."""
+    for key in sorted(params):
+        if not np.isfinite(params[key]).all():
+            raise ValueError(f"parameter {key}: non-finite value; the model is not saved")
     dtype = params["out/b"].dtype.name
     le = np.dtype(dtype).newbyteorder("<")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_MAGIC + "\n")
-        fh.write(f"variant={spec.variant}\tbranch_hidden={spec.branch_hidden}\t"
-                 f"trunk_hidden={','.join(map(str, spec.trunk_hidden))}\t"
-                 f"n_classes={spec.n_classes}\t"
-                 f"branches={';'.join(f'{n}:{d}' for n, d in spec.branches)}\t"
-                 f"dtype={dtype}\n")
-        for key in sorted(params):
-            arr = params[key]
-            shape = ",".join(map(str, arr.shape))
-            fh.write(f"{key}\t{shape}\t{np.asarray(arr, le).tobytes().hex()}\n")
+    header = [f"variant={spec.variant}", f"branch_hidden={spec.branch_hidden}",
+              f"trunk_hidden={','.join(map(str, spec.trunk_hidden))}",
+              f"n_classes={spec.n_classes}",
+              f"branches={';'.join(f'{n}:{d}' for n, d in spec.branches)}", f"dtype={dtype}"]
+    write_records(path, [[MODEL_MAGIC], header, *(
+        (key, ",".join(map(str, params[key].shape)), np.asarray(params[key], le).tobytes().hex())
+        for key in sorted(params))])
 
 
 def load_params(path):

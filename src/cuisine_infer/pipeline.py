@@ -20,7 +20,7 @@ import yaml
 
 from . import btm, embed, eval_harness, nnet, stat_features, synthgen, weak_label
 from .txn_core import (build_index, derive_seed, merchant_names, parse_transactions,
-                       read_keyed_records, write_reject_report)
+                       read_keyed_records, write_records, write_reject_report)
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
@@ -212,18 +212,12 @@ def _load_taxonomy(cfg: dict) -> tuple[weak_label.Taxonomy, list[Path]]:
 
 def _write_manifest(cfg: dict, stage: str, inputs: list, outputs: list,
                     started: float, extra: dict | None = None) -> None:
-    path = _out(cfg) / f"manifest_{stage}.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"stage\t{stage}\n")
-        fh.write(f"config_hash\t{config_hash(cfg)}\n")
-        fh.write(f"seed\t{stage_seed(cfg, stage)}\n")
-        for p in inputs:
-            fh.write(f"input\t{p}\n")
-        for p in outputs:
-            fh.write(f"output\t{p}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key}\t{value}\n")
-        fh.write(f"duration_s\t{time.time() - started:.3f}\n")
+    write_records(_out(cfg) / f"manifest_{stage}.txt", [
+        ("stage", stage), ("config_hash", config_hash(cfg)),
+        ("seed", str(stage_seed(cfg, stage))),
+        *(("input", str(p)) for p in inputs), *(("output", str(p)) for p in outputs),
+        *((key, str(value)) for key, value in (extra or {}).items()),
+        ("duration_s", f"{time.time() - started:.3f}")])
 
 
 def _synth_cfg(cfg: dict) -> synthgen.SynthConfig:
@@ -478,15 +472,10 @@ def run_train(cfg: dict) -> dict:
     nnet.save_params(model_path, spec, params)
     saved = time.perf_counter()
     curve_path = out / "loss_curve.tsv"
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        for epoch, tr, va in curve:
-            fh.write(f"{epoch}\t{tr!r}\t{va!r}\n")
+    write_records(curve_path, ((str(epoch), repr(tr), repr(va)) for epoch, tr, va in curve))
     split_path = out / "split.tsv"
-    with open(split_path, "w", encoding="utf-8") as fh:
-        for i in train_idx:
-            fh.write(f"{labeled.ids[i]}\ttrain\n")
-        for i in test_idx:
-            fh.write(f"{labeled.ids[i]}\ttest\n")
+    write_records(split_path, [*((labeled.ids[i], "train") for i in train_idx),
+                               *((labeled.ids[i], "test") for i in test_idx)])
     _, final_train_loss, final_val_loss = curve[-1]
     _write_manifest(cfg, "train", _dataset_inputs(out),
                     [model_path, curve_path, split_path], started,
@@ -540,8 +529,7 @@ def run_eval(cfg: dict) -> dict:
     confusion_path = out / "confusion.tsv"
     report.write_confusion_tsv(confusion_path)
     text_path = out / "metrics.txt"
-    with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(report.render() + "\n")
+    write_records(text_path, ([line] for line in report.render().splitlines()))
 
     outputs = [metrics_path, confusion_path, text_path]
     extra = {"test_accuracy": f"{report.accuracy:.4f}", "load_s": f"{load_s:.3f}"}
@@ -593,6 +581,7 @@ def run_report(cfg: dict) -> dict:
     return {"cuisine_summary": path}
 
 
+# In pipeline order: PIPELINE_ORDER is read off it.
 STAGES = {
     "synth": run_synth,
     "label": run_label,
@@ -603,11 +592,12 @@ STAGES = {
     "report": run_report,
 }
 
-PIPELINE_ORDER = ["synth", "label", "features", "embed", "train", "eval", "report"]
+PIPELINE_ORDER = tuple(STAGES)
 
 
-def run_pipeline(cfg: dict) -> dict:
+def run_pipeline(cfg: dict, stages=PIPELINE_ORDER) -> dict:
+    """Run `stages` in the order given; returns every artifact they name."""
     artifacts = {}
-    for stage in PIPELINE_ORDER:
+    for stage in stages:
         artifacts.update(STAGES[stage](cfg))
     return artifacts

@@ -13,7 +13,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, derive_seed, read_keyed_records, valid_zip5
+from .txn_core import (RestaurantIndex, derive_seed, read_keyed_records, valid_zip5,
+                       write_records)
 
 STAT_BLOCK_DIMS = {
     "price_deciles": 9,
@@ -329,16 +330,12 @@ def zip_feature(zip5: str) -> np.ndarray:
     return out
 
 
-def _amounts(index: RestaurantIndex, r: int) -> np.ndarray:
-    return index.auth_amount[index.starts[r]:index.starts[r + 1]].astype(float)
-
-
 def _restaurant_row(r: int, index: RestaurantIndex, model: GmmModel,
                     loyal: np.ndarray) -> np.ndarray:
     """The 162 statistics of restaurant r, its 11 blocks in `BLOCKS` order,
     given its fitted party-size mixture and every cardholder's `loyalty`."""
     rows = slice(index.starts[r], index.starts[r + 1])
-    minute, amounts = index.minute[rows], _amounts(index, r)
+    minute, amounts = index.minute[rows], index.auth_amount[rows].astype(float)
     customers, visits = np.unique(index.cardholder[rows], return_counts=True)
     return np.concatenate([
         deciles(amounts),
@@ -352,18 +349,10 @@ def _restaurant_row(r: int, index: RestaurantIndex, model: GmmModel,
     ])
 
 
-def extract_restaurant(rid: str, index: RestaurantIndex,
-                       seed: int = 0) -> tuple[np.ndarray, GmmModel]:
-    """One restaurant's feature row and its party-size mixture."""
-    r = index.restaurant_ids.tolist().index(rid)
-    model = select_k_aic(_amounts(index, r), K_max=GMM_KMAX, seed=seed)
-    return _restaurant_row(r, index, model, loyalty(index)), model
-
-
 def extract_all(index: RestaurantIndex, seed: int = 0) -> tuple[np.ndarray, list[GmmModel]]:
     """The (restaurants, STAT_DIM) feature table, rows in index order, and
-    each restaurant's party-size mixture: `extract_restaurant` for every
-    restaurant, each seeded by its id.
+    each restaurant's party-size mixture: `select_k_aic` of its amounts, seeded
+    by its id.
 
     The party-size mixtures are fitted with one EM per K over the whole
     amount column, each restaurant's amounts one run of it.
@@ -385,10 +374,8 @@ def feature_header() -> list[str]:
 
 def write_features(path, ids: list[str], table: np.ndarray) -> None:
     """One line per restaurant: its id and its row of `table`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(feature_header()) + "\n")
-        for rid, vec in zip(ids, table):
-            fh.write(rid + "\t" + "\t".join(f"{x:.9g}" for x in vec) + "\n")
+    write_records(path, ((rid, *(f"{x:.9g}" for x in vec))
+                         for rid, vec in zip(ids, table.tolist())), header=feature_header())
 
 
 def read_features(path) -> dict[str, np.ndarray]:

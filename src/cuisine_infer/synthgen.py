@@ -15,7 +15,7 @@ import numpy as np
 
 from .embed import EmbeddingMatrix
 from .txn_core import (CuisineClass, Transactions, derive_seed, read_records, to_minute,
-                       write_transactions)
+                       write_records, write_transactions)
 from .weak_label import LabelSet, Taxonomy, load_taxonomy, tokenize_name
 
 START_DATE = datetime(2025, 1, 6)  # a Monday
@@ -320,10 +320,9 @@ def generate(cfg: SynthConfig) -> SynthResult:
 def write_outputs(result: SynthResult, txn_path, labels_path, party_path) -> None:
     write_transactions(txn_path, result.transactions)
     result.truth.write_tsv(labels_path)
-    with open(party_path, "w", encoding="utf-8") as fh:
-        for rid in sorted(result.party_sizes):
-            for size in sorted(result.party_sizes[rid]):
-                fh.write(f"{rid}\t{size}\t{result.party_sizes[rid][size]}\n")
+    write_records(party_path, ((rid, str(size), str(counts[size]))
+                               for rid, counts in sorted(result.party_sizes.items())
+                               for size in sorted(counts)))
 
 
 def read_party_sizes(path) -> dict[str, dict[int, int]]:
@@ -360,33 +359,3 @@ def write_pretrained_vectors(path, names: dict[str, str], dim: int, seed: int) -
         vectors[tok] = v / np.linalg.norm(v)
     EmbeddingMatrix(vectors).write(path)
 
-
-def corrupt_file(src_path, dst_path, n_corrupt: int, seed: int) -> list[int]:
-    """Copy a transaction CSV while corrupting n_corrupt random data rows.
-
-    Returns the 1-based line numbers of the corrupted rows. Used to exercise
-    lenient-mode reject reporting.
-    """
-    with open(src_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    n_data = len(lines) - 1
-    if n_corrupt > n_data:
-        raise ValueError("more corruptions than data rows")
-    rng = np.random.default_rng(seed)
-    picks = sorted(rng.choice(n_data, size=n_corrupt, replace=False) + 2)
-    modes = ["badzip", "badts", "badamount", "negtip"]
-    for i, line_no in enumerate(picks):
-        parts = lines[line_no - 1].split(",")
-        mode = modes[i % len(modes)]
-        if mode == "badzip":
-            parts[2] = "ABCDE"
-        elif mode == "badts":
-            parts[3] = "not-a-time"
-        elif mode == "badamount":
-            parts[5] = "12.5x"
-        else:
-            parts[5], parts[6] = parts[6], str(max(0, int(parts[5]) - 1))
-        lines[line_no - 1] = ",".join(parts)
-    with open(dst_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return [int(p) for p in picks]

@@ -218,10 +218,17 @@ def read_keyed_records(path, parse, sep: str = "\t",
     return out
 
 
-def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:
+def write_records(path, records, sep: str = "\t", header: list[str] | None = None) -> None:
+    """One line of `sep`-joined string fields per record, after a line of
+    `header` when one is given: the files `read_records` reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line_no, reason in rejects:
-            fh.write(f"{line_no}\t{reason}\n")
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        fh.writelines(sep.join(record) + "\n" for record in records)
+
+
+def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:
+    write_records(path, ((str(line_no), reason) for line_no, reason in rejects))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .txn_core import CuisineClass, read_keyed_records, read_records
+from .txn_core import CuisineClass, read_keyed_records, read_records, write_records
 
 CORPORATE_SUFFIXES = {"LLC", "INC", "CO", "CORP"}
 
@@ -133,10 +133,8 @@ class LabelSet:
         return self.labels.items()
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rid in sorted(self.labels):
-                cuisine, source = self.labels[rid]
-                fh.write(f"{rid}\t{cuisine.name}\t{source}\n")
+        write_records(path, ((rid, cuisine.name, source)
+                             for rid, (cuisine, source) in sorted(self.labels.items())))
 
     @classmethod
     def read_tsv(cls, path) -> "LabelSet":
@@ -220,9 +218,8 @@ def bootstrap_expand(
 
 
 def write_bootstrap_report(path, words: list[BootstrapWord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for bw in words:
-            fh.write(f"{bw.word}\t{bw.cuisine.name}\t{bw.freq:.6g}\t{bw.prec:.6g}\t{bw.sig:.6g}\n")
+    write_records(path, ((bw.word, bw.cuisine.name, f"{bw.freq:.6g}", f"{bw.prec:.6g}",
+                          f"{bw.sig:.6g}") for bw in words))
 
 
 def read_bootstrap_report(path) -> list[BootstrapWord]:

@@ -59,3 +59,54 @@ def pid_logged(fn, path):
 
 def logged_pids(path) -> list[int]:
     return [int(line) for line in path.read_text().splitlines()]
+
+
+def extract_restaurant(rid, index, seed=0):
+    """One restaurant's feature row and its party-size mixture, computed
+    alone: the row `stat_features.extract_all` gives it when seeded so."""
+    from cuisine_infer.stat_features import GMM_KMAX, _restaurant_row, loyalty, select_k_aic
+
+    r = index.restaurant_ids.tolist().index(rid)
+    amounts = index.auth_amount[index.starts[r]:index.starts[r + 1]].astype(float)
+    model = select_k_aic(amounts, K_max=GMM_KMAX, seed=seed)
+    return _restaurant_row(r, index, model, loyalty(index)), model
+
+
+def count_skipgram_pairs(corpus, window, min_count=1):
+    """Closed-form (center, context) pair count with window clipping."""
+    import numpy as np
+
+    from cuisine_infer.embed import _positions
+
+    *_, lo, hi = _positions(corpus, min_count, window)
+    return int((hi - lo - 1).sum(dtype=np.int64))
+
+
+def corrupt_file(src_path, dst_path, n_corrupt, seed):
+    """Copy a transaction CSV while corrupting n_corrupt random data rows,
+    cycling through a bad zip5, a bad timestamp, a non-integer amount and a
+    negative tip. Returns the 1-based line numbers of the corrupted rows."""
+    import numpy as np
+
+    with open(src_path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    n_data = len(lines) - 1
+    if n_corrupt > n_data:
+        raise ValueError("more corruptions than data rows")
+    rng = np.random.default_rng(seed)
+    picks = sorted(rng.choice(n_data, size=n_corrupt, replace=False) + 2)
+    for i, line_no in enumerate(picks):
+        parts = lines[line_no - 1].split(",")
+        mode = i % 4
+        if mode == 0:
+            parts[2] = "ABCDE"
+        elif mode == 1:
+            parts[3] = "not-a-time"
+        elif mode == 2:
+            parts[5] = "12.5x"
+        else:
+            parts[5], parts[6] = parts[6], str(max(0, int(parts[5]) - 1))
+        lines[line_no - 1] = ",".join(parts)
+    with open(dst_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return [int(p) for p in picks]

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import make_corpus
+from conftest import count_skipgram_pairs, make_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from cuisine_infer.embed import (
     NegativeTable,
     build_customer_corpus,
     build_restaurant_corpus,
-    count_skipgram_pairs,
     load_pretrained_vectors,
     name_embedding,
     pv_train,
@@ -96,8 +95,8 @@ class TestCorpus:
         micro = build_customer_corpus(index)
         macro = build_restaurant_corpus(index)
         assert micro.tokens is index.merchants and macro.tokens is index.cardholder
-        assert micro.n_tokens == len(res.transactions)
-        assert macro.n_tokens == len(res.transactions)
+        assert len(micro.tokens) == len(res.transactions)
+        assert len(macro.tokens) == len(res.transactions)
         assert micro.direction == "customer-docs"
         assert macro.direction == "restaurant-docs"
 
@@ -239,8 +238,8 @@ class TestSgns:
         corpus = _two_community_corpus()
         cfg = EmbedConfig(dim=16, window=4, negative=5, epochs=8, min_count=1, seed=1)
         emb = sgns_train(corpus, cfg)
-        within = _cos(emb.get("RA0"), emb.get("RA1"))
-        across = _cos(emb.get("RA0"), emb.get("RB0"))
+        within = _cos(emb.vectors["RA0"], emb.vectors["RA1"])
+        across = _cos(emb.vectors["RA0"], emb.vectors["RB0"])
         assert within > across + 0.3
 
     def test_loss_decreases(self):
@@ -276,8 +275,8 @@ class TestParagraphVectors:
         cfg = EmbedConfig(dim=16, window=2, negative=5, epochs=20, min_count=1,
                           seed=2, learning_rate=0.05)
         emb = pv_train(corpus, cfg)
-        a = [emb.get(f"a{i}") for i in range(40)]
-        b = [emb.get(f"b{i}") for i in range(40)]
+        a = [emb.vectors[f"a{i}"] for i in range(40)]
+        b = [emb.vectors[f"b{i}"] for i in range(40)]
         within = np.mean([_cos(x, y) for x, y in itertools.combinations(a, 2)] +
                          [_cos(x, y) for x, y in itertools.combinations(b, 2)])
         across = np.mean([_cos(x, y) for x in a for y in b])

@@ -12,7 +12,6 @@ from cuisine_infer.nnet import (
     forward,
     init_params,
     load_params,
-    predict_topk,
     save_params,
     standardize,
     topk_from_probs,
@@ -315,24 +314,50 @@ class TestLossCurve:
         assert len(calls) == 3 * 4 + (3 if with_val else 0)
 
 
+class TestDivergence:
+    def test_first_non_finite_step_loss_raises(self, monkeypatch):
+        """Training stops at the first non-finite minibatch loss, and the
+        error names its epoch, its step within the epoch and the rate."""
+        losses, real = [], nnet.cross_entropy
+
+        def nan_at_step_six(*args):
+            losses.append(real(*args) if len(losses) != 5 else float("nan"))
+            return losses[-1]
+
+        monkeypatch.setattr(nnet, "cross_entropy", nan_at_step_six)
+        with pytest.raises(ValueError, match=r"loss nan at epoch 1, step 1, "
+                                             r"learning_rate 0\.1$"):
+            train(_toy_dataset(n=50), _spec(), TrainConfig(batch_size=16, epochs=3))
+        assert len(losses) == 6  # 4 steps per epoch: epoch 1's second step, then none
+
+    # The overflow that makes the loss non-finite also raises a
+    # RuntimeWarning, which the suite turns into an error; this test lets it
+    # through to reach the loss check.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_huge_learning_rate_diverges(self):
+        with pytest.raises(ValueError, match=r"at epoch \d+, step \d+, learning_rate 1000000\.0$"):
+            train(_toy_dataset(n=50), _spec(), TrainConfig(batch_size=16, epochs=20,
+                                                           learning_rate=1e6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_save_refuses_non_finite_parameters(self, tmp_path, value):
+        spec = _spec()
+        params = init_params(spec, 0)
+        params["trunk/W1"][0, 0] = value
+        path = tmp_path / "model.txt"
+        with pytest.raises(ValueError, match="trunk/W1: non-finite"):
+            save_params(path, spec, params)
+        assert not path.exists()
+
+
 class TestPrediction:
     def test_topk_tie_rule(self):
         probs = np.array([[0.25, 0.25, 0.4, 0.1],
                           [0.1, 0.4, 0.4, 0.1]])
         top = topk_from_probs(probs, 3)
+        assert top.shape == (2, 3)
         assert top[0].tolist() == [2, 0, 1]   # tie 0/1 broken by class code
         assert top[1].tolist() == [1, 2, 0]
-
-    def test_topk_bounds(self):
-        ds = _toy_dataset(n=4)
-        spec = _spec()
-        params = init_params(spec, 0)
-        with pytest.raises(ValueError):
-            predict_topk(params, spec, ds.features, 0)
-        with pytest.raises(ValueError):
-            predict_topk(params, spec, ds.features, 4)
-        top2 = predict_topk(params, spec, ds.features, 2)
-        assert top2.shape == (4, 2)
 
     def test_logistic_separates_linear_classes(self):
         rng = np.random.default_rng(7)

@@ -2,7 +2,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from conftest import take
+from conftest import extract_restaurant, take
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from cuisine_infer.stat_features import (
     _fit_rows,
     deciles,
     extract_all,
-    extract_restaurant,
     gmm_fit,
     gmm_log_joint,
     loyalty,

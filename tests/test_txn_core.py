@@ -4,7 +4,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from conftest import take
+from conftest import corrupt_file, take
 
 from cuisine_infer.txn_core import (
     CSV_HEADER,
@@ -14,7 +14,9 @@ from cuisine_infer.txn_core import (
     Transactions,
     build_index,
     parse_transactions,
+    read_records,
     to_minute,
+    write_records,
     write_reject_report,
     write_transactions,
 )
@@ -95,7 +97,7 @@ class TestParse:
         assert reason_part in result.rejects[0][1]
 
     def test_planted_corruption_report(self, tmp_path):
-        from cuisine_infer.synthgen import SynthConfig, corrupt_file, generate
+        from cuisine_infer.synthgen import SynthConfig, generate
 
         res = generate(SynthConfig(n_restaurants=40, n_customers=300, days=20, seed=3))
         assert len(res.transactions) >= 1000
@@ -125,6 +127,20 @@ class TestRoundTrip:
         assert same_fields(result.transactions, result2.transactions)
         assert result.transactions.merchant_name.tolist() == ["Joes Place", "Cafe, The"]
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("sep, header, text", [
+        ("\t", ["id", "n"], "id\tn\na b\t1\nc\t\n"),
+        (" ", None, "a\t1 2\nc \n"),
+        (" ", ["id", "n"], "id n\na\t1 2\nc \n"),
+    ], ids=["tab-header", "space", "space-header"])
+    def test_records_round_trip(self, tmp_path, sep, header, text):
+        """write_records writes one `sep`-joined line per record after the
+        header line, and read_records gives the records back."""
+        records = [("a b", "1"), ("c", "")] if sep == "\t" else [("a\t1", "2"), ("c", "")]
+        p = tmp_path / "records.txt"
+        write_records(p, records, sep=sep, header=header)
+        assert p.read_text(encoding="utf-8") == text
+        assert read_records(p, tuple, sep=sep, header=header) == records
 
     def test_unpadded_time_parses_and_writes_padded(self, tmp_path):
         p = tmp_path / "t.csv"
