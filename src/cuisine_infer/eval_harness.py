@@ -5,6 +5,7 @@ per-cuisine summary report."""
 from __future__ import annotations
 
 import os
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,6 +117,9 @@ _ablation_job: tuple = ()
 def _init_ablation_worker(*job) -> None:
     global _ablation_job
     _ablation_job = job
+    # a fork inherits the caller's SIGTERM handler, which may catch the
+    # signal and carry on; the pool's terminate() must stop the worker
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _reduced_accuracy(name: str) -> float:
@@ -149,6 +153,10 @@ def ablation(train_ds: FeatureDataset, test_ds: FeatureDataset,
     with multiprocessing.get_context("fork").Pool(
             ablation_workers(spec), _init_ablation_worker, (tr, te, spec, cfg)) as pool:
         accs = pool.map(_reduced_accuracy, names, chunksize=1)
+        # let the workers leave on their sentinels; the block's exit then
+        # has no worker left to terminate
+        pool.close()
+        pool.join()
     return [("none", base_acc, 0.0)] + [
         (name, acc, acc - base_acc) for name, acc in zip(names, accs)]
 

@@ -19,6 +19,7 @@ draws in float64, which the gradient checks use as it is.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -172,9 +173,12 @@ def _dropout_mask(rng, shape, dropout: float, dtype) -> np.ndarray:
 
 def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
             train_mode: bool = False, dropout: float = 0.0,
-            rng: np.random.Generator | None = None):
+            rng: np.random.Generator | None = None, keep_cache: bool = True):
     """Run the network in the dtype of `params`; returns (class
-    probabilities, cache for backward)."""
+    probabilities, cache for backward). With `keep_cache=False` it keeps no
+    activations and returns None for the cache: each branch's output joins
+    the sum as soon as it is computed, so one branch's activations are live
+    at a time."""
     n = next(iter(features.values())).shape[0]
     for name, dim in spec.branches:
         if features[name].shape != (n, dim):
@@ -186,37 +190,39 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
     use_dropout = train_mode and dropout > 0
     if use_dropout and rng is None:
         raise ValueError("dropout in train mode requires an rng")
-    cache: dict = {"dropout": dropout if use_dropout else 0.0}
-
-    branch_out = {}
-    for name, _, hidden in keys.branches:
-        h = features[name].astype(dtype, copy=False)
-        for weight, bias, h_key, a_key in hidden:
-            cache[h_key] = h
-            a = h @ params[weight].T + params[bias]
-            cache[a_key] = a
-            h = np.maximum(a, 0.0)
-        # the skip adds h1, the second hidden layer's input
-        branch_out[name] = h + cache[hidden[1][2]] if skip else h
-    cache["branch_out"] = branch_out
+    cache = {"dropout": dropout if use_dropout else 0.0, "branch_out": {}} if keep_cache else None
 
     t = np.zeros((n, keys.join_width), dtype) + params[keys.join_bias]
-    # accumulate in sorted name order so branch declaration order cannot
-    # perturb floating-point summation
-    for name, join_weight, _ in keys.joined:
-        t += branch_out[name] @ params[join_weight].T
+    # walk the branches in sorted name order, the join's summation order, so
+    # branch declaration order cannot perturb floating-point summation
+    for name, join_weight, hidden in keys.joined:
+        h = features[name].astype(dtype, copy=False)
+        for weight, bias, h_key, a_key in hidden:
+            a = h @ params[weight].T + params[bias]
+            if keep_cache:
+                cache[h_key], cache[a_key] = h, a
+            h_in, h = h, np.maximum(a, 0.0)
+        # the skip adds h1, the second (last) hidden layer's input
+        out = h + h_in if skip else h
+        if keep_cache:
+            cache["branch_out"][name] = out
+        t += out @ params[join_weight].T
     for weight, bias, pre_key, mask_key, drop_key in keys.layers:
-        cache[pre_key] = t
+        if keep_cache:
+            cache[pre_key] = t
         t = np.maximum(t, 0.0)
         if use_dropout:
             mask = _dropout_mask(rng, t.shape, dropout, dtype)
-            cache[mask_key] = mask
-            t = t * mask
-        cache[drop_key] = t
+            if keep_cache:
+                cache[mask_key] = mask
+            t *= mask
+        if keep_cache:
+            cache[drop_key] = t
         t = t @ params[weight].T + params[bias]
 
     probs = _softmax(t)
-    cache["probs"] = probs
+    if keep_cache:
+        cache["probs"] = probs
     return probs, cache
 
 
@@ -349,35 +355,47 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
         val_onehot = _onehot(val.labels, spec.n_classes)
     curve = []
     n = len(dataset)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = {k: v[idx] for k, v in features.items()}
-            probs, cache = forward(params, spec, batch, train_mode=True,
-                                   dropout=cfg.dropout, rng=rng)
-            batch_weights = None if weights is None else weights[idx]
-            loss = cross_entropy(probs, onehot[idx], batch_weights)
-            if not np.isfinite(loss):
-                raise ValueError(f"training diverged: loss {loss} at epoch {epoch}, step "
-                                 f"{start // cfg.batch_size}, learning_rate {cfg.learning_rate}")
-            loss_sum += loss * len(idx)
-            grads = backward(params, spec, cache, onehot[idx], batch_weights)
-            for key, g in grads.items():
-                params[key] -= cfg.learning_rate * g
-        tr_loss = loss_sum / n
-        if val is not None and len(val) > 0:
-            vp, _ = forward(params, spec, val_features)
-            v_loss = cross_entropy(vp, val_onehot)
-        else:
-            v_loss = float("nan")
-        curve.append((epoch, tr_loss, v_loss))
+    # an overflow on the way to a non-finite loss is reported by the loss
+    # check below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss = _sgd_step(params, spec, cfg, rng, {k: v[idx] for k, v in features.items()},
+                                 onehot[idx], None if weights is None else weights[idx])
+                if not np.isfinite(loss):
+                    raise ValueError(
+                        f"training diverged: loss {loss} at epoch {epoch}, step "
+                        f"{start // cfg.batch_size}, learning_rate {cfg.learning_rate}")
+                loss_sum += loss * len(idx)
+            tr_loss = loss_sum / n
+            if val is not None and len(val) > 0:
+                vp, _ = forward(params, spec, val_features, keep_cache=False)
+                v_loss = cross_entropy(vp, val_onehot)
+            else:
+                v_loss = float("nan")
+            curve.append((epoch, tr_loss, v_loss))
     return params, curve
 
 
+def _sgd_step(params, spec: NetworkSpec, cfg: TrainConfig, rng, batch, onehot,
+              weights) -> float:
+    """One SGD step on a minibatch, updating `params` in place; returns the
+    minibatch loss, taken before the step. A non-finite loss leaves `params`
+    as they are. The step's activations and gradients are freed when it
+    returns."""
+    probs, cache = forward(params, spec, batch, train_mode=True, dropout=cfg.dropout, rng=rng)
+    loss = cross_entropy(probs, onehot, weights)
+    if np.isfinite(loss):
+        for key, g in backward(params, spec, cache, onehot, weights).items():
+            params[key] -= cfg.learning_rate * g
+    return loss
+
+
 def predict_proba(params, spec: NetworkSpec, dataset: FeatureDataset) -> np.ndarray:
-    probs, _ = forward(params, spec, dataset.features)
+    probs, _ = forward(params, spec, dataset.features, keep_cache=False)
     return probs
 
 
@@ -414,9 +432,10 @@ def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:
               f"trunk_hidden={','.join(map(str, spec.trunk_hidden))}",
               f"n_classes={spec.n_classes}",
               f"branches={';'.join(f'{n}:{d}' for n, d in spec.branches)}", f"dtype={dtype}"]
-    write_records(path, [[MODEL_MAGIC], header, *(
+    # a generator, so that one parameter's hex text is held at a time
+    write_records(path, itertools.chain([[MODEL_MAGIC], header], (
         (key, ",".join(map(str, params[key].shape)), np.asarray(params[key], le).tobytes().hex())
-        for key in sorted(params))])
+        for key in sorted(params))))
 
 
 def load_params(path):

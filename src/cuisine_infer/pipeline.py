@@ -465,6 +465,9 @@ def run_train(cfg: dict) -> dict:
         labeled.labels, cfg["train"]["train_frac"], seed=stage_seed(cfg, "split"))
     train_ds, test_ds = nnet.standardize(
         labeled.subset(train_idx), labeled.subset(test_idx))
+    # the unstandardized features are not needed past this point
+    ids = labeled.ids
+    del dataset, labeled
     fit_started = time.perf_counter()
     params, curve = nnet.train(train_ds, spec, tcfg, val=test_ds)
     fitted = time.perf_counter()
@@ -474,8 +477,8 @@ def run_train(cfg: dict) -> dict:
     curve_path = out / "loss_curve.tsv"
     write_records(curve_path, ((str(epoch), repr(tr), repr(va)) for epoch, tr, va in curve))
     split_path = out / "split.tsv"
-    write_records(split_path, [*((labeled.ids[i], "train") for i in train_idx),
-                               *((labeled.ids[i], "test") for i in test_idx)])
+    write_records(split_path, [*((ids[i], "train") for i in train_idx),
+                               *((ids[i], "test") for i in test_idx)])
     _, final_train_loss, final_val_loss = curve[-1]
     _write_manifest(cfg, "train", _dataset_inputs(out),
                     [model_path, curve_path, split_path], started,

@@ -374,8 +374,10 @@ def feature_header() -> list[str]:
 
 def write_features(path, ids: list[str], table: np.ndarray) -> None:
     """One line per restaurant: its id and its row of `table`."""
-    write_records(path, ((rid, *(f"{x:.9g}" for x in vec))
-                         for rid, vec in zip(ids, table.tolist())), header=feature_header())
+    # one row's floats at a time: the whole table as Python floats would
+    # take several times its own size
+    write_records(path, ((rid, *(f"{x:.9g}" for x in vec.tolist()))
+                         for rid, vec in zip(ids, table)), header=feature_header())
 
 
 def read_features(path) -> dict[str, np.ndarray]:

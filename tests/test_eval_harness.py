@@ -1,12 +1,13 @@
 import multiprocessing
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import logged_pids, pid_logged
-from cuisine_infer import nnet
+from cuisine_infer import eval_harness, nnet
 from cuisine_infer.eval_harness import (
     CUISINE_SUMMARY_COLUMNS,
     ablation,
@@ -200,6 +201,33 @@ class TestAblation:
         with pytest.raises(ValueError, match="^boom$"):
             ablation(*case)
         assert multiprocessing.active_children() == []
+
+    def test_workers_leave_without_a_sigterm(self, monkeypatch):
+        """The pool closes and joins after its map, so its exit has no
+        worker left to terminate."""
+        case, sent, kill = _ablation_case(), [], os.kill
+
+        def recording_kill(pid, sig):
+            sent.append(sig)
+            kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", recording_kill)
+        want = ablation(*case)
+        for _ in range(4):
+            assert ablation(*case) == want
+        assert signal.SIGTERM not in sent
+        assert multiprocessing.active_children() == []
+
+    def test_worker_initializer_restores_the_default_sigterm_action(self, monkeypatch):
+        """A worker forked from a process whose SIGTERM handler carries on
+        must still stop when the pool terminates it."""
+        monkeypatch.setattr(eval_harness, "_ablation_job", ())
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            eval_harness._init_ablation_worker(*_ablation_case())
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_one_block_gets_one_worker(self):
         spec = _ablation_case()[2]

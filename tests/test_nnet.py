@@ -73,6 +73,24 @@ class TestForward:
         _, dcache = forward(params, deep, ds.features)
         assert not dcache["branch_out"]["alpha"].any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["residual_deep", "deep", "shallow", "logistic"])
+    def test_scoring_keeps_no_cache(self, variant, dtype):
+        """keep_cache=False returns no cache and the same probabilities, in
+        eval mode and, with the same draws, in train mode with dropout."""
+        ds = _toy_dataset(n=20)
+        spec = _spec(variant)
+        params = {k: v.astype(dtype) for k, v in init_params(spec, seed=3).items()}
+        want, cache = forward(params, spec, ds.features)
+        probs, none = forward(params, spec, ds.features, keep_cache=False)
+        assert cache is not None and none is None
+        assert probs.dtype == dtype and np.array_equal(probs, want)
+        train_mode = [forward(params, spec, ds.features, train_mode=True, dropout=0.3,
+                              rng=np.random.default_rng(4), keep_cache=keep)
+                      for keep in (True, False)]
+        assert train_mode[1][1] is None
+        assert np.array_equal(train_mode[0][0], train_mode[1][0])
+
     def test_shape_mismatch_raises(self):
         ds = _toy_dataset(n=4)
         spec = _spec()
@@ -330,11 +348,9 @@ class TestDivergence:
             train(_toy_dataset(n=50), _spec(), TrainConfig(batch_size=16, epochs=3))
         assert len(losses) == 6  # 4 steps per epoch: epoch 1's second step, then none
 
-    # The overflow that makes the loss non-finite also raises a
-    # RuntimeWarning, which the suite turns into an error; this test lets it
-    # through to reach the loss check.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_huge_learning_rate_diverges(self):
+        """The overflow on the way is no RuntimeWarning, which the suite
+        turns into an error: the loss check is the one report."""
         with pytest.raises(ValueError, match=r"at epoch \d+, step \d+, learning_rate 1000000\.0$"):
             train(_toy_dataset(n=50), _spec(), TrainConfig(batch_size=16, epochs=20,
                                                            learning_rate=1e6))

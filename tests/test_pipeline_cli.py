@@ -405,13 +405,10 @@ class TestCorruptModel:
         assert result.exit_code == 4, result.output
         assert "model file magic 'cuisine-infer-model v2'" in result.output
 
-    # The overflow that makes the loss non-finite also raises a
-    # RuntimeWarning, which the suite turns into an error; this test lets it
-    # through to reach the loss check.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_exit_code(self, pipeline_run, tmp_path):
         """`train` whose loss turns non-finite exits 4 naming the epoch, the
-        step and the learning rate, and writes no model.txt."""
+        step and the learning rate, and writes no model.txt. The overflow on
+        the way is no RuntimeWarning, which the suite turns into an error."""
         _, artifacts, run_dir = pipeline_run
         out = tmp_path / "out"
         shutil.copytree(artifacts["metrics"].parent, out)
@@ -423,6 +420,23 @@ class TestCorruptModel:
         assert re.search(r"data error: training diverged: loss nan at epoch \d+, step \d+, "
                          r"learning_rate 1000\.0$", result.output, re.M), result.output
         assert not (out / "model.txt").exists()
+
+    def test_diverging_training_prints_no_numpy_warning(self, pipeline_run, tmp_path):
+        """Run as a command, under Python's default warning filters, a
+        diverging `train` prints its data error and nothing from numpy."""
+        _, artifacts, run_dir = pipeline_run
+        out = tmp_path / "out"
+        shutil.copytree(artifacts["metrics"].parent, out)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cuisine_infer.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "cuisine_infer.cli", "train", "--config",
+             str(run_dir / "config.yaml"), "--out-dir", str(out),
+             "--set", "train.learning_rate=1000.0"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 4, result.stderr
+        assert re.fullmatch(r"data error: training diverged: loss nan at epoch \d+, "
+                            r"step \d+, learning_rate 1000\.0\n", result.stderr), result.stderr
 
     def test_non_finite_parameter_exit_code(self, pipeline_run, tmp_path):
         def nan_first_bias(line):
