@@ -2,7 +2,8 @@
 
 Learns topics from unordered word co-occurrence pairs pooled corpus-wide,
 with label sprinkling for single-word names, stratified biterm sampling
-against long-tail vocabularies, and UMass coherence diagnostics.
+against long-tail vocabularies, and UMass coherence diagnostics. The label
+stage fits it only for the coherence sweep; it labels no restaurant.
 """
 
 from __future__ import annotations
@@ -243,19 +244,12 @@ def coherence_sweep(
     docs: list[list[str]],
     k_values=(5, 10, 15, 20, 30, 40, 50),
     base_cfg: BtmConfig = BtmConfig(),
-    fitted: dict[int, BtmModel] | None = None,
 ) -> list[tuple[int, float]]:
-    """Fit one model per k and report mean UMass coherence, rows sorted by k.
-
-    `fitted` maps a k to the model already fitted to `biterms` with
-    `base_cfg` at that k; the sweep scores it instead of fitting it again.
-    """
-    fitted = fitted or {}
+    """Fit one model per k and report mean UMass coherence, rows sorted by k."""
     rows = []
     for k in sorted(k_values):
         cfg = replace(base_cfg, k=k)
-        model = fitted[k] if k in fitted else btm_fit(biterms, cfg)
-        scores = umass_coherence(model, docs, cfg.top_n)
+        scores = umass_coherence(btm_fit(biterms, cfg), docs, cfg.top_n)
         rows.append((k, float(np.mean(scores))))
     return rows
 
@@ -263,46 +257,3 @@ def coherence_sweep(
 def write_coherence_report(path, rows: list[tuple[int, float]]) -> None:
     write_records(path, ((str(k), f"{score:.6f}") for k, score in rows))
 
-
-def topic_cuisine_map(model: BtmModel, min_posterior: float = 0.8) -> dict[int, CuisineClass]:
-    """Map topics to cuisines via sprinkle-token mass.
-
-    A topic maps to the cuisine whose sprinkle token holds >= min_posterior
-    of the topic's total sprinkle-token probability mass.
-    """
-    tokens = {sprinkle_token(c): c for c in CuisineClass}
-    cols = {i: tokens[w] for i, w in enumerate(model.vocab) if w in tokens}
-    out = {}
-    if not cols:
-        return out
-    idx = list(cols)
-    for t in range(model.k):
-        mass = model.topic_word[t, idx]
-        total = mass.sum()
-        if total <= 0:
-            continue
-        best = int(np.argmax(mass))
-        if mass[best] / total >= min_posterior:
-            out[t] = cols[idx[best]]
-    return out
-
-
-def topic_labels(model: BtmModel, mapping: dict[int, CuisineClass],
-                 names: dict[str, str], labels: LabelSet) -> int:
-    """Add a "topic" label to each unlabeled name whose most probable topic
-    (prior x product of its in-vocabulary token probabilities) is a key of
-    `mapping`, from `topic_cuisine_map`; returns how many were added."""
-    column = {w: i for i, w in enumerate(model.vocab)}
-    added = 0
-    for rid, name in sorted(names.items()):
-        if rid in labels:
-            continue
-        idx = [column[t] for t in tokenize_name(name) if t in column]
-        if not idx:
-            continue
-        scores = model.topic_prior * np.prod(model.topic_word[:, idx], axis=1)
-        top = int(np.argmax(scores))
-        if top in mapping:
-            labels.add(rid, mapping[top], "topic")
-            added += 1
-    return added

@@ -41,6 +41,8 @@ DEFAULT_CONFIG: dict = {
         "theta_p": 0.9,
         "theta_s": 0.5,
         "rounds": 1,
+        # topic_augment and btm.k are checked but read by nothing: the topic
+        # model labels no restaurant, and the sweep sets its own k values.
         "topic_augment": False,
         "btm": {"k": 10, "gibbs_iters": 50, "top_n": 5, "strata": 4, "cap_ratio": 4.0},
         "coherence_sweep": False,
@@ -280,37 +282,24 @@ def run_label(cfg: dict) -> dict:
         outputs.append(rejects_path)
     else:  # not one left from an earlier run on other input
         rejects_path.unlink(missing_ok=True)
-    btm_extra = {}
-    if cfg["label"]["topic_augment"] or cfg["label"]["coherence_sweep"]:
+    if cfg["label"]["coherence_sweep"]:
         bcfg = _btm_cfg(cfg)
         biterms = btm.extract_biterms(names, sprinkle=labels)
         biterms = btm.stratified_sample_biterms(
             biterms, cfg["label"]["btm"]["strata"], cfg["label"]["btm"]["cap_ratio"],
             bcfg.seed)
-        fitted = {}
-        if cfg["label"]["topic_augment"]:
-            fit_started = time.perf_counter()
-            model = fitted[bcfg.k] = btm.btm_fit(biterms, bcfg)
-            btm_extra = {"btm_biterms": model.metadata["n_biterms"],
-                         "btm_vocab": model.metadata["vocab_size"],
-                         "btm_fit_s": f"{time.perf_counter() - fit_started:.3f}"}
-            mapping = btm.topic_cuisine_map(model)
-            btm_extra["btm_topics_mapped"] = len(mapping)
-            btm.topic_labels(model, mapping, names, labels)
-        if cfg["label"]["coherence_sweep"]:
-            docs = [weak_label.tokenize_name(n) for n in names.values()]
-            rows = btm.coherence_sweep(biterms, docs, base_cfg=bcfg, fitted=fitted)
-            coherence_path = out / "coherence.tsv"
-            btm.write_coherence_report(coherence_path, rows)
-            outputs.append(coherence_path)
+        docs = [weak_label.tokenize_name(n) for n in names.values()]
+        coherence_path = out / "coherence.tsv"
+        btm.write_coherence_report(coherence_path,
+                                   btm.coherence_sweep(biterms, docs, base_cfg=bcfg))
+        outputs.append(coherence_path)
 
     by_source = Counter(source for _, source in labels.labels.values())
     extra = {"n_rejected": len(parsed.rejects),
              "n_restaurants": len(names), "n_labeled": len(labels),
              "coverage": f"{len(labels) / max(1, len(names)):.4f}",
              "n_seed": by_source["seed"], "n_bootstrap": by_source["bootstrap"],
-             "n_topic": by_source["topic"],
-             "n_bootstrap_words": len(bootstrapped), **btm_extra}
+             "n_bootstrap_words": len(bootstrapped)}
     labels_path = out / "labels.tsv"
     labels.write_tsv(labels_path)
     boot_path = out / "bootstrap_report.tsv"
@@ -380,9 +369,10 @@ def run_embed(cfg: dict) -> dict:
             raise ValueError(f"embed.{part}: {exc}") from None
         marks.append(time.perf_counter())
 
-    matrices["name"] = embed.EmbeddingMatrix({
-        rid: embed.name_embedding(name, labeling_words, pretrained)[0]
-        for rid, name in zip(index.restaurant_ids.tolist(), index.names.tolist())})
+    ids = index.restaurant_ids.tolist()
+    named = {rid: embed.name_embedding(name, labeling_words, pretrained)
+             for rid, name in zip(ids, index.names.tolist())}
+    matrices["name"] = embed.EmbeddingMatrix({rid: vec for rid, (vec, _) in named.items()})
     marks.append(time.perf_counter())
 
     for part, path in paths.items():
@@ -390,7 +380,11 @@ def run_embed(cfg: dict) -> dict:
     marks.append(time.perf_counter())
     extra = {"n_rejected": len(parsed.rejects),
              **{f"{step}_s": f"{end - begin:.3f}" for step, begin, end in zip(
-                 ("parse", "index", "micro", "macro", "name", "write"), marks, marks[1:])}}
+                 ("parse", "index", "micro", "macro", "name", "write"), marks, marks[1:])},
+             # restaurants whose block is all zeros in the dataset, per block
+             "micro_missing": sum(rid not in matrices["micro"].vectors for rid in ids),
+             "macro_missing": len(matrices["macro"].metadata["empty_documents"]),
+             "name_unmatched": sum(not matched for _, matched in named.values())}
     for part in ("micro", "macro"):
         meta = matrices[part].metadata
         extra[f"{part}_vocab_size"] = meta["vocab_size"]

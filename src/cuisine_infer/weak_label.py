@@ -1,14 +1,14 @@
 """Weakly-supervised cuisine labeling from restaurant names.
 
-Seed keyword matching, bootstrapped keyword expansion under
-frequency/precision/significance gates, and optional topic-model
-augmentation (see btm module).
+Seed keyword matching, then bootstrapped keyword expansion under
+frequency/precision/significance gates. These are the only label sources.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -92,25 +92,37 @@ def load_taxonomy(path=None) -> Taxonomy:
     return Taxonomy(keywords)
 
 
-def seed_label(name: str, taxonomy: Taxonomy) -> tuple[CuisineClass, str] | None:
-    """Match name tokens against seed keywords.
+def _single_class(
+    tokens: list[str], lookup: Callable[[str], CuisineClass | None],
+) -> tuple[CuisineClass, str] | None:
+    """The one class `lookup` maps the tokens to, with the first token it
+    maps; None when it maps none, or when it maps them to two or more
+    classes: a conflict, which leaves a name unlabelled."""
+    hit = None
+    for tok in tokens:
+        cuisine = lookup(tok)
+        if cuisine is None:
+            continue
+        if hit is None:
+            hit = (cuisine, tok)
+        elif cuisine is not hit[0]:
+            return None
+    return hit
 
-    A single-class hit labels the restaurant; hits in two or more classes are
-    a conflict and yield no label.
-    """
-    hits: dict[CuisineClass, str] = {}
-    for tok in tokenize_name(name):
-        cuisine = taxonomy.lookup(tok)
-        if cuisine is not None and cuisine not in hits:
-            hits[cuisine] = tok
-    if len(hits) == 1:
-        return next(iter(hits.items()))
-    return None
+
+def seed_label(name: str, taxonomy: Taxonomy) -> tuple[CuisineClass, str] | None:
+    """Match name tokens against seed keywords; see `_single_class`."""
+    return _single_class(tokenize_name(name), taxonomy.lookup)
+
+
+# The sources a label file may name: the two weak-label passes, and the
+# synthetic generator's ground truth.
+SOURCES = ("seed", "bootstrap", "truth")
 
 
 @dataclass
 class LabelSet:
-    """restaurant_id -> (cuisine, source); source in {seed, bootstrap, topic, truth}."""
+    """restaurant_id -> (cuisine, source); source in SOURCES."""
 
     labels: dict[str, tuple[CuisineClass, str]] = field(default_factory=dict)
 
@@ -138,10 +150,19 @@ class LabelSet:
 
     @classmethod
     def read_tsv(cls, path) -> "LabelSet":
+        """A file of id<TAB>cuisine<TAB>source lines; a line without the
+        source field is a "truth" label. A line of another shape, an empty id
+        or a source outside SOURCES is a ValueError naming file and line."""
         def row(parts):
-            if len(parts) < 2:
-                raise ValueError("expected id<TAB>cuisine")
+            if not 2 <= len(parts) <= 3:
+                raise ValueError("expected id<TAB>cuisine[<TAB>source], "
+                                 f"got {len(parts)} fields")
+            if not parts[0]:
+                raise ValueError("empty restaurant id")
             source = parts[2] if len(parts) > 2 else "truth"
+            if source not in SOURCES:
+                raise ValueError(f"unknown label source {source!r}; "
+                                 f"expected one of {', '.join(SOURCES)}")
             return parts[0], (CuisineClass.from_name(parts[1]), source)
 
         return cls(read_keyed_records(path, row))
@@ -239,19 +260,16 @@ def apply_labels(
 ) -> LabelSet:
     """Label restaurants: seed keywords first, bootstrap words for the rest.
 
-    Both passes use the same conflict rule: a name hitting words of two or
-    more classes gets no label.
+    Both passes use the conflict rule of `_single_class`.
     """
     boot_map = {bw.word: bw.cuisine for bw in bootstrapped}
     out = LabelSet()
     for rid, name in sorted(names.items()):
-        hit = seed_label(name, taxonomy)
-        if hit is not None:
+        toks = tokenize_name(name)
+        if (hit := _single_class(toks, taxonomy.lookup)) is not None:
             out.add(rid, hit[0], "seed")
-            continue
-        classes = {boot_map[t] for t in tokenize_name(name) if t in boot_map}
-        if len(classes) == 1:
-            out.add(rid, next(iter(classes)), "bootstrap")
+        elif (hit := _single_class(toks, boot_map.get)) is not None:
+            out.add(rid, hit[0], "bootstrap")
     return out
 
 

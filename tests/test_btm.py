@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from cuisine_infer.btm import (
     extract_biterms,
     sprinkle_token,
     stratified_sample_biterms,
-    topic_cuisine_map,
-    topic_labels,
     umass_coherence,
 )
 from cuisine_infer.txn_core import CuisineClass
@@ -36,6 +33,7 @@ class TestExtractBiterms:
         labels.add("r", CuisineClass.EastAsian, "seed")
         out = extract_biterms({"r": "PEKING"}, sprinkle=labels)
         assert out == Counter({("#EASTASIAN", "PEKING"): 1})
+        assert sprinkle_token(CuisineClass.Bar) == "#BAR"
 
     def test_empty(self):
         assert extract_biterms({"r": ""}) == Counter()
@@ -138,6 +136,11 @@ _BITERM = st.tuples(st.sampled_from(_WORDS), st.sampled_from(_WORDS)).map(
     lambda pair: tuple(sorted(pair)))
 
 
+# The smoke scale at which label.topic_augment once added topic labels.
+_SMOKE_LABEL = {"seed": 1, "synth.n_restaurants": 150, "synth.n_customers": 750,
+                "synth.days": 14, "label.btm.k": 5}
+
+
 class TestBtmFitOracle:
     @given(st.dictionaries(_BITERM, st.integers(1, 4), min_size=1, max_size=12),
            st.integers(1, 7), st.integers(0, 5), st.integers(0, 2**32))
@@ -154,25 +157,40 @@ class TestBtmFitOracle:
         assert model.vocab == ref.vocab
         assert model.metadata == ref.metadata
 
-    def test_label_stage_writes_the_oracle_labels(self, tmp_path, monkeypatch):
-        """A smoke-scale `label` run with topic labels writes the labels.tsv
-        of the numpy sampler and records the fit in its manifest."""
-        cfg = pipeline.load_config(None, {
-            "seed": 1, "out_dir": str(tmp_path), "synth.n_restaurants": 150,
-            "synth.n_customers": 750, "synth.days": 14, "label.topic_augment": True,
-            "label.btm.k": 5})
+    def test_label_stage_writes_the_oracle_coherence(self, tmp_path, monkeypatch):
+        """A smoke-scale `label` run with the coherence sweep writes the
+        coherence.tsv of the numpy sampler."""
+        cfg = pipeline.load_config(None, {**_SMOKE_LABEL, "out_dir": str(tmp_path),
+                                          "label.coherence_sweep": True})
         pipeline.run_synth(cfg)
-        labels_path = pipeline.run_label(cfg)["labels"]
-        written = labels_path.read_bytes()
-        manifest = dict(line.split("\t", 1) for line in
-                        (Path(cfg["out_dir"]) / "manifest_label.txt").read_text().splitlines())
+        pipeline.run_label(cfg)
+        path = tmp_path / "coherence.tsv"
+        written = path.read_bytes()
         monkeypatch.setattr(btm, "btm_fit", _reference_btm_fit)
         pipeline.run_label(cfg)
-        assert labels_path.read_bytes() == written
-        assert int(manifest["n_topic"]) > 0
-        assert int(manifest["btm_biterms"]) > 0 and int(manifest["btm_vocab"]) > 0
-        assert float(manifest["btm_fit_s"]) >= 0
-        assert 0 < int(manifest["btm_topics_mapped"]) <= 5
+        assert path.read_bytes() == written
+        assert [line.split("\t")[0] for line in written.decode().splitlines()] == [
+            "5", "10", "15", "20", "30", "40", "50"]
+
+
+def test_topic_augment_adds_no_labels(tmp_path):
+    """label.topic_augment is accepted and changes nothing: the label stage
+    writes the labels and bootstrap report of a run without it, no label
+    has the source "topic", and the manifest records no topic model."""
+    cfg = pipeline.load_config(None, {**_SMOKE_LABEL, "out_dir": str(tmp_path),
+                                      "label.topic_augment": True})
+    pipeline.run_synth(cfg)
+    written = {}
+    for augment in (False, True):
+        pipeline.run_label({**cfg, "label": {**cfg["label"], "topic_augment": augment}})
+        written[augment] = {name: (tmp_path / name).read_bytes()
+                            for name in ("labels.tsv", "bootstrap_report.tsv")}
+    assert written[True] == written[False]
+    sources = {line.split("\t")[2] for line in written[True]["labels.tsv"].decode().splitlines()}
+    assert sources == {"seed", "bootstrap"}
+    keys = [line.split("\t")[0]
+            for line in (tmp_path / "manifest_label.txt").read_text().splitlines()]
+    assert "n_topic" not in keys and not [key for key in keys if key.startswith("btm_")]
 
 
 class TestBtmFit:
@@ -300,38 +318,3 @@ class TestCoherenceSweep:
         best_k = max(rows, key=lambda r: r[1])[0]
         assert best_k in (10, 15)
 
-
-def test_topic_cuisine_map():
-    labels = LabelSet()
-    names = {}
-    rng = np.random.default_rng(0)
-    for i in range(40):
-        cuisine = CuisineClass.Bar if i % 2 == 0 else CuisineClass.Dessert
-        word = "TAVERNWORD" if cuisine is CuisineClass.Bar else "CAKEWORD"
-        names[f"r{i}"] = f"{word} EXTRA{int(rng.integers(0, 3))}"
-        labels.add(f"r{i}", cuisine, "seed")
-    biterms = extract_biterms(names, sprinkle=labels)
-    model = btm_fit(biterms, BtmConfig(k=2, gibbs_iters=80, seed=4))
-    mapping = topic_cuisine_map(model, min_posterior=0.8)
-    assert set(mapping.values()) == {CuisineClass.Bar, CuisineClass.Dessert}
-    assert sprinkle_token(CuisineClass.Bar) == "#BAR"
-
-
-def test_topic_labels_by_most_probable_mapped_topic():
-    # topic 0 maps to Bar, topic 1 to Dessert; topic 2 splits its sprinkle
-    # mass evenly and maps to nothing
-    vocab = ["#BAR", "#DESSERT", "CAKE", "MIXED", "TAVERN"]
-    topic_word = np.array([[0.40, 0.00, 0.05, 0.05, 0.50],
-                           [0.00, 0.40, 0.50, 0.05, 0.05],
-                           [0.20, 0.20, 0.05, 0.50, 0.05]])
-    model = BtmModel(vocab, topic_word, np.full(3, 1 / 3), BtmConfig(k=3))
-    names = {"r1": "TAVERN ROW", "r2": "CAKE SHOP", "r3": "MIXED GRILL",
-             "r4": "ZZ TOP", "r5": "CAKE HOUSE"}
-    labels = LabelSet()
-    labels.add("r5", CuisineClass.Bar, "seed")
-    mapping = topic_cuisine_map(model)
-    assert mapping == {0: CuisineClass.Bar, 1: CuisineClass.Dessert}
-    assert topic_labels(model, mapping, names, labels) == 2
-    assert labels.labels == {"r1": (CuisineClass.Bar, "topic"),
-                             "r2": (CuisineClass.Dessert, "topic"),
-                             "r5": (CuisineClass.Bar, "seed")}

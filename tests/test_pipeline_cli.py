@@ -217,8 +217,8 @@ class TestPipeline:
         lines = dict(line.split("\t", 1)
                      for line in (out / "manifest_label.txt").read_text().splitlines())
         sources = Counter(src for _, src in LabelSet.read_tsv(out / "labels.tsv").labels.values())
-        assert {key: int(lines[f"n_{key}"]) for key in ("seed", "bootstrap", "topic")} == {
-            key: sources[key] for key in ("seed", "bootstrap", "topic")}
+        assert {key: int(lines[f"n_{key}"]) for key in ("seed", "bootstrap")} == {
+            key: sources[key] for key in ("seed", "bootstrap")}
         assert int(lines["n_labeled"]) == sum(sources.values())
         assert not (out / "rejects.tsv").exists()
 
@@ -312,6 +312,34 @@ class TestPipeline:
         micro_cfg = pipeline._embed_cfg(cfg, "micro")
         assert int(emb["micro_pair_count"]) == count_skipgram_pairs(
             embed.build_customer_corpus(index), micro_cfg.window, micro_cfg.min_count)
+
+    @pytest.mark.parametrize("min_counts", [None, (20, 8)], ids=["tiny", "pruned"])
+    def test_embed_manifest_counts_the_zero_blocks(self, pipeline_run, tmp_path, min_counts):
+        """micro_missing and macro_missing count the indexed restaurants
+        absent from micro.txt and macro.txt; name_unmatched counts the zero
+        rows of name_embed.txt. "pruned" reruns embed with min_count 20
+        (micro) and 8 (macro), so that both files leave restaurants out."""
+        cfg, artifacts, _ = pipeline_run
+        out = artifacts["metrics"].parent
+        if min_counts is not None:
+            shutil.copytree(out, tmp_path / "out")
+            out = tmp_path / "out"
+            cfg = copy.deepcopy(cfg)
+            cfg["out_dir"] = str(out)
+            cfg["embed"]["micro"]["min_count"], cfg["embed"]["macro"]["min_count"] = min_counts
+            pipeline.run_embed(cfg)
+        emb = _manifest(out / "manifest_embed.txt")
+        ids = build_index(parse_transactions(out / "transactions.csv").transactions).restaurant_ids
+        vectors = {part: embed.load_pretrained_vectors(out / f"{part}.txt").vectors
+                   for part in ("micro", "macro", "name_embed")}
+        missing = {part: sum(rid not in vectors[part] for rid in ids)
+                   for part in ("micro", "macro")}
+        assert {part: int(emb[f"{part}_missing"]) for part in missing} == missing
+        assert sorted(vectors["name_embed"]) == sorted(ids)
+        unmatched = sum(not vec.any() for vec in vectors["name_embed"].values())
+        assert int(emb["name_unmatched"]) == unmatched > 0
+        if min_counts is not None:
+            assert 0 < missing["micro"] < len(ids) and 0 < missing["macro"] < len(ids)
 
     def test_eval_manifest_times_the_model_load(self, pipeline_run):
         _, artifacts, _ = pipeline_run
@@ -868,7 +896,7 @@ class TestCli:
 
     def test_label_coherence_sweep(self, tmp_path):
         """`label` with the sweep writes one finite UMass score per k and
-        lists the report in its manifest; the topic labels stay the same."""
+        lists the report in its manifest; the labels stay the same."""
         cfg = _tiny_cfg(tmp_path)
         pipeline.run_synth(cfg)
         out = Path(cfg["out_dir"])
@@ -891,9 +919,8 @@ class TestCli:
         assert (out / "labels.tsv").read_bytes() == labels
 
     def test_label_fits_each_topic_count_once(self, tmp_path, monkeypatch):
-        """With the sweep and topic labels on, the sweep scores the topic
-        labels' model at label.btm.k: 7 fits, not 8, and the same files as a
-        run of each alone."""
+        """With the sweep and label.topic_augment on, the sweep fits each k
+        once: 7 fits, and the same files as a run of each alone."""
         cfg = _tiny_cfg(tmp_path)
         pipeline.run_synth(cfg)
         out = Path(cfg["out_dir"])

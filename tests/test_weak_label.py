@@ -187,6 +187,29 @@ def test_labelset_tsv_round_trip(tmp_path):
     assert back.labels == ls.labels
 
 
+def test_labelset_reads_the_two_field_form_as_truth(tmp_path):
+    path = tmp_path / "truth_labels.tsv"
+    path.write_text("r1\tBar\nr2\tDessert\ttruth\n")
+    assert LabelSet.read_tsv(path).labels == {"r1": (CuisineClass.Bar, "truth"),
+                                              "r2": (CuisineClass.Dessert, "truth")}
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("r2\n", "expected id<TAB>cuisine\\[<TAB>source\\], got 1 fields"),
+    ("r2\tBar\tseed\textra\n", "expected id<TAB>cuisine\\[<TAB>source\\], got 4 fields"),
+    ("\tBar\tseed\n", "empty restaurant id"),
+    ("r2\tBar\tbogus\n", "unknown label source 'bogus'"),
+    ("r2\tBar\ttopic\n", "unknown label source 'topic'"),
+    ("r2\tThai\tseed\n", "unknown cuisine class"),
+], ids=["one field", "four fields", "empty id", "bogus source", "topic source",
+        "unknown cuisine"])
+def test_labelset_bad_line_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "labels.tsv"
+    path.write_text("r1\tBar\tseed\n" + line)
+    with pytest.raises(ValueError, match=f"{path}:2: {reason}"):
+        LabelSet.read_tsv(path)
+
+
 def test_bootstrap_report_round_trip(tmp_path):
     # Values with at most 6 significant digits survive the writer's %.6g.
     words = [BootstrapWord("WOK", CuisineClass.EastAsian, 0.0125, 1.0, 3.5),
