@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, read_keyed_records, write_records
+from .txn_core import RestaurantIndex, read_keyed_vectors, write_records
 from .weak_label import tokenize_name
 
 
@@ -78,7 +78,8 @@ class EmbeddingMatrix:
         return len(next(iter(self.vectors.values()))) if self.vectors else 0
 
     def write(self, path) -> None:
-        write_records(path, ((key, *(f"{x:.6f}" for x in self.vectors[key].tolist()))
+        line = "%s" + " %.6f" * self.dim
+        write_records(path, ((line % (key, *self.vectors[key].tolist()),)
                              for key in sorted(self.vectors)), sep=" ")
 
 
@@ -285,11 +286,14 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
 
 def load_pretrained_vectors(path) -> EmbeddingMatrix:
     """Parse a text vector file of one or more `token v1 v2 ... vd` lines, single
-    spaces. A malformed or non-finite component is a ValueError naming file and line."""
+    spaces. A malformed or non-finite component, or an empty or repeated
+    token, is a ValueError naming file and line."""
     dim = None
 
     def row(parts):
         nonlocal dim
+        if not parts[0]:
+            raise ValueError("empty token")
         try:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError:
@@ -303,10 +307,10 @@ def load_pretrained_vectors(path) -> EmbeddingMatrix:
             raise ValueError(f"expected {dim} components, got {len(vec)}")
         return parts[0], vec
 
-    vectors = read_keyed_records(path, row, sep=" ")
+    vectors = read_keyed_vectors(path, row, sep=" ")
     if not vectors:
         raise ValueError(f"{path}: no vectors")
-    return EmbeddingMatrix(vectors, {"source": str(path), "dim": dim})
+    return EmbeddingMatrix(vectors, {"source": str(path)})
 
 
 def name_embedding(name: str, labeling_words: set[str],
@@ -317,7 +321,7 @@ def name_embedding(name: str, labeling_words: set[str],
     remaining tokens are lowercase-matched. Returns (vector, matched flag);
     no matches yield a zero vector.
     """
-    dim = pretrained.metadata.get("dim") or pretrained.dim
+    dim = pretrained.dim
     tokens = [t for t in tokenize_name(name) if t not in labeling_words]
     matched = [pretrained.vectors[t.lower()] for t in tokens
                if t.lower() in pretrained.vectors]

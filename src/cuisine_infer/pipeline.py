@@ -359,14 +359,16 @@ def run_embed(cfg: dict) -> dict:
              for block, name in EMBEDDING_FILES.items()}
     # Compute all three before writing any, so a failing step leaves the
     # files of an earlier run as a consistent set.
-    matrices = {}
+    matrices, pruned = {}, {}
     for part, corpus_of, train in (
             ("micro", embed.build_customer_corpus, embed.sgns_train),
             ("macro", embed.build_restaurant_corpus, embed.pv_train)):
+        corpus = corpus_of(index)
         try:
-            matrices[part] = train(corpus_of(index), _embed_cfg(cfg, part))
+            matrices[part] = train(corpus, _embed_cfg(cfg, part))
         except ValueError as exc:  # the corpus is empty after min_count pruning
             raise ValueError(f"embed.{part}: {exc}") from None
+        pruned[part] = len(corpus.words) - matrices[part].metadata["vocab_size"]
         marks.append(time.perf_counter())
 
     ids = index.restaurant_ids.tolist()
@@ -388,6 +390,7 @@ def run_embed(cfg: dict) -> dict:
     for part in ("micro", "macro"):
         meta = matrices[part].metadata
         extra[f"{part}_vocab_size"] = meta["vocab_size"]
+        extra[f"{part}_pruned_words"] = pruned[part]  # seen fewer than min_count times
         extra[f"{part}_epoch_loss"] = ",".join(f"{x:.6f}" for x in meta["epoch_loss"])
     extra["micro_pair_count"] = matrices["micro"].metadata["pair_count"]
     _write_manifest(cfg, "embed", [txn_path, boot_path, vec_path] + tax_inputs,
@@ -401,11 +404,13 @@ def _dataset_inputs(out: Path) -> list[Path]:
                                      *EMBEDDING_FILES.values())]
 
 
-def load_dataset(cfg: dict) -> nnet.FeatureDataset:
+def load_dataset(cfg: dict, zero_filled: dict | None = None) -> nnet.FeatureDataset:
     """Assemble the per-block dataset for every restaurant with features.
 
     Labels are the weak labels of `labels.tsv`; unlabeled restaurants get
-    label -1.
+    label -1. A restaurant without a row in an embedding file gets zeros in
+    that block; `zero_filled`, when given, receives the number of such
+    restaurants per embedding block.
     """
     out = _out(cfg)
     stat_path = _require(out / "features_stat.tsv", "statistical features")
@@ -421,9 +426,16 @@ def load_dataset(cfg: dict) -> nnet.FeatureDataset:
         missing = np.zeros(m.dim)
         features[b] = np.array([m.vectors.get(rid, missing) for rid in ids]).reshape(
             len(ids), m.dim)
+        if zero_filled is not None:
+            zero_filled[b] = sum(rid not in m.vectors for rid in ids)
     y = [labels.get(rid) for rid in ids]
     return nnet.FeatureDataset(
         ids, features, np.array([-1 if c is None else int(c) for c in y], dtype=int))
+
+
+def _zero_filled_counts(zero_filled: dict) -> dict:
+    """Manifest lines of the restaurants load_dataset gave zeros, per block."""
+    return {f"{block}_zero_filled": n for block, n in zero_filled.items()}
 
 
 def _make_spec(cfg: dict, branches: tuple) -> nnet.NetworkSpec:
@@ -449,7 +461,8 @@ def _make_train_cfg(cfg: dict) -> nnet.TrainConfig:
 def run_train(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
-    dataset = load_dataset(cfg)
+    zero_filled: dict = {}
+    dataset = load_dataset(cfg, zero_filled)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     if len(labeled) == 0:
         raise MissingArtifactError("no labeled restaurants to train on")
@@ -482,7 +495,8 @@ def run_train(cfg: dict) -> dict:
                      "final_train_loss": repr(final_train_loss),
                      "final_val_loss": repr(final_val_loss),
                      "fit_s": f"{fitted - fit_started:.3f}",
-                     "save_s": f"{saved - fitted:.3f}"})
+                     "save_s": f"{saved - fitted:.3f}",
+                     **_zero_filled_counts(zero_filled)})
     return {"model": model_path, "loss_curve": curve_path, "split": split_path}
 
 
@@ -499,7 +513,8 @@ def run_eval(cfg: dict) -> dict:
     load_started = time.perf_counter()
     spec, params = nnet.load_params(model_path)
     load_s = time.perf_counter() - load_started
-    dataset = load_dataset(cfg)
+    zero_filled: dict = {}
+    dataset = load_dataset(cfg, zero_filled)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     split_path = _require(out / "split.tsv", "train/test split")
     split = read_keyed_records(split_path, _split_row)
@@ -529,7 +544,8 @@ def run_eval(cfg: dict) -> dict:
     write_records(text_path, ([line] for line in report.render().splitlines()))
 
     outputs = [metrics_path, confusion_path, text_path]
-    extra = {"test_accuracy": f"{report.accuracy:.4f}", "load_s": f"{load_s:.3f}"}
+    extra = {"test_accuracy": f"{report.accuracy:.4f}", "load_s": f"{load_s:.3f}",
+             **_zero_filled_counts(zero_filled)}
 
     if len(un_ds):
         un_truth = np.array([int(truth.get(rid)) for rid in un_ds.ids])

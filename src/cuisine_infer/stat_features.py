@@ -4,6 +4,12 @@ Eleven blocks: five decile vectors (price, tip, hourly capacity, revisits,
 loyalty), three temporal distributions, GMM-based party-size proportions and
 prices, and a positional zip-digit one-hot. Total dimensionality 162: a
 restaurant's statistics are one row, and `BLOCKS` gives each block's columns.
+
+Every block function works on segments: with `starts`, segment s of a
+per-row array is rows starts[s]:starts[s + 1], and the result has one row
+per segment; without, all the rows are one segment and the result is that
+segment's row. `extract_all` computes each block for every restaurant at
+once, a restaurant being a segment of the index.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .txn_core import (RestaurantIndex, derive_seed, read_keyed_records, valid_zip5,
-                       write_records)
+from .txn_core import (RestaurantIndex, derive_seed, read_keyed_vectors, write_records,
+                       zip5_mask)
 
 STAT_BLOCK_DIMS = {
     "price_deciles": 9,
@@ -37,48 +43,83 @@ BLOCKS = {name: slice(end - dim, end) for (name, dim), end in
 GMM_KMAX = STAT_BLOCK_DIMS["party_prop"]
 
 
-def deciles(values) -> np.ndarray:
-    """Nine deciles by linear interpolation on order statistics.
+def _bounds(n_rows: int, starts) -> np.ndarray:
+    """The segment bounds `starts`, or one segment of all n_rows rows."""
+    return np.array([0, n_rows]) if starts is None else np.asarray(starts, dtype=np.int64)
+
+
+def _owners(bounds: np.ndarray) -> np.ndarray:
+    """The segment of each row."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+
+
+_DECILE_P = np.arange(1, 10) / 10.0
+
+
+def deciles(values, starts=None) -> np.ndarray:
+    """Nine deciles of each segment by linear interpolation on its order
+    statistics: an (S, 9) array, or nine values without `starts`.
 
     For p in {0.1..0.9}: h = (n-1)p, result = v[floor(h)] + frac(h) *
-    (v[floor(h)+1] - v[floor(h)]). Empty input yields nine zeros.
+    (v[floor(h)+1] - v[floor(h)]), v the segment's n values sorted. An empty
+    segment yields nine zeros.
     """
-    v = np.sort(np.asarray(values, dtype=float))
-    n = len(v)
-    if n == 0:
-        return np.zeros(9)
-    h = (n - 1) * (np.arange(1, 10) / 10.0)
+    v = np.asarray(values, dtype=float)
+    bounds = _bounds(len(v), starts)
+    v = v[np.lexsort((v, _owners(bounds)))]
+    n = np.diff(bounds)
+    full = n > 0
+    last = (n[full] - 1)[:, None]
+    h = last * _DECILE_P
     lo = np.floor(h).astype(np.int64)
-    hi = np.minimum(lo + 1, n - 1)
-    return v[lo] + (h - lo) * (v[hi] - v[lo])
+    hi = np.minimum(lo + 1, last)
+    first = bounds[:-1][full][:, None]
+    out = np.zeros((len(n), 9))
+    out[full] = v[first + lo] + (h - lo) * (v[first + hi] - v[first + lo])
+    return out if starts is not None else out[0]
 
 
-def temporal_dists(minute: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _histograms(owner: np.ndarray, bins: np.ndarray, width: int, n_segments: int) -> np.ndarray:
+    """(segments, width) counts of `bins` per segment, each row normalized
+    to sum to 1 unless it is all zeros."""
+    counts = np.bincount(owner * width + bins, minlength=n_segments * width)
+    counts = counts.reshape(n_segments, width).astype(float)
+    total = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, total, out=counts, where=total > 0)
+
+
+def temporal_dists(minute, starts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized day-of-week, weekday-hour, and weekend-hour histograms of
-    times in minutes since 1970-01-01 (a Thursday).
+    each segment of times in minutes since 1970-01-01 (a Thursday): (S, 7),
+    (S, 24) and (S, 24) arrays, or one row each without `starts`.
 
     Saturday/Sunday count as weekend. Each histogram sums to 1, or is
-    all-zero when the restaurant has no qualifying transactions.
+    all-zero when the segment has no qualifying transactions.
     """
+    minute = np.asarray(minute, dtype=np.int64)
+    bounds = _bounds(len(minute), starts)
+    owner, S = _owners(bounds), len(bounds) - 1
     day = (minute // 1440 + 3) % 7  # Monday = 0
     hour = minute // 60 % 24
     weekend = day >= 5
-    dists = (np.bincount(day, minlength=7).astype(float),
-             np.bincount(hour[~weekend], minlength=24).astype(float),
-             np.bincount(hour[weekend], minlength=24).astype(float))
-    for arr in dists:
-        s = arr.sum()
-        if s > 0:
-            arr /= s
-    return dists
+    dists = (_histograms(owner, day, 7, S),
+             _histograms(owner[~weekend], hour[~weekend], 24, S),
+             _histograms(owner[weekend], hour[weekend], 24, S))
+    return dists if starts is not None else tuple(d[0] for d in dists)
+
+
+def _visit_pairs(index: RestaurantIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The (restaurant, cardholder) pairs with a visit, as restaurant code
+    times the number of cardholders plus cardholder code, ascending, and
+    each pair's number of visits."""
+    owner = _owners(index.starts)
+    return np.unique(owner * len(index.cardholder_ids) + index.cardholder, return_counts=True)
 
 
 def loyalty(index: RestaurantIndex) -> np.ndarray:
     """Per cardholder code, the number of distinct restaurants visited."""
     n = len(index.cardholder_ids)
-    restaurant = np.repeat(np.arange(len(index)), np.diff(index.starts))
-    pairs = np.unique(restaurant * n + index.cardholder)
-    return np.bincount(pairs % n, minlength=n)
+    return np.bincount(_visit_pairs(index)[0] % n, minlength=n)
 
 
 # --- Gaussian mixture over authorized amounts ---
@@ -299,54 +340,60 @@ def select_k_aic(x, K_max: int = 6, seed: int = 0) -> GmmModel:
     return _fit_rows(x, [len(x)], [seed], range(1, K_max + 1))[0]
 
 
-def party_features(model: GmmModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Hard-assign transactions to mixture components (sorted by mean) and
-    read the components as party sizes 1..K."""
+def party_features(models, x, starts=None) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-assign each point of a segment to the component of the segment's
+    mixture (components sorted by mean) under which its log joint is
+    highest, and read the components as party sizes 1..6: per segment, the
+    share of its points and their mean in each. Two (S, 6) arrays, given one
+    model per segment, or two rows given one model and no `starts`.
+
+    The sums behind the means do not depend on the order of the points
+    when they are integer-valued, as amounts in cents are.
+    """
     x = np.asarray(x, dtype=float)
-    prop = np.zeros(6)
-    price = np.zeros(6)
-    if len(x) == 0:
-        return prop, price
-    assign = np.argmax(gmm_log_joint(x, model.phi, model.mu, model.sigma), axis=0)
-    for k in range(min(model.K, 6)):
-        mask = assign == k
-        prop[k] = mask.mean()
-        if mask.any():
-            price[k] = x[mask].mean()
+    bounds = _bounds(len(x), starts)
+    if starts is None:
+        models = [models]
+    owner, n = _owners(bounds), np.diff(bounds)
+    K = np.array([m.K for m in models], dtype=np.int64)
+    width = int(K.max(initial=1))
+    real = np.arange(width) < K[:, None]
+    phi, mu, sigma = np.ones((len(K), width)), np.zeros((len(K), width)), np.ones((len(K), width))
+    for a, name in ((phi, "phi"), (mu, "mu"), (sigma, "sigma")):
+        a[real] = np.concatenate([getattr(m, name) for m in models]) if models else []
+    log_phi = np.where(real, np.log(phi), -np.inf)
+    log_norm = _log_norm(sigma)
+    # one component at a time: (width, points) log joints, each point scored
+    # against its own segment's parameters
+    log_p = np.empty((width, len(x)))
+    for k in range(width):
+        log_p[k] = _log_joint(x, log_phi[owner, k], log_norm[owner, k], mu[owner, k],
+                              sigma[owner, k])
+    slot = owner * width + np.argmax(log_p, axis=0)
+    del log_p
+    counts = np.bincount(slot, minlength=len(K) * width).reshape(-1, width)[:, :6]
+    sums = np.bincount(slot, x, minlength=len(K) * width).reshape(-1, width)[:, :6]
+    prop, price = np.zeros((len(K), 6)), np.zeros((len(K), 6))
+    cols = counts.shape[1]
+    np.divide(counts, n[:, None], out=prop[:, :cols], where=n[:, None] > 0)
+    np.divide(sums, counts, out=price[:, :cols], where=counts > 0)
     # renormalize in case K > 6 truncated some mass
-    s = prop.sum()
-    if s > 0:
-        prop /= s
-    return prop, price
+    total = prop.sum(axis=1, keepdims=True)
+    np.divide(prop, total, out=prop, where=total > 0)
+    return (prop, price) if starts is not None else (prop[0], price[0])
 
 
-def zip_feature(zip5: str) -> np.ndarray:
-    """Positional digit one-hot: digit d at position i sets index 10i + d."""
-    if not valid_zip5(zip5):
-        raise ValueError(f"malformed zip5: {zip5!r}")
-    out = np.zeros(50)
-    for i, ch in enumerate(zip5):
-        out[10 * i + int(ch)] = 1.0
+def zip_feature(zips) -> np.ndarray:
+    """Positional digit one-hot of each zip5, one row per zip: digit d at
+    position i sets column 10i + d."""
+    zips = list(zips)
+    valid = zip5_mask(zips)
+    if not valid.all():
+        raise ValueError(f"malformed zip5: {zips[np.argmin(valid)]!r}")
+    digits = np.frombuffer("".join(zips).encode("ascii"), np.uint8).reshape(-1, 5) - ord("0")
+    out = np.zeros((len(zips), 50))
+    out[np.arange(len(zips))[:, None], 10 * np.arange(5) + digits] = 1.0
     return out
-
-
-def _restaurant_row(r: int, index: RestaurantIndex, model: GmmModel,
-                    loyal: np.ndarray) -> np.ndarray:
-    """The 162 statistics of restaurant r, its 11 blocks in `BLOCKS` order,
-    given its fitted party-size mixture and every cardholder's `loyalty`."""
-    rows = slice(index.starts[r], index.starts[r + 1])
-    minute, amounts = index.minute[rows], index.auth_amount[rows].astype(float)
-    customers, visits = np.unique(index.cardholder[rows], return_counts=True)
-    return np.concatenate([
-        deciles(amounts),
-        deciles(index.settle_amount[rows] - index.auth_amount[rows]),
-        deciles(np.unique(minute // 60, return_counts=True)[1]),
-        deciles(visits),
-        deciles(loyal[customers]),
-        *temporal_dists(minute),
-        *party_features(model, amounts),
-        zip_feature(index.zips[r]),
-    ])
 
 
 def extract_all(index: RestaurantIndex, seed: int = 0) -> tuple[np.ndarray, list[GmmModel]]:
@@ -355,14 +402,34 @@ def extract_all(index: RestaurantIndex, seed: int = 0) -> tuple[np.ndarray, list
     by its id.
 
     The party-size mixtures are fitted with one EM per K over the whole
-    amount column, each restaurant's amounts one run of it.
+    amount column, each restaurant's amounts one run of it. Each block is
+    computed for every restaurant at once, a restaurant being a segment.
     """
     rids = index.restaurant_ids.tolist()
-    models = _fit_rows(index.auth_amount.astype(float), np.diff(index.starts),
+    amounts = index.auth_amount.astype(float)
+    models = _fit_rows(amounts, np.diff(index.starts),
                        [derive_seed(seed, rid) for rid in rids], range(1, GMM_KMAX + 1))
-    loyal = loyalty(index)
-    table = np.array([_restaurant_row(r, index, models[r], loyal) for r in range(len(rids))])
-    return table.reshape(len(rids), STAT_DIM), models
+    # transactions per clock hour: a restaurant's rows are in time order, so
+    # each hour it was visited in is one run of rows
+    hour, owner = index.minute // 60, _owners(index.starts)
+    new_hour = np.ones(len(hour), dtype=bool)
+    new_hour[1:] = (hour[1:] != hour[:-1]) | (owner[1:] != owner[:-1])
+    runs = np.flatnonzero(new_hour)
+    # visits per (restaurant, cardholder) pair, ascending by restaurant
+    n_cards = len(index.cardholder_ids)
+    pairs, visits = _visit_pairs(index)
+    pair_starts = np.searchsorted(pairs, np.arange(len(rids) + 1) * n_cards)
+    table = np.concatenate([
+        deciles(amounts, index.starts),
+        deciles(index.settle_amount - index.auth_amount, index.starts),
+        deciles(np.diff(np.append(runs, len(hour))), np.searchsorted(runs, index.starts)),
+        deciles(visits, pair_starts),
+        deciles(loyalty(index)[pairs % n_cards], pair_starts),
+        *temporal_dists(index.minute, index.starts),
+        *party_features(models, amounts, index.starts),
+        zip_feature(index.zips),
+    ], axis=1)
+    return table, models
 
 
 def feature_header() -> list[str]:
@@ -376,14 +443,18 @@ def write_features(path, ids: list[str], table: np.ndarray) -> None:
     """One line per restaurant: its id and its row of `table`."""
     # one row's floats at a time: the whole table as Python floats would
     # take several times its own size
-    write_records(path, ((rid, *(f"{x:.9g}" for x in vec.tolist()))
-                         for rid, vec in zip(ids, table)), header=feature_header())
+    line = "%s" + "\t%.9g" * table.shape[1]
+    write_records(path, ((line % (rid, *vec.tolist()),) for rid, vec in zip(ids, table)),
+                  header=feature_header())
 
 
 def read_features(path) -> dict[str, np.ndarray]:
     """The vectors of a file written by `write_features`, by restaurant id.
-    A malformed or non-finite value is a ValueError naming file and line."""
+    A malformed or non-finite value, or an empty or repeated id, is a
+    ValueError naming file and line."""
     def row(parts):
+        if not parts[0]:
+            raise ValueError("empty restaurant id")
         if len(parts) != 1 + STAT_DIM:
             raise ValueError(f"{parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
         vec = np.array([float(x) for x in parts[1:]])
@@ -391,4 +462,4 @@ def read_features(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{parts[0]}: non-finite value")
         return parts[0], vec
 
-    return read_keyed_records(path, row, header=feature_header())
+    return read_keyed_vectors(path, row, header=feature_header(), dim=STAT_DIM)

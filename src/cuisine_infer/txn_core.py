@@ -9,6 +9,7 @@ import re
 import zlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -24,6 +25,7 @@ CSV_HEADER = [
 
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M"
 _WHITESPACE = re.compile(r"\s")  # what str.isspace() is true for
+_ASCII_SPACE = " \t\x0b\x0c\r\x1c\x1d\x1e\x1f"  # the ASCII ones but "\n"
 
 
 class CuisineClass(enum.IntEnum):
@@ -130,33 +132,178 @@ class ParseResult:
     rejects: list[tuple[int, str]]  # (1-based line number, reason)
 
 
+def _plain_tokens(values: list[str]) -> np.ndarray:
+    """Per value: non-empty and free of whitespace."""
+    if "" not in values and not _WHITESPACE.search("".join(values)):
+        return np.ones(len(values), dtype=bool)
+    return np.array([bool(v) and not _WHITESPACE.search(v) for v in values], dtype=bool)
+
+
+def _ascii_codes(values: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which values are `width` characters long, and those values as an
+    (n, width) array of character codes, a non-ASCII character read as `?`."""
+    sized = np.fromiter(map(len, values), np.int64, len(values)) == width
+    text = "".join(compress(values, sized)).encode("ascii", "replace")
+    return sized, np.frombuffer(text, np.uint8).reshape(-1, width)
+
+
+def _is_digit(codes: np.ndarray) -> np.ndarray:
+    return (codes >= ord("0")) & (codes <= ord("9"))
+
+
+def zip5_mask(zips: list[str]) -> np.ndarray:
+    """`valid_zip5` of each value."""
+    ok, codes = _ascii_codes(zips, 5)
+    ok[ok] = _is_digit(codes).all(axis=1)
+    return ok
+
+
+# The canonical timestamp: "0" marks a digit, every other character stands for itself.
+_STAMP = np.frombuffer(b"0000-00-00T00:00", np.uint8)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _canonical_minutes(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Which stamps are ASCII `YYYY-MM-DDTHH:MM` naming a minute of year 1 or
+    later, and `to_minute` of each of them (0 for the others)."""
+    ok, codes = _ascii_codes(stamps, len(_STAMP))
+    digit = _STAMP == ord("0")
+    digits = codes.astype(np.int64) - ord("0")
+    good = np.where(digit, _is_digit(codes), codes == _STAMP).all(axis=1)
+    year, month, day, hour, minute = (digits[:, a:b] @ _POW10[b - a - 1::-1] for a, b in (
+        (0, 4), (5, 7), (8, 10), (11, 13), (14, 16)))
+    months = (year - 1970) * 12 + np.clip(month - 1, 0, 11)
+    first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    length = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first
+    good &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)
+             & (hour <= 23) & (minute <= 59))
+    out = np.zeros(len(stamps), dtype=np.int64)
+    out[ok] = ((first + day - 1) * 24 + hour) * 60 + minute
+    ok[ok] = good
+    return out, ok
+
+
+def _digit_numbers(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Which values are 1 to 18 ASCII digits, and the number each of them
+    spells (0 for the others)."""
+    lengths = np.fromiter(map(len, values), np.int64, len(values))
+    ok = (lengths >= 1) & (lengths <= 18)
+    out = np.zeros(len(values), dtype=np.int64)
+    if not ok.any():
+        return out, ok
+    text = np.frombuffer("".join(compress(values, ok)).encode("ascii", "replace"), np.uint8)
+    n = lengths[ok]
+    ends = np.cumsum(n)
+    digit = _is_digit(text)
+    place = np.repeat(ends, n) - np.arange(len(text)) - 1  # the power of ten of each character
+    value = np.where(digit, text.astype(np.int64) - ord("0"), 0) * _POW10[place]
+    out[ok] = np.add.reduceat(value, ends - n)
+    ok[ok] = np.add.reduceat(digit, ends - n, dtype=np.int64) == n
+    return out, ok
+
+
+# Lines checked at a time, about 500: only one chunk's raw fields exist at once.
+_CHUNK_CHARS = 1 << 15
+_CHUNK_ROWS = 1 << 9
+
+
+def _csv_chunks(path):
+    """The header fields of a CSV file, and its later lines in chunks: for
+    each, the number of fields of each line (0 for a blank line), the
+    columns of its lines with as many fields as `CSV_HEADER`, and the fields
+    of its j-th line as a function of j. Fields are as `csv.reader` reads
+    them."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if not text:
+        raise IngestError(f"{path}: empty file, missing header")
+    if '"' in text or "\r" in text or "\0" in text:  # quoting or CR line ends
+        del text
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        return header, _row_chunks(rows)
+    # otherwise a line's fields are its comma-separated parts
+    body = text.find("\n") + 1 or len(text)
+    header = text[:body].rstrip("\n")
+    return header.split(",") if header else [], _line_chunks(text, body)
+
+
+def _row_chunks(rows):
+    width = len(CSV_HEADER)
+    for a in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[a:a + _CHUNK_ROWS]
+        n_fields = np.fromiter(map(len, chunk), np.int64, len(chunk))
+        sized = compress(chunk, n_fields == width)
+        yield (n_fields, [list(col) for col in zip(*sized)] or [[] for _ in range(width)],
+               chunk.__getitem__)
+
+
+def _line_chunks(text: str, start: int):
+    width = len(CSV_HEADER)
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        lines = text[start:end].split("\n")
+        if text[end - 1] == "\n":
+            lines.pop()  # the empty string after the chunk's last newline
+        start = end
+        n_fields = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines)) + 1
+        n_fields[[j for j in np.flatnonzero(n_fields == 1).tolist() if not lines[j]]] = 0
+        sized = list(compress(lines, n_fields == width))
+        flat = ",".join(sized).split(",") if sized else []
+        yield (n_fields, [flat[k::width] for k in range(width)],
+               lambda j, lines=lines: lines[j].split(","))
+
+
 def parse_transactions(path, strict: bool = False) -> ParseResult:
     """Read a transaction CSV file.
 
     In lenient mode malformed rows are collected into the reject report; in
     strict mode the first malformed row raises IngestError.
+
+    The fields are checked a column at a time. A row that fails any of
+    those checks, say an unpadded time or a non-ASCII digit, goes through
+    `_validate_row`, which accepts it or names its reject reason.
     """
-    rows: list[tuple] = []
+    header, chunks = _csv_chunks(path)
+    if header != CSV_HEADER:
+        raise IngestError(f"{path}: bad header {header!r}")
+    strings: list[list[str]] = [[], [], [], []]
+    # per chunk: the field counts of its lines, and per sized line its
+    # minute, amounts and whether it passed every column check; the first
+    # entry, empty, stands for a file without lines
+    parts = [(np.zeros(0, np.int64),) * 4 + (np.zeros(0, bool),)]
+    unchecked: dict[int, list[str]] = {}  # line position -> fields, in file order
+    n_lines = 0
+    for sizes, (mid, name, zip5, stamp, chid, auth_raw, settle_raw), fields_of in chunks:
+        minutes, ok = _canonical_minutes(stamp)
+        auths, auth_ok = _digit_numbers(auth_raw)
+        settles, settle_ok = _digit_numbers(settle_raw)
+        ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip5_mask(zip5) & auth_ok
+               & settle_ok & (settles >= auths))
+        rest = sizes > 0
+        rest[np.flatnonzero(sizes == len(CSV_HEADER))[ok]] = False
+        unchecked.update((n_lines + j, fields_of(j)) for j in np.flatnonzero(rest).tolist())
+        n_lines += len(sizes)
+        parts.append((sizes, minutes, auths, settles, ok))
+        for column, values in zip(strings, (mid, name, zip5, chid)):
+            column += values
+    n_fields, minute, auth, settle, clean = map(np.concatenate, zip(*parts))
+
+    sized = np.flatnonzero(n_fields == len(CSV_HEADER))
     rejects: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, missing header")
-        if header != CSV_HEADER:
-            raise IngestError(f"{path}: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            result = _validate_row(row)
-            if isinstance(result, tuple):
-                rows.append(result)
-            else:
-                if strict:
-                    raise IngestError(f"{path}:{line_no}: {result}")
-                rejects.append((line_no, result))
-    return ParseResult(Transactions.from_rows(rows), rejects)
+    for i, row_fields in unchecked.items():
+        result = _validate_row(row_fields)
+        if isinstance(result, str):
+            if strict:
+                raise IngestError(f"{path}:{i + 2}: {result}")
+            rejects.append((i + 2, result))
+        else:
+            row = np.searchsorted(sized, i)
+            minute[row], auth[row], settle[row] = result[3], result[5], result[6]
+            clean[row] = True
+    mid, name, zip5, chid = (np.array(column, dtype=object)[clean] for column in strings)
+    return ParseResult(Transactions(mid, name, zip5, minute[clean], chid, auth[clean],
+                                    settle[clean]), rejects)
 
 
 def merchant_names(txns: Transactions) -> dict[str, str]:
@@ -216,6 +363,53 @@ def read_keyed_records(path, parse, sep: str = "\t",
             raise ValueError(f"{path}:{line_no}: {key} already listed on line {first_line[key]}")
         out[key], first_line[key] = value, line_no
     return out
+
+
+def read_keyed_vectors(path, parse, sep: str = "\t", header: list[str] | None = None,
+                       dim: int | None = None) -> dict[str, np.ndarray]:
+    """`read_keyed_records` of a file whose lines are an id and `sep`-separated
+    floats, where `parse` is the per-line reader that checks a line and
+    returns its id and vector: the rows of one float matrix by id, in file
+    order. `dim`, when given, is the number of floats a line must have.
+
+    The floats of all lines are read by one `np.loadtxt`. The file is read
+    again line by line with `parse`, which names the bad line, only when
+    that read fails or a line or the result is not one `parse` would take."""
+    table = _loadtxt_vectors(path, sep, header, dim)
+    return table if table is not None else read_keyed_records(path, parse, sep, header)
+
+
+def _loadtxt_vectors(path, sep: str, header: list[str] | None, dim: int | None):
+    """The fast path of `read_keyed_vectors`, or None where it does not apply."""
+    # loadtxt strips whitespace that float() refuses, such as "\x1c"
+    other_space = _ASCII_SPACE.replace(sep, "")
+    ids: list[str] = []
+
+    def fields(lines):
+        for line in lines:
+            rid, _, rest = line.partition(sep)
+            if (not rid or not rest or not rest.isascii()
+                    or any(space in rest for space in other_space)):
+                raise ValueError(line)
+            ids.append(rid)
+            yield rest
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if header is not None and fh.readline().rstrip("\n").split(sep) != header:
+                return None
+            lines = filter(None, (line.rstrip("\n") for line in fh))
+            first = next(lines, None)
+            if first is None:
+                return {}
+            table = np.loadtxt(fields(chain([first], lines)), delimiter=sep, comments=None,
+                               ndmin=2)
+    except ValueError:  # a bad line, or not UTF-8
+        return None
+    if (len(set(ids)) < len(ids) or table.shape != (len(ids), dim or table.shape[1])
+            or not np.isfinite(table).all()):
+        return None
+    return dict(zip(ids, table))
 
 
 def write_records(path, records, sep: str = "\t", header: list[str] | None = None) -> None:

@@ -61,15 +61,38 @@ def logged_pids(path) -> list[int]:
     return [int(line) for line in path.read_text().splitlines()]
 
 
+def restaurant_row(r, index, model, loyal):
+    """The 162 statistics of restaurant r, its 11 blocks in `BLOCKS` order,
+    given its fitted party-size mixture and every cardholder's `loyalty`:
+    each block function applied to that restaurant's rows alone."""
+    import numpy as np
+
+    from cuisine_infer.stat_features import deciles, party_features, temporal_dists, zip_feature
+
+    rows = slice(index.starts[r], index.starts[r + 1])
+    minute, amounts = index.minute[rows], index.auth_amount[rows].astype(float)
+    customers, visits = np.unique(index.cardholder[rows], return_counts=True)
+    return np.concatenate([
+        deciles(amounts),
+        deciles(index.settle_amount[rows] - index.auth_amount[rows]),
+        deciles(np.unique(minute // 60, return_counts=True)[1]),
+        deciles(visits),
+        deciles(loyal[customers]),
+        *temporal_dists(minute),
+        *party_features(model, amounts),
+        zip_feature([index.zips[r]])[0],
+    ])
+
+
 def extract_restaurant(rid, index, seed=0):
     """One restaurant's feature row and its party-size mixture, computed
     alone: the row `stat_features.extract_all` gives it when seeded so."""
-    from cuisine_infer.stat_features import GMM_KMAX, _restaurant_row, loyalty, select_k_aic
+    from cuisine_infer.stat_features import GMM_KMAX, loyalty, select_k_aic
 
     r = index.restaurant_ids.tolist().index(rid)
     amounts = index.auth_amount[index.starts[r]:index.starts[r + 1]].astype(float)
     model = select_k_aic(amounts, K_max=GMM_KMAX, seed=seed)
-    return _restaurant_row(r, index, model, loyalty(index)), model
+    return restaurant_row(r, index, model, loyalty(index)), model
 
 
 def count_skipgram_pairs(corpus, window, min_count=1):
@@ -110,3 +133,71 @@ def corrupt_file(src_path, dst_path, n_corrupt, seed):
     with open(dst_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return [int(p) for p in picks]
+
+
+# Ways to spoil one line of a file of `id<sep>v1<sep>v2...` lines: each is
+# (name, edit of that line's fields, or of the whole list of lines).
+VECTOR_LINE_EDITS = {
+    "wide": lambda f: f + ["1"],
+    "short": lambda f: f[:-1],
+    "hash": lambda f: [f[0], "2#", *f[2:]],
+    "nan": lambda f: [f[0], "nan", *f[2:]],
+    "inf": lambda f: [f[0], *f[1:-1], "-inf"],
+    "overflow": lambda f: [f[0], "1e400", *f[2:]],
+    "empty id": lambda f: ["", *f[1:]],
+    "underscore": lambda f: [f[0], "1_0", *f[2:]],
+    "full-width": lambda f: [f[0], "１", *f[2:]],
+    "hex": lambda f: [f[0], "0x10", *f[2:]],
+    "empty value": lambda f: [f[0], "", *f[2:]],
+    "leading space": lambda f: [f[0], " 1", *f[2:]],
+    "file separator": lambda f: [f[0], "1\x1c", *f[2:]],
+    "no values": lambda f: f[:1],
+}
+
+
+def edit_vector_file(path, sep, kind, line_no):
+    """Rewrite line `line_no` (0-based, taken modulo the line count) of a
+    vector file by `VECTOR_LINE_EDITS[kind]`, or by one of the whole-line
+    edits: "duplicate id", "blank line", "no separator"."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    i = line_no % len(lines)
+    fields = lines[i].split(sep)
+    if kind == "duplicate id":
+        lines[i] = sep.join([lines[i - 1].split(sep)[0], *fields[1:]])
+    elif kind == "blank line":
+        lines.insert(i, "")
+    elif kind == "no separator":
+        lines[i] = fields[0]
+    else:
+        lines[i] = sep.join(VECTOR_LINE_EDITS[kind](fields))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def read_both_ways(read, path):
+    """`read(path)`, and the same read with every line parsed on its own, as
+    `txn_core.read_keyed_records` does: each as its result or the message
+    of its ValueError."""
+    from unittest import mock
+
+    from cuisine_infer import txn_core
+
+    def outcome():
+        try:
+            return read(path)
+        except ValueError as exc:
+            return str(exc)
+
+    fast = outcome()
+    with mock.patch.object(txn_core, "_loadtxt_vectors", lambda *args: None):
+        return fast, outcome()
+
+
+def same_vectors(a, b) -> bool:
+    """Two error messages are equal, or two dicts of vectors have the same
+    keys in the same order and equal float vectors."""
+    import numpy as np
+
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return list(a) == list(b) and all(
+        a[k].dtype == b[k].dtype == float and np.array_equal(a[k], b[k]) for k in a)

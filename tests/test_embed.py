@@ -1,9 +1,11 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import count_skipgram_pairs, make_corpus
+from conftest import (VECTOR_LINE_EDITS, count_skipgram_pairs, edit_vector_file, make_corpus,
+                      read_both_ways, same_vectors)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,8 +337,38 @@ class TestVectorIO:
         write_pretrained_vectors(p, {"r1": "Golden Dragon", "r2": "Dragon House"},
                                  dim=20, seed=0)
         emb = load_pretrained_vectors(p)
-        assert emb.metadata["dim"] == 20
+        assert emb.dim == 20
         assert set(emb.vectors) == {"golden", "dragon", "house"}
+
+
+    @given(st.lists(st.sampled_from([*VECTOR_LINE_EDITS, "duplicate id", "blank line",
+                                     "no separator", "none"]), max_size=2),
+           st.integers(0, 100), st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_load_equals_the_per_line_reader(self, tmp_path_factory, edits, line_no, n, dim,
+                                             seed):
+        """load_pretrained_vectors gives the vectors, or the error message,
+        of the reader that parses each line on its own: on valid files and
+        on files with ragged rows, `2#`, `nan`, `1_0`, stray whitespace,
+        empty, repeated or missing tokens."""
+        path = tmp_path_factory.mktemp("vectors") / "v.txt"
+        rng = np.random.default_rng(seed)
+        EmbeddingMatrix({f"w{i}": rng.normal(0, 1, dim) for i in range(n)}).write(path)
+        for kind in edits:
+            if kind != "none":
+                edit_vector_file(path, " ", kind, line_no)
+        fast, per_line = read_both_ways(lambda p: load_pretrained_vectors(p).vectors, path)
+        assert same_vectors(fast, per_line), (fast, per_line)
+
+    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "per-line"])
+    def test_empty_token_error_names_line(self, tmp_path, slow):
+        """A line that starts with its space has an empty token: a
+        ValueError naming file and line, whether the file is read whole or
+        line by line (here because of a `1_0` on the first line)."""
+        p = tmp_path / "v.txt"
+        p.write_text(f"aa {'1_0' if slow else '1.0'} 2.0\n 0.1 0.2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: empty token")):
+            load_pretrained_vectors(p)
 
 
 class TestNameEmbedding:

@@ -317,8 +317,12 @@ class TestPipeline:
     def test_embed_manifest_counts_the_zero_blocks(self, pipeline_run, tmp_path, min_counts):
         """micro_missing and macro_missing count the indexed restaurants
         absent from micro.txt and macro.txt; name_unmatched counts the zero
-        rows of name_embed.txt. "pruned" reruns embed with min_count 20
-        (micro) and 8 (macro), so that both files leave restaurants out."""
+        rows of name_embed.txt; micro_pruned_words and macro_pruned_words
+        count the restaurants and cardholders seen fewer than min_count
+        times; the train and eval manifests count, per embedding block, the
+        restaurants with features but no vector. "pruned" reruns embed,
+        train and eval with min_count 20 (micro) and 8 (macro), so that both
+        files leave restaurants out."""
         cfg, artifacts, _ = pipeline_run
         out = artifacts["metrics"].parent
         if min_counts is not None:
@@ -327,9 +331,10 @@ class TestPipeline:
             cfg = copy.deepcopy(cfg)
             cfg["out_dir"] = str(out)
             cfg["embed"]["micro"]["min_count"], cfg["embed"]["macro"]["min_count"] = min_counts
-            pipeline.run_embed(cfg)
+            run_pipeline(cfg, ("embed", "train", "eval"))
         emb = _manifest(out / "manifest_embed.txt")
-        ids = build_index(parse_transactions(out / "transactions.csv").transactions).restaurant_ids
+        index = build_index(parse_transactions(out / "transactions.csv").transactions)
+        ids = index.restaurant_ids
         vectors = {part: embed.load_pretrained_vectors(out / f"{part}.txt").vectors
                    for part in ("micro", "macro", "name_embed")}
         missing = {part: sum(rid not in vectors[part] for rid in ids)
@@ -338,8 +343,22 @@ class TestPipeline:
         assert sorted(vectors["name_embed"]) == sorted(ids)
         unmatched = sum(not vec.any() for vec in vectors["name_embed"].values())
         assert int(emb["name_unmatched"]) == unmatched > 0
+        seen = {"micro": np.diff(index.starts), "macro": np.diff(index.card_starts)}
+        for part, counts in seen.items():
+            pruned = int((counts < cfg["embed"][part]["min_count"]).sum())
+            assert int(emb[f"{part}_pruned_words"]) == pruned
+        assert int(emb["micro_pruned_words"]) == missing["micro"]
+        featured = read_features(out / "features_stat.tsv")
+        zero_filled = {f"{block}_zero_filled": sum(rid not in vectors[name.removesuffix(".txt")]
+                                                   for rid in featured)
+                       for block, name in pipeline.EMBEDDING_FILES.items()}
+        for stage in ("train", "eval"):
+            manifest = _manifest(out / f"manifest_{stage}.txt")
+            assert {key: int(manifest[key]) for key in zero_filled} == zero_filled, stage
         if min_counts is not None:
             assert 0 < missing["micro"] < len(ids) and 0 < missing["macro"] < len(ids)
+            assert 0 < int(emb["macro_pruned_words"]) < len(index.cardholder_ids)
+            assert zero_filled["micro_embed_zero_filled"] == missing["micro"]
 
     def test_eval_manifest_times_the_model_load(self, pipeline_run):
         _, artifacts, _ = pipeline_run
@@ -492,6 +511,23 @@ def test_non_finite_pretrained_vector_exit_code(pipeline_run, tmp_path):
     assert result.exit_code == 4, result.output
     token = path.read_text().splitlines()[1].split(" ")[0]
     assert f"{path}:2: {token}: non-finite vector component" in result.output
+
+
+@pytest.mark.parametrize("name, sep, line_no, error", [
+    ("features_stat.tsv", "\t", 3, "empty restaurant id"),
+    ("micro.txt", " ", 2, "empty token"),
+    ("name_embed.txt", " ", 4, "empty token"),
+])
+def test_empty_id_exit_code(pipeline_run, tmp_path, name, sep, line_no, error):
+    """A line that starts with its separator, an empty id, stops train with
+    exit 4 naming the file and line."""
+    def drop_id(lines):
+        return [_set_field(line, sep, 0, "") if i == line_no - 1 else line
+                for i, line in enumerate(lines)]
+
+    result, path = _run_on_edited_copy(pipeline_run, tmp_path, "train", name, drop_id)
+    assert result.exit_code == 4, result.output
+    assert f"{path}:{line_no}: {error}" in result.output
 
 
 @pytest.mark.parametrize("bad_line", ["R000001\tvalidate\n", "R000001\ttrain\textra\n"])

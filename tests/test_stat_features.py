@@ -1,8 +1,10 @@
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from conftest import extract_restaurant, take
+from conftest import (VECTOR_LINE_EDITS, edit_vector_file, extract_restaurant, read_both_ways,
+                      same_vectors, take)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -358,14 +360,16 @@ class TestPartyFeatures:
 
 class TestZipFeature:
     def test_90210(self):
-        z = zip_feature("90210")
-        assert np.flatnonzero(z).tolist() == [9, 10, 22, 31, 40]
-        assert z.sum() == 5
+        z = zip_feature(["90210", "00000"])
+        assert z.shape == (2, 50)
+        assert np.flatnonzero(z[0]).tolist() == [9, 10, 22, 31, 40]
+        assert np.flatnonzero(z[1]).tolist() == [0, 10, 20, 30, 40]
+        assert z.sum() == 10
 
     def test_malformed(self):
-        for bad in ("9021", "9021X", "902100"):
-            with pytest.raises(ValueError):
-                zip_feature(bad)
+        for bad in ("9021", "9021X", "902100", "1234\u00b2", "１２３４５"):
+            with pytest.raises(ValueError, match=re.escape(f"malformed zip5: {bad!r}")):
+                zip_feature(["12345", bad])
 
 
 class TestAssembly:
@@ -390,7 +394,7 @@ class TestAssembly:
             deciles(loyalty(index)[customers]),
             *temporal_dists(index.minute[at]),
             *party_features(model, amounts),
-            zip_feature(index.zips[r]),
+            zip_feature([index.zips[r]])[0],
         ]
         assert [len(b) for b in blocks] == list(STAT_BLOCK_DIMS.values())
         assert len(row) == STAT_DIM == 162
@@ -439,3 +443,109 @@ class TestAssembly:
         assert list(back) == ids
         for rid, row in zip(ids, table):
             assert np.allclose(back[rid], row, rtol=1e-6, atol=1e-6)
+
+
+def _reference_party_features(model, x):
+    """Party shares and prices of one restaurant by a mask per component."""
+    prop, price = np.zeros(6), np.zeros(6)
+    if len(x) == 0:
+        return prop, price
+    assign = np.argmax(gmm_log_joint(x, model.phi, model.mu, model.sigma), axis=0)
+    for k in range(min(model.K, 6)):
+        mask = assign == k
+        prop[k] = mask.mean()
+        if mask.any():
+            price[k] = x[mask].mean()
+    s = prop.sum()
+    if s > 0:
+        prop /= s
+    return prop, price
+
+
+def _random_model(rng, K):
+    from cuisine_infer.stat_features import GmmModel
+
+    return GmmModel(rng.dirichlet(np.ones(K)), np.sort(rng.uniform(100, 5000, K)),
+                    rng.uniform(1, 800, K), 0.0, 0.0)
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_block_functions_per_segment(lengths, seed):
+    """Each segment's row of a block function equals the function of that
+    segment alone, empty segments included; party features, for mixtures of
+    1 to 6 components, also equal a mask per component."""
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    values = rng.integers(0, 6000, starts[-1]).astype(float)
+    minute = rng.integers(-10**6, 10**8, starts[-1])
+    models = [_random_model(rng, int(rng.integers(1, GMM_KMAX + 1))) for _ in lengths]
+    dec = deciles(values, starts)
+    temporal = temporal_dists(minute, starts)
+    prop, price = party_features(models, values, starts)
+    assert dec.shape == (len(lengths), 9) and prop.shape == price.shape == (len(lengths), 6)
+    for s, model in enumerate(models):
+        rows = slice(starts[s], starts[s + 1])
+        assert np.array_equal(dec[s], deciles(values[rows]))
+        for got, want in zip(temporal, temporal_dists(minute[rows])):
+            assert np.array_equal(got[s], want)
+        for got, want, oracle in zip((prop[s], price[s]), party_features(model, values[rows]),
+                                     _reference_party_features(model, values[rows])):
+            assert np.array_equal(got, want) and np.array_equal(got, oracle)
+
+
+@given(st.lists(_LOG_ROW, min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_extract_all_equals_the_per_restaurant_oracle(log, seed):
+    """Every row and mixture of extract_all equals the restaurant's own,
+    computed from its rows alone, for restaurants of one and many rows."""
+    rng = np.random.default_rng(seed)
+    log = [(m, n, z, to_minute(ts), c, int(a * rng.integers(1, 4000)),
+            int(a * rng.integers(1, 4000)) + tip)
+           for (m, n, z, ts, c, a, tip) in log]
+    index = build_index(Transactions.from_rows(log))
+    table, models = extract_all(index, seed=seed)
+    for r, rid in enumerate(index.restaurant_ids.tolist()):
+        row, model = extract_restaurant(rid, index, seed=derive_seed(seed, rid))
+        assert np.array_equal(table[r], row)
+        assert same_model(models[r], model)
+
+
+_EDITS = st.sampled_from([*VECTOR_LINE_EDITS, "duplicate id", "blank line", "no separator",
+                          "none"])
+
+
+@given(st.lists(_EDITS, max_size=2), st.integers(0, 100), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_read_features_equals_the_per_line_reader(tmp_path_factory, edits, line_no, n, seed):
+    """read_features gives the vectors, or the error message, of the reader
+    that parses each line on its own: on valid files and on files with wide
+    or short rows, `2#`, `nan`, `1_0`, stray whitespace, empty, repeated or
+    missing ids."""
+    path = tmp_path_factory.mktemp("features") / "features.tsv"
+    rng = np.random.default_rng(seed)
+    write_features(path, [f"R{i}" for i in range(n)], rng.normal(0, 1e4, (n, STAT_DIM)))
+    for kind in edits:
+        if kind != "none":
+            edit_vector_file(path, "\t", kind, line_no + 1)
+    fast, per_line = read_both_ways(read_features, path)
+    assert same_vectors(fast, per_line), (fast, per_line)
+
+
+@pytest.mark.parametrize("ids, error", [
+    (["", "R2"], ":2: empty restaurant id"),
+    (["R0", "", "R2"], ":3: empty restaurant id"),
+    (["R0", "R1", "R1"], ":4: R1 already listed on line 3"),
+])
+@pytest.mark.parametrize("slow", [False, True], ids=["fast", "per-line"])
+def test_read_features_refuses_an_empty_or_repeated_id(tmp_path, ids, error, slow):
+    """An empty id, a line that starts with its tab, is a ValueError naming
+    the file and line, whether the file is read whole or line by line (here
+    because a `1_0`, which only float() reads, is on the first row)."""
+    path = tmp_path / "features.tsv"
+    write_features(path, ids, np.ones((len(ids), STAT_DIM)))
+    if slow:
+        edit_vector_file(path, "\t", "underscore", 1)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{error}")):
+        read_features(path)

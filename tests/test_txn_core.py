@@ -1,17 +1,22 @@
 import random
+import re
 from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
 import pytest
 from conftest import corrupt_file, take
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuisine_infer.txn_core import (
     CSV_HEADER,
     TIMESTAMP_FMT,
     CuisineClass,
     IngestError,
+    ParseResult,
     Transactions,
+    _validate_row,
     build_index,
     parse_transactions,
     read_records,
@@ -226,3 +231,122 @@ def test_cuisine_class_codes():
     assert CuisineClass.from_name("Bar") is CuisineClass.Bar
     with pytest.raises(ValueError):
         CuisineClass.from_name("Klingon")
+
+
+def _reference_parse(path, strict=False) -> ParseResult:
+    """The per-row reader: every row through `_validate_row`, in file order."""
+    import csv
+
+    rows, rejects = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        assert header == CSV_HEADER
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            result = _validate_row(row)
+            if isinstance(result, tuple):
+                rows.append(result)
+            elif strict:
+                raise IngestError(f"{path}:{line_no}: {result}")
+            else:
+                rejects.append((line_no, result))
+    return ParseResult(Transactions.from_rows(rows), rejects)
+
+
+def _full_width(text: str) -> str:
+    return "".join(chr(ord(c) + 0xFEE0) if c.isdigit() else c for c in text)
+
+
+_IDS = st.sampled_from(["R1", "R2", "r10", "", "R 3", "R 4", "Ｒ5", "C1", "C\t2"])
+_NAMES = st.sampled_from(["Joes", "Cafe, The", 'Say "hi"', "", "Café", " x "])
+_ZIPS = st.sampled_from(["12345", "90210", "00000", "1234", "123456", "ABCDE", "1234²",
+                         _full_width("12345"), " 1234"])
+_STAMPS = st.one_of(
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59)).map(
+        lambda ts: ts.strftime("%Y-%m-%dT%H:%M") if ts.year >= 1000 else
+        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T{ts.hour:02d}:{ts.minute:02d}"),
+    st.sampled_from(["2025-1-6T9:5", _full_width("2025-01-06T12:00"),
+                     _full_width("2025") + "-01-06T12:00", "0000-01-06T12:00",
+                     "2025-02-30T10:00", "2024-02-29T10:00", "2025-01-06T24:00",
+                     "2025-01-06T12:60", "2025-13-01T00:00", "2025-00-10T00:00",
+                     "2025-01-00T00:00", "2025-01-06t12:00", " 2025-01-06T12:00",
+                     "2025-01-06 12:00", "", "yesterday"]))
+_AMOUNTS = st.one_of(
+    st.integers(0, 10**18).map(str),
+    st.sampled_from(["١٢٣", "1_000", "+5", "-3", " 7", "007", "", "12.5",
+                     "1" + "0" * 18, _full_width("42"), "0x10"]))
+_ROW = st.tuples(_IDS, _NAMES, _ZIPS, _STAMPS, _IDS, _AMOUNTS, _AMOUNTS).map(list)
+
+
+@given(st.lists(st.one_of(_ROW, _ROW.map(lambda r: r[:-1]), _ROW.map(lambda r: r + ["x"]),
+                          st.just([])), max_size=25),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_equals_the_per_row_reader(tmp_path_factory, rows, quote_all):
+    """parse_transactions gives the table and rejects of the `_validate_row`
+    loop, and in strict mode the same first error: on rows mixing valid
+    values, every reject reason, forms only `_validate_row` accepts
+    (unpadded times, non-ASCII digits, `1_000`, `+5`), field-count errors
+    and blank lines, written plainly or with every field quoted, read in
+    one chunk or in chunks of a few lines."""
+    import csv
+    from unittest import mock
+
+    from cuisine_infer import txn_core
+
+    path = tmp_path_factory.mktemp("parse") / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n",
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+    want = _reference_parse(path)
+    try:
+        _reference_parse(path, strict=True)
+        error = None
+    except IngestError as exc:
+        error = str(exc)
+    for chars, rows_per_chunk in ((txn_core._CHUNK_CHARS, txn_core._CHUNK_ROWS), (100, 3)):
+        with mock.patch.multiple(txn_core, _CHUNK_CHARS=chars, _CHUNK_ROWS=rows_per_chunk):
+            got = parse_transactions(path)
+            assert got.rejects == want.rejects
+            for f in fields(Transactions):
+                a, b = getattr(got.transactions, f.name), getattr(want.transactions, f.name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
+            if error is None:
+                parse_transactions(path, strict=True)
+            else:
+                with pytest.raises(IngestError, match=re.escape(error)):
+                    parse_transactions(path, strict=True)
+
+
+@pytest.mark.parametrize("stamp, auth, settle, minute_or_reason", [
+    ("2025-01-06T09:05", "1000", "1200", "2025-01-06T09:05"),
+    ("2025-1-6T9:5", "1000", "1200", "2025-01-06T09:05"),
+    (_full_width("2025") + "-01-06T09:05", "1000", "1200", "2025-01-06T09:05"),
+    (_full_width("2025-01-06T09:05"), "1000", "1200",
+     f"bad timestamp '{_full_width('2025-01-06T09:05')}'"),
+    ("0001-01-01T00:00", "1000", "1200", "0001-01-01T00:00"),
+    ("0000-01-06T09:05", "1000", "1200", "bad timestamp '0000-01-06T09:05'"),
+    ("2025-02-29T09:05", "1000", "1200", "bad timestamp '2025-02-29T09:05'"),
+    ("2025-01-06T09:05", "١٢٣", "1_000", "2025-01-06T09:05"),
+    ("2025-01-06T09:05", "+5", "0007", "2025-01-06T09:05"),
+    ("2025-01-06T09:05", "5", "4", "negative tip"),
+])
+def test_forms_outside_the_column_checks(tmp_path, stamp, auth, settle, minute_or_reason):
+    """A row the column checks do not pass is accepted or rejected as
+    `_validate_row` says: strptime reads a full-width year and unpadded
+    fields but no year 0, int() reads any decimal digits, `_` and a sign."""
+    p = tmp_path / "t.csv"
+    write_csv(p, [GOOD_ROW, GOOD_ROW[:3] + [stamp, "C1", auth, settle]])
+    result = parse_transactions(p)
+    if minute_or_reason.startswith(("bad", "negative")):
+        assert result.rejects == [(3, minute_or_reason)]
+        assert len(result.transactions) == 1
+    else:
+        assert result.rejects == []
+        assert result.transactions.minute.tolist()[1] == txn(ts=minute_or_reason)[3]
+        assert result.transactions.auth_amount.tolist()[1] == int(auth)
+        assert result.transactions.settle_amount.tolist()[1] == int(settle)
