@@ -20,7 +20,7 @@ draws in float64, which the gradient checks use as it is.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -282,6 +282,8 @@ class FeatureDataset:
     ids: list[str]
     features: dict[str, np.ndarray]   # block name -> (n, dim)
     labels: np.ndarray                # (n,) int codes, -1 for unlabeled
+    # per embedding block, the rows that had no vector and got zeros
+    zero_filled: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -404,13 +404,12 @@ def _dataset_inputs(out: Path) -> list[Path]:
                                      *EMBEDDING_FILES.values())]
 
 
-def load_dataset(cfg: dict, zero_filled: dict | None = None) -> nnet.FeatureDataset:
+def load_dataset(cfg: dict) -> nnet.FeatureDataset:
     """Assemble the per-block dataset for every restaurant with features.
 
     Labels are the weak labels of `labels.tsv`; unlabeled restaurants get
     label -1. A restaurant without a row in an embedding file gets zeros in
-    that block; `zero_filled`, when given, receives the number of such
-    restaurants per embedding block.
+    that block; the dataset's `zero_filled` counts them per block.
     """
     out = _out(cfg)
     stat_path = _require(out / "features_stat.tsv", "statistical features")
@@ -422,15 +421,16 @@ def load_dataset(cfg: dict, zero_filled: dict | None = None) -> nnet.FeatureData
     ids = sorted(stat_vecs)
     stat = np.array([stat_vecs[rid] for rid in ids]).reshape(len(ids), stat_features.STAT_DIM)
     features = {b: stat[:, cols] for b, cols in stat_features.BLOCKS.items()}
+    zero_filled = {}
     for b, m in embeddings.items():
         missing = np.zeros(m.dim)
         features[b] = np.array([m.vectors.get(rid, missing) for rid in ids]).reshape(
             len(ids), m.dim)
-        if zero_filled is not None:
-            zero_filled[b] = sum(rid not in m.vectors for rid in ids)
+        zero_filled[b] = sum(rid not in m.vectors for rid in ids)
     y = [labels.get(rid) for rid in ids]
     return nnet.FeatureDataset(
-        ids, features, np.array([-1 if c is None else int(c) for c in y], dtype=int))
+        ids, features, np.array([-1 if c is None else int(c) for c in y], dtype=int),
+        zero_filled)
 
 
 def _zero_filled_counts(zero_filled: dict) -> dict:
@@ -461,8 +461,7 @@ def _make_train_cfg(cfg: dict) -> nnet.TrainConfig:
 def run_train(cfg: dict) -> dict:
     started = time.time()
     out = _out(cfg)
-    zero_filled: dict = {}
-    dataset = load_dataset(cfg, zero_filled)
+    dataset = load_dataset(cfg)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     if len(labeled) == 0:
         raise MissingArtifactError("no labeled restaurants to train on")
@@ -473,7 +472,7 @@ def run_train(cfg: dict) -> dict:
     train_ds, test_ds = nnet.standardize(
         labeled.subset(train_idx), labeled.subset(test_idx))
     # the unstandardized features are not needed past this point
-    ids = labeled.ids
+    ids, zero_filled = labeled.ids, dataset.zero_filled
     del dataset, labeled
     fit_started = time.perf_counter()
     params, curve = nnet.train(train_ds, spec, tcfg, val=test_ds)
@@ -513,8 +512,7 @@ def run_eval(cfg: dict) -> dict:
     load_started = time.perf_counter()
     spec, params = nnet.load_params(model_path)
     load_s = time.perf_counter() - load_started
-    zero_filled: dict = {}
-    dataset = load_dataset(cfg, zero_filled)
+    dataset = load_dataset(cfg)
     labeled = dataset.subset(np.flatnonzero(dataset.labels >= 0))
     split_path = _require(out / "split.tsv", "train/test split")
     split = read_keyed_records(split_path, _split_row)
@@ -545,7 +543,7 @@ def run_eval(cfg: dict) -> dict:
 
     outputs = [metrics_path, confusion_path, text_path]
     extra = {"test_accuracy": f"{report.accuracy:.4f}", "load_s": f"{load_s:.3f}",
-             **_zero_filled_counts(zero_filled)}
+             **_zero_filled_counts(dataset.zero_filled)}
 
     if len(un_ds):
         un_truth = np.array([int(truth.get(rid)) for rid in un_ds.ids])

@@ -118,8 +118,12 @@ def _visit_pairs(index: RestaurantIndex) -> tuple[np.ndarray, np.ndarray]:
 
 def loyalty(index: RestaurantIndex) -> np.ndarray:
     """Per cardholder code, the number of distinct restaurants visited."""
-    n = len(index.cardholder_ids)
-    return np.bincount(_visit_pairs(index)[0] % n, minlength=n)
+    return _pair_loyalty(_visit_pairs(index)[0], len(index.cardholder_ids))
+
+
+def _pair_loyalty(pairs: np.ndarray, n_cards: int) -> np.ndarray:
+    """`loyalty` from the pairs `_visit_pairs` returns."""
+    return np.bincount(pairs % n_cards, minlength=n_cards)
 
 
 # --- Gaussian mixture over authorized amounts ---
@@ -424,7 +428,7 @@ def extract_all(index: RestaurantIndex, seed: int = 0) -> tuple[np.ndarray, list
         deciles(index.settle_amount - index.auth_amount, index.starts),
         deciles(np.diff(np.append(runs, len(hour))), np.searchsorted(runs, index.starts)),
         deciles(visits, pair_starts),
-        deciles(loyalty(index)[pairs % n_cards], pair_starts),
+        deciles(_pair_loyalty(pairs, n_cards)[pairs % n_cards], pair_starts),
         *temporal_dists(index.minute, index.starts),
         *party_features(models, amounts, index.starts),
         zip_feature(index.zips),

@@ -9,7 +9,7 @@ import re
 import zlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -202,56 +202,8 @@ def _digit_numbers(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return out, ok
 
 
-# Lines checked at a time, about 500: only one chunk's raw fields exist at once.
-_CHUNK_CHARS = 1 << 15
+# Rows checked at a time: only one chunk's raw fields exist at once.
 _CHUNK_ROWS = 1 << 9
-
-
-def _csv_chunks(path):
-    """The header fields of a CSV file, and its later lines in chunks: for
-    each, the number of fields of each line (0 for a blank line), the
-    columns of its lines with as many fields as `CSV_HEADER`, and the fields
-    of its j-th line as a function of j. Fields are as `csv.reader` reads
-    them."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if not text:
-        raise IngestError(f"{path}: empty file, missing header")
-    if '"' in text or "\r" in text or "\0" in text:  # quoting or CR line ends
-        del text
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header, *rows = csv.reader(fh)
-        return header, _row_chunks(rows)
-    # otherwise a line's fields are its comma-separated parts
-    body = text.find("\n") + 1 or len(text)
-    header = text[:body].rstrip("\n")
-    return header.split(",") if header else [], _line_chunks(text, body)
-
-
-def _row_chunks(rows):
-    width = len(CSV_HEADER)
-    for a in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[a:a + _CHUNK_ROWS]
-        n_fields = np.fromiter(map(len, chunk), np.int64, len(chunk))
-        sized = compress(chunk, n_fields == width)
-        yield (n_fields, [list(col) for col in zip(*sized)] or [[] for _ in range(width)],
-               chunk.__getitem__)
-
-
-def _line_chunks(text: str, start: int):
-    width = len(CSV_HEADER)
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        lines = text[start:end].split("\n")
-        if text[end - 1] == "\n":
-            lines.pop()  # the empty string after the chunk's last newline
-        start = end
-        n_fields = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines)) + 1
-        n_fields[[j for j in np.flatnonzero(n_fields == 1).tolist() if not lines[j]]] = 0
-        sized = list(compress(lines, n_fields == width))
-        flat = ",".join(sized).split(",") if sized else []
-        yield (n_fields, [flat[k::width] for k in range(width)],
-               lambda j, lines=lines: lines[j].split(","))
 
 
 def parse_transactions(path, strict: bool = False) -> ParseResult:
@@ -260,47 +212,53 @@ def parse_transactions(path, strict: bool = False) -> ParseResult:
     In lenient mode malformed rows are collected into the reject report; in
     strict mode the first malformed row raises IngestError.
 
-    The fields are checked a column at a time. A row that fails any of
-    those checks, say an unpadded time or a non-ASCII digit, goes through
-    `_validate_row`, which accepts it or names its reject reason.
+    The rows are read by `csv.reader` a chunk at a time, and the fields of a
+    chunk checked a column at a time. A row that fails any of those checks,
+    say an unpadded time or a non-ASCII digit, goes through `_validate_row`,
+    which accepts it or names its reject reason.
     """
-    header, chunks = _csv_chunks(path)
-    if header != CSV_HEADER:
-        raise IngestError(f"{path}: bad header {header!r}")
+    width = len(CSV_HEADER)
     strings: list[list[str]] = [[], [], [], []]
-    # per chunk: the field counts of its lines, and per sized line its
-    # minute, amounts and whether it passed every column check; the first
-    # entry, empty, stands for a file without lines
-    parts = [(np.zeros(0, np.int64),) * 4 + (np.zeros(0, bool),)]
-    unchecked: dict[int, list[str]] = {}  # line position -> fields, in file order
-    n_lines = 0
-    for sizes, (mid, name, zip5, stamp, chid, auth_raw, settle_raw), fields_of in chunks:
-        minutes, ok = _canonical_minutes(stamp)
-        auths, auth_ok = _digit_numbers(auth_raw)
-        settles, settle_ok = _digit_numbers(settle_raw)
-        ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip5_mask(zip5) & auth_ok
-               & settle_ok & (settles >= auths))
-        rest = sizes > 0
-        rest[np.flatnonzero(sizes == len(CSV_HEADER))[ok]] = False
-        unchecked.update((n_lines + j, fields_of(j)) for j in np.flatnonzero(rest).tolist())
-        n_lines += len(sizes)
-        parts.append((sizes, minutes, auths, settles, ok))
-        for column, values in zip(strings, (mid, name, zip5, chid)):
-            column += values
-    n_fields, minute, auth, settle, clean = map(np.concatenate, zip(*parts))
-
-    sized = np.flatnonzero(n_fields == len(CSV_HEADER))
+    # per chunk: the minute and amounts of each row with `width` fields, and
+    # whether it is accepted; the first entry, empty, stands for no rows
+    parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)]
     rejects: list[tuple[int, str]] = []
-    for i, row_fields in unchecked.items():
-        result = _validate_row(row_fields)
-        if isinstance(result, str):
-            if strict:
-                raise IngestError(f"{path}:{i + 2}: {result}")
-            rejects.append((i + 2, result))
-        else:
-            row = np.searchsorted(sized, i)
-            minute[row], auth[row], settle[row] = result[3], result[5], result[6]
-            clean[row] = True
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file, missing header")
+        if header != CSV_HEADER:
+            raise IngestError(f"{path}: bad header {header!r}")
+        line_no = 2  # of the chunk's first row, counted as csv.reader counts them
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            n_fields = np.fromiter(map(len, chunk), np.int64, len(chunk))
+            sized = np.flatnonzero(n_fields == width)
+            columns = [list(col) for col in zip(*compress(chunk, n_fields == width))]
+            mid, name, zip5, stamp, chid, auth_raw, settle_raw = columns or [[]] * width
+            minutes, ok = _canonical_minutes(stamp)
+            auths, auth_ok = _digit_numbers(auth_raw)
+            settles, settle_ok = _digit_numbers(settle_raw)
+            ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip5_mask(zip5) & auth_ok
+                   & settle_ok & (settles >= auths))
+            retry = n_fields > 0  # a blank line is skipped
+            retry[sized[ok]] = False
+            for j in np.flatnonzero(retry).tolist():
+                result = _validate_row(chunk[j])
+                if isinstance(result, str):
+                    if strict:
+                        raise IngestError(f"{path}:{line_no + j}: {result}")
+                    rejects.append((line_no + j, result))
+                else:
+                    k = np.searchsorted(sized, j)
+                    minutes[k], auths[k], settles[k] = result[3], result[5], result[6]
+                    ok[k] = True
+            line_no += len(chunk)
+            parts.append((minutes, auths, settles, ok))
+            for column, values in zip(strings, (mid, name, zip5, chid)):
+                column += values
+    minute, auth, settle, clean = map(np.concatenate, zip(*parts))
     mid, name, zip5, chid = (np.array(column, dtype=object)[clean] for column in strings)
     return ParseResult(Transactions(mid, name, zip5, minute[clean], chid, auth[clean],
                                     settle[clean]), rejects)

@@ -28,7 +28,7 @@ def _run_train(out, monkeypatch):
     two-epoch loss curve."""
     ds = nnet.FeatureDataset(["r0", "r1", "r2", "r3"], {"x": np.arange(8.0).reshape(4, 2)},
                              np.array([0, 1, 0, 1]))
-    monkeypatch.setattr(pipeline, "load_dataset", lambda cfg, zero_filled=None: ds)
+    monkeypatch.setattr(pipeline, "load_dataset", lambda cfg: ds)
     monkeypatch.setattr(eval_harness, "stratified_split",
                         lambda labels, frac, seed: (np.array([1, 2]), np.array([0, 3])))
 
