@@ -107,7 +107,7 @@ LUNCH_PEAKS = [(12, 1.2, 1.0), (19, 1.4, 0.35)]
 DINNER_PEAKS = [(12, 1.2, 0.35), (19, 1.4, 1.0)]
 _NEUTRAL_PEAKS = [(12, 1.2, 1.0), (19, 1.4, 1.0)]
 
-DEFAULT_CUISINE_PARAMS: dict[CuisineClass, CuisineParams] = {
+_OWN_PARAMS = {
     CuisineClass.LatinAmerican: _params(
         1550, 0.28, 0.0,
         _NEUTRAL_PEAKS, _NEUTRAL_PEAKS,
@@ -116,15 +116,7 @@ DEFAULT_CUISINE_PARAMS: dict[CuisineClass, CuisineParams] = {
         2700, 0.27, 0.18,
         _NEUTRAL_PEAKS, _NEUTRAL_PEAKS,
         [0.7, 0.8, 0.9, 1.0, 1.4, 1.6, 1.2], [0.20, 0.45, 0.10, 0.15, 0.07, 0.03]),
-    CuisineClass.MMA: _params(
-        1550, 0.28, 0.0,
-        _NEUTRAL_PEAKS, _NEUTRAL_PEAKS,
-        [1.0, 1.0, 1.0, 1.1, 1.2, 1.1, 0.9], [0.25, 0.35, 0.15, 0.15, 0.07, 0.03]),
     CuisineClass.SouthAsian: _params(
-        2200, 0.26, 0.11,
-        _NEUTRAL_PEAKS, _NEUTRAL_PEAKS,
-        [0.9, 0.9, 1.0, 1.0, 1.2, 1.3, 1.0], [0.15, 0.35, 0.20, 0.18, 0.08, 0.04]),
-    CuisineClass.SouthEastAsian: _params(
         2200, 0.26, 0.11,
         _NEUTRAL_PEAKS, _NEUTRAL_PEAKS,
         [0.9, 0.9, 1.0, 1.0, 1.2, 1.3, 1.0], [0.15, 0.35, 0.20, 0.18, 0.08, 0.04]),
@@ -132,10 +124,6 @@ DEFAULT_CUISINE_PARAMS: dict[CuisineClass, CuisineParams] = {
         1900, 0.28, 0.0,
         [(12, 1.1, 0.9), (18.5, 1.4, 1.0)], [(18, 2.0, 1.0)],
         [1.0, 1.0, 1.0, 1.0, 1.1, 1.0, 1.0], [0.15, 0.40, 0.18, 0.17, 0.07, 0.03]),
-    CuisineClass.GrillSteak: _params(
-        2700, 0.27, 0.18,
-        _NEUTRAL_PEAKS, _NEUTRAL_PEAKS,
-        [0.7, 0.8, 0.9, 1.0, 1.4, 1.6, 1.2], [0.20, 0.45, 0.10, 0.15, 0.07, 0.03]),
     CuisineClass.Fastfood: _params(
         1100, 0.35, 0.0,
         [(12, 1.0, 1.0), (18, 1.5, 0.8)], [(13, 2.5, 1.0), (18, 2.0, 0.7)],
@@ -149,6 +137,10 @@ DEFAULT_CUISINE_PARAMS: dict[CuisineClass, CuisineParams] = {
         [(15, 2.2, 1.0), (10, 1.5, 0.5)], [(14.5, 3.0, 1.0)],
         [0.9, 0.9, 0.9, 1.0, 1.1, 1.3, 1.2], [0.50, 0.30, 0.10, 0.06, 0.03, 0.01]),
 }
+# The second cuisine of each XOR pair shares the first's parameters.
+_PAIRED_WITH = {second: first for first, second in XOR_PAIRS}
+DEFAULT_CUISINE_PARAMS: dict[CuisineClass, CuisineParams] = {
+    c: _OWN_PARAMS[_PAIRED_WITH.get(c, c)] for c in CuisineClass}
 
 # Mildly imbalanced class mix, echoing that real cuisine frequencies are skewed.
 DEFAULT_CUISINE_MIX = (1.2, 0.9, 0.6, 0.5, 0.7, 1.1, 1.0, 1.6, 1.3, 1.1)

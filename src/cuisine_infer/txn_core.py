@@ -91,11 +91,6 @@ def to_minute(ts: datetime) -> int:
     return (ts - datetime(1970, 1, 1)) // timedelta(minutes=1)
 
 
-def valid_zip5(zip5: str) -> bool:
-    """Five ASCII digits."""
-    return len(zip5) == 5 and zip5.isascii() and zip5.isdigit()
-
-
 def _validate_row(row: list[str]) -> tuple | str:
     """Turn a CSV row into a table row, or return a rejection reason."""
     if len(row) != len(CSV_HEADER):
@@ -106,7 +101,7 @@ def _validate_row(row: list[str]) -> tuple | str:
             return f"empty {field}"
         if _WHITESPACE.search(value):  # ids are space-separated tokens downstream
             return f"whitespace in {field}"
-    if not valid_zip5(zip5):
+    if not zip5_mask([zip5])[0]:
         return f"bad zip5 {zip5!r}"
     try:
         ts = datetime.strptime(ts_raw, TIMESTAMP_FMT)
@@ -117,6 +112,8 @@ def _validate_row(row: list[str]) -> tuple | str:
         settle = int(settle_raw)
     except ValueError:
         return "non-integer amount"
+    if max(auth, settle) >= 2**63:  # beyond int64
+        return "amount out of range"
     if auth < 0:
         return "negative auth_amount"
     if settle < 0:
@@ -139,66 +136,48 @@ def _plain_tokens(values: list[str]) -> np.ndarray:
     return np.array([bool(v) and not _WHITESPACE.search(v) for v in values], dtype=bool)
 
 
-def _ascii_codes(values: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which values are `width` characters long, and those values as an
-    (n, width) array of character codes, a non-ASCII character read as `?`."""
-    sized = np.fromiter(map(len, values), np.int64, len(values)) == width
-    text = "".join(compress(values, sized)).encode("ascii", "replace")
-    return sized, np.frombuffer(text, np.uint8).reshape(-1, width)
-
-
-def _is_digit(codes: np.ndarray) -> np.ndarray:
-    return (codes >= ord("0")) & (codes <= ord("9"))
-
-
-def zip5_mask(zips: list[str]) -> np.ndarray:
-    """`valid_zip5` of each value."""
-    ok, codes = _ascii_codes(zips, 5)
-    ok[ok] = _is_digit(codes).all(axis=1)
+def _form_mask(values: list[str], form: bytes) -> np.ndarray:
+    """Per value: ASCII in the shape of `form`, where "0" stands for any digit
+    and every other character for itself."""
+    pattern = np.frombuffer(form, np.uint8)
+    ok = np.fromiter(map(len, values), np.int64, len(values)) == len(form)
+    text = "".join(compress(values, ok)).encode("ascii", "replace")
+    codes = np.frombuffer(text, np.uint8).reshape(-1, len(form))
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    ok[ok] = np.where(pattern == ord("0"), digit, codes == pattern).all(axis=1)
     return ok
 
 
-# The canonical timestamp: "0" marks a digit, every other character stands for itself.
-_STAMP = np.frombuffer(b"0000-00-00T00:00", np.uint8)
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+def zip5_mask(zips: list[str]) -> np.ndarray:
+    """Per value: five ASCII digits."""
+    return _form_mask(zips, b"00000")
+
+
+def _parse(values: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """`np.array(values, dtype)` viewed as int64, and which values numpy reads (the
+    others read 0): one conversion, then one per value only if numpy refuses one."""
+    try:
+        return np.array(values, dtype).view(np.int64), np.ones(len(values), dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    out, ok = np.zeros(len(values), dtype), np.zeros(len(values), dtype=bool)
+    for i, value in enumerate(values):
+        try:
+            out[i], ok[i] = value, True
+        except (ValueError, OverflowError):
+            pass
+    return out.view(np.int64), ok
 
 
 def _canonical_minutes(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Which stamps are ASCII `YYYY-MM-DDTHH:MM` naming a minute of year 1 or
     later, and `to_minute` of each of them (0 for the others)."""
-    ok, codes = _ascii_codes(stamps, len(_STAMP))
-    digit = _STAMP == ord("0")
-    digits = codes.astype(np.int64) - ord("0")
-    good = np.where(digit, _is_digit(codes), codes == _STAMP).all(axis=1)
-    year, month, day, hour, minute = (digits[:, a:b] @ _POW10[b - a - 1::-1] for a, b in (
-        (0, 4), (5, 7), (8, 10), (11, 13), (14, 16)))
-    months = (year - 1970) * 12 + np.clip(month - 1, 0, 11)
-    first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-    length = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first
-    good &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)
-             & (hour <= 23) & (minute <= 59))
+    ok = _form_mask(stamps, b"0000-00-00T00:00")
     out = np.zeros(len(stamps), dtype=np.int64)
-    out[ok] = ((first + day - 1) * 24 + hour) * 60 + minute
-    ok[ok] = good
-    return out, ok
-
-
-def _digit_numbers(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Which values are 1 to 18 ASCII digits, and the number each of them
-    spells (0 for the others)."""
-    lengths = np.fromiter(map(len, values), np.int64, len(values))
-    ok = (lengths >= 1) & (lengths <= 18)
-    out = np.zeros(len(values), dtype=np.int64)
-    if not ok.any():
-        return out, ok
-    text = np.frombuffer("".join(compress(values, ok)).encode("ascii", "replace"), np.uint8)
-    n = lengths[ok]
-    ends = np.cumsum(n)
-    digit = _is_digit(text)
-    place = np.repeat(ends, n) - np.arange(len(text)) - 1  # the power of ten of each character
-    value = np.where(digit, text.astype(np.int64) - ord("0"), 0) * _POW10[place]
-    out[ok] = np.add.reduceat(value, ends - n)
-    ok[ok] = np.add.reduceat(digit, ends - n, dtype=np.int64) == n
+    minutes, parsed = _parse(list(compress(stamps, ok)), "datetime64[m]")
+    out[ok] = minutes
+    # numpy reads year 0, which strptime refuses
+    ok[ok] = parsed & (minutes >= to_minute(datetime(1, 1, 1)))
     return out, ok
 
 
@@ -206,16 +185,43 @@ def _digit_numbers(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_ROWS = 1 << 9
 
 
+def _nul_free(lines, path):
+    """The lines; a NUL byte, which csv.reader refuses or keeps by version, is refused."""
+    for line_no, line in enumerate(lines, start=1):
+        if "\0" in line:
+            raise IngestError(f"{path}:{line_no}: NUL byte")
+        yield line
+
+
+def _row_chunks(path):
+    """The rows after the header, `_CHUNK_ROWS` at a time. A wrong header, a NUL
+    byte and a row `csv.reader` cannot read (a field over `csv.field_size_limit()`)
+    are an IngestError naming the file, and the line when there is one."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(_nul_free(fh, path))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file, missing header")
+            if header != CSV_HEADER:
+                raise IngestError(f"{path}: bad header {header!r}")
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                yield chunk
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def parse_transactions(path, strict: bool = False) -> ParseResult:
     """Read a transaction CSV file.
 
     In lenient mode malformed rows are collected into the reject report; in
-    strict mode the first malformed row raises IngestError.
+    strict mode the first malformed row raises IngestError. A file that
+    `_row_chunks` refuses raises IngestError in both modes.
 
-    The rows are read by `csv.reader` a chunk at a time, and the fields of a
-    chunk checked a column at a time. A row that fails any of those checks,
-    say an unpadded time or a non-ASCII digit, goes through `_validate_row`,
-    which accepts it or names its reject reason.
+    The fields of each chunk of rows are checked a column at a time, the
+    amounts and canonical timestamps read by numpy. A row that fails any of
+    those checks, say an unpadded time or an amount numpy refuses, goes
+    through `_validate_row`, which accepts it or names its reject reason.
     """
     width = len(CSV_HEADER)
     strings: list[list[str]] = [[], [], [], []]
@@ -223,41 +229,33 @@ def parse_transactions(path, strict: bool = False) -> ParseResult:
     # whether it is accepted; the first entry, empty, stands for no rows
     parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)]
     rejects: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, missing header")
-        if header != CSV_HEADER:
-            raise IngestError(f"{path}: bad header {header!r}")
-        line_no = 2  # of the chunk's first row, counted as csv.reader counts them
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            n_fields = np.fromiter(map(len, chunk), np.int64, len(chunk))
-            sized = np.flatnonzero(n_fields == width)
-            columns = [list(col) for col in zip(*compress(chunk, n_fields == width))]
-            mid, name, zip5, stamp, chid, auth_raw, settle_raw = columns or [[]] * width
-            minutes, ok = _canonical_minutes(stamp)
-            auths, auth_ok = _digit_numbers(auth_raw)
-            settles, settle_ok = _digit_numbers(settle_raw)
-            ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip5_mask(zip5) & auth_ok
-                   & settle_ok & (settles >= auths))
-            retry = n_fields > 0  # a blank line is skipped
-            retry[sized[ok]] = False
-            for j in np.flatnonzero(retry).tolist():
-                result = _validate_row(chunk[j])
-                if isinstance(result, str):
-                    if strict:
-                        raise IngestError(f"{path}:{line_no + j}: {result}")
-                    rejects.append((line_no + j, result))
-                else:
-                    k = np.searchsorted(sized, j)
-                    minutes[k], auths[k], settles[k] = result[3], result[5], result[6]
-                    ok[k] = True
-            line_no += len(chunk)
-            parts.append((minutes, auths, settles, ok))
-            for column, values in zip(strings, (mid, name, zip5, chid)):
-                column += values
+    line_no = 2  # of the chunk's first row, counted as csv.reader counts them
+    for chunk in _row_chunks(path):
+        n_fields = np.fromiter(map(len, chunk), np.int64, len(chunk))
+        sized = np.flatnonzero(n_fields == width)
+        columns = [list(col) for col in zip(*compress(chunk, n_fields == width))]
+        mid, name, zip5, stamp, chid, auth_raw, settle_raw = columns or [[]] * width
+        minutes, ok = _canonical_minutes(stamp)
+        auths, auth_ok = _parse(auth_raw, np.int64)
+        settles, settle_ok = _parse(settle_raw, np.int64)
+        ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip5_mask(zip5) & auth_ok
+               & settle_ok & (auths >= 0) & (settles >= auths))
+        retry = n_fields > 0  # a blank line is skipped
+        retry[sized[ok]] = False
+        for j in np.flatnonzero(retry).tolist():
+            result = _validate_row(chunk[j])
+            if isinstance(result, str):
+                if strict:
+                    raise IngestError(f"{path}:{line_no + j}: {result}")
+                rejects.append((line_no + j, result))
+            else:
+                k = np.searchsorted(sized, j)
+                minutes[k], auths[k], settles[k] = result[3], result[5], result[6]
+                ok[k] = True
+        line_no += len(chunk)
+        parts.append((minutes, auths, settles, ok))
+        for column, values in zip(strings, (mid, name, zip5, chid)):
+            column += values
     minute, auth, settle, clean = map(np.concatenate, zip(*parts))
     mid, name, zip5, chid = (np.array(column, dtype=object)[clean] for column in strings)
     return ParseResult(Transactions(mid, name, zip5, minute[clean], chid, auth[clean],

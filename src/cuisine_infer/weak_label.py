@@ -35,18 +35,12 @@ def tokenize_name(name: str) -> list[str]:
 
 @dataclass
 class Taxonomy:
+    """Seed keywords by cuisine, as `load_taxonomy` reads and checks them."""
+
     keywords: dict[CuisineClass, set[str]]
 
     def __post_init__(self):
-        seen: dict[str, CuisineClass] = {}
-        for cuisine, words in self.keywords.items():
-            if not words:
-                raise ValueError(f"empty keyword set for {cuisine.name}")
-            for w in words:
-                if w in seen:
-                    raise ValueError(f"keyword {w} in both {seen[w].name} and {cuisine.name}")
-                seen[w] = cuisine
-        self._by_word = seen
+        self._by_word = {w: cuisine for cuisine, words in self.keywords.items() for w in words}
 
     def lookup(self, token: str) -> CuisineClass | None:
         return self._by_word.get(token)

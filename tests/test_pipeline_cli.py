@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corrupt_file, count_skipgram_pairs, logged_pids, pid_logged
 
@@ -31,7 +33,7 @@ from cuisine_infer.pipeline import (
     stage_seed,
 )
 from cuisine_infer.stat_features import BLOCKS, STAT_BLOCK_DIMS, extract_all, read_features
-from cuisine_infer.txn_core import build_index, parse_transactions
+from cuisine_infer.txn_core import CSV_HEADER, build_index, parse_transactions
 from cuisine_infer.weak_label import LabelSet
 
 TINY = {
@@ -803,6 +805,73 @@ def test_non_ascii_zip_is_an_ingest_reject(tmp_path):
         assert result.exit_code == 0, result.output
     assert (out / "rejects.tsv").read_text(encoding="utf-8") == "3\tbad zip5 '1234\u00b2'\n"
     assert "R999999" not in (out / "features_stat.tsv").read_text()
+
+
+def test_amount_beyond_int64_is_an_ingest_reject(tmp_path):
+    """An amount int() reads but int64 cannot hold is a reject, not a crash."""
+    cfg = _tiny_cfg(tmp_path)
+    pipeline.run_synth(cfg)
+    out = Path(cfg["out_dir"])
+    txn_path = out / "transactions.csv"
+    lines = txn_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = ",".join(lines[1].split(",")[:5] + ["9" * 20, "9" * 20]) + "\n"
+    txn_path.write_text("".join(lines), encoding="utf-8")
+    result = CliRunner().invoke(main, ["label", "--config", str(tmp_path / "config.yaml"),
+                                       "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "rejects.tsv").read_text(encoding="utf-8") == "2\tamount out of range\n"
+
+
+@pytest.mark.parametrize("field, error", [
+    ("x" * 140_000, "field larger than field limit"), ("Jo\0es", "NUL byte"),
+], ids=["long field", "NUL"])
+def test_unreadable_transactions_exit_code(tmp_path, field, error):
+    """A row the csv module cannot read, and a NUL byte, make `features` exit 4
+    naming the file and line."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = [",".join(CSV_HEADER), "R1,Joes,12345,2025-01-06T12:00,C1,100,120",
+            f"R2,{field},12345,2025-01-06T12:00,C1,100,120"]
+    (out / "transactions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["features", "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"transactions.csv:3: {error}" in result.output
+
+
+_VALID_ROWS = [["R1", "Joes Place", "12345", "2025-01-06T12:00", "C1", "1000", "1200"],
+               ["R1", "Joes Place", "12345", "2025-01-07T19:30", "C2", "2500", "2500"],
+               ["R2", "Cafe Roma", "54321", "2025-01-08T08:15", "C1", "450", "500"],
+               ["R2", "Cafe Roma", "54321", "2025-01-09T13:05", "C3", "900", "1000"]]
+_MUTANTS = st.one_of(
+    st.sampled_from([b"\0", b"R\x001"]),                      # NUL bytes
+    st.sampled_from([b"\xff", b"\xc3("]),                     # invalid UTF-8
+    st.sampled_from([b"\r", b"a\rb", b"\r\n"]),               # CR
+    st.sampled_from([b'"', b'"x', b'x"y', b'""']),            # quotes
+    st.just(b"x" * 140_000),                                  # over csv.field_size_limit()
+    st.sampled_from([b"9" * 20, b"-5", b"-" + b"9" * 20]),    # beyond int64, below 0
+    st.sampled_from([b"2025-1-6T9:5", b"0000-01-06T12:00", b"2025-02-30T10:00",
+                     b"2025-01-06T24:00", b"2025-01-06"]),    # non-canonical stamps
+    st.binary(max_size=6))
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_VALID_ROWS) - 1), st.integers(0, 6), _MUTANTS,
+                          st.booleans()), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_mutated_transactions_exit_0_or_4(tmp_path_factory, edits):
+    """On a log of valid rows with fields replaced or extended by NUL bytes,
+    invalid UTF-8, CR, quotes, an oversized field, amounts beyond int64 or
+    below 0 and non-canonical stamps, `features` succeeds or exits 4, and
+    never with a traceback."""
+    rows = [[field.encode() for field in row] for row in _VALID_ROWS]
+    for row, col, mutant, append in edits:
+        rows[row][col] = rows[row][col] + mutant if append else mutant
+    out = tmp_path_factory.mktemp("mutated")
+    (out / "transactions.csv").write_bytes(
+        b"\n".join([",".join(CSV_HEADER).encode()] + [b",".join(row) for row in rows]) + b"\n")
+    result = CliRunner().invoke(main, ["features", "--out-dir", str(out)])
+    assert result.exit_code in (0, 4), (result.output, result.exception)
+    assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+    assert "Traceback" not in result.output
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

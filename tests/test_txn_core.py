@@ -1,7 +1,7 @@
 import random
 import re
 from dataclasses import fields
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from cuisine_infer.txn_core import (
     IngestError,
     ParseResult,
     Transactions,
+    _canonical_minutes,
     _validate_row,
     build_index,
     parse_transactions,
@@ -276,7 +277,8 @@ _STAMPS = st.one_of(
 _AMOUNTS = st.one_of(
     st.integers(0, 10**18).map(str),
     st.sampled_from(["١٢٣", "1_000", "+5", "-3", " 7", "007", "", "12.5",
-                     "1" + "0" * 18, _full_width("42"), "0x10"]))
+                     "1" + "0" * 18, _full_width("42"), "0x10", "9" * 20, str(2**63),
+                     str(2**63 - 1), "-" + "9" * 20]))
 _ROW = st.tuples(_IDS, _NAMES, _ZIPS, _STAMPS, _IDS, _AMOUNTS, _AMOUNTS).map(list)
 
 
@@ -288,9 +290,10 @@ def test_parse_equals_the_per_row_reader(tmp_path_factory, rows, quote_all):
     """parse_transactions gives the table and rejects of the `_validate_row`
     loop, and in strict mode the same first error: on rows mixing valid
     values, every reject reason, forms only `_validate_row` accepts
-    (unpadded times, non-ASCII digits, `1_000`, `+5`), field-count errors
-    and blank lines, written plainly or with every field quoted, read in
-    one chunk or in chunks of a few rows."""
+    (unpadded times, full-width years), forms int() and numpy's int64 both
+    read (non-ASCII digits, `1_000`, `+5`), amounts beyond int64,
+    field-count errors and blank lines, written plainly or with every field
+    quoted, read in one chunk or in chunks of a few rows."""
     import csv
     from unittest import mock
 
@@ -334,15 +337,20 @@ def test_parse_equals_the_per_row_reader(tmp_path_factory, rows, quote_all):
     ("2025-01-06T09:05", "١٢٣", "1_000", "2025-01-06T09:05"),
     ("2025-01-06T09:05", "+5", "0007", "2025-01-06T09:05"),
     ("2025-01-06T09:05", "5", "4", "negative tip"),
+    ("2025-01-06T09:05", "9" * 20, "9" * 20, "amount out of range"),
+    ("2025-01-06T09:05", "1000", str(2**63), "amount out of range"),
+    ("2025-01-06T09:05", str(2**63 - 1), str(2**63 - 1), "2025-01-06T09:05"),
+    ("2025-01-06T09:05", "-" + "9" * 20, "1200", "negative auth_amount"),
 ])
 def test_forms_outside_the_column_checks(tmp_path, stamp, auth, settle, minute_or_reason):
-    """A row the column checks do not pass is accepted or rejected as
-    `_validate_row` says: strptime reads a full-width year and unpadded
-    fields but no year 0, int() reads any decimal digits, `_` and a sign."""
+    """A row in a form at the edge of the column checks is accepted or
+    rejected as `_validate_row` says: strptime reads a full-width year and
+    unpadded fields but no year 0, int() reads any decimal digits, `_` and a
+    sign, and an amount must fit in int64."""
     p = tmp_path / "t.csv"
     write_csv(p, [GOOD_ROW, GOOD_ROW[:3] + [stamp, "C1", auth, settle]])
     result = parse_transactions(p)
-    if minute_or_reason.startswith(("bad", "negative")):
+    if minute_or_reason.startswith(("bad", "negative", "amount")):
         assert result.rejects == [(3, minute_or_reason)]
         assert len(result.transactions) == 1
     else:
@@ -350,3 +358,51 @@ def test_forms_outside_the_column_checks(tmp_path, stamp, auth, settle, minute_o
         assert result.transactions.minute.tolist()[1] == txn(ts=minute_or_reason)[3]
         assert result.transactions.auth_amount.tolist()[1] == int(auth)
         assert result.transactions.settle_amount.tolist()[1] == int(settle)
+
+
+def _strptime_minute(stamp: str) -> int | None:
+    try:
+        return to_minute(datetime.strptime(stamp, TIMESTAMP_FMT))
+    except ValueError:
+        return None
+
+
+def test_canonical_minutes_follow_strptime():
+    """numpy's calendar gives `to_minute` of every day of years on each side
+    of the leap-year rules, and refuses exactly the canonical stamps that
+    strptime refuses: days past a month's end, hour 24, minute 60, month 0
+    and 13, and year 0."""
+    years = (1, 4, 100, 400, 1900, 2000, 2024, 2100, 9999)
+    stamps = [f"{day.year:04d}-{day.month:02d}-{day.day:02d}T{time}"
+              for year in years
+              for day in map(date.fromordinal, range(date(year, 1, 1).toordinal(),
+                                                     date(year, 12, 31).toordinal() + 1))
+              for time in ("00:00", "23:59")]
+    minutes, ok = _canonical_minutes(stamps)
+    assert ok.all()
+    assert minutes.tolist() == [_strptime_minute(s) for s in stamps]
+    odd = ([f"{year:04d}-02-29T12:00" for year in (1900, 2100, 2025, 2000, 2024)]
+           + [f"2025-{month:02d}-31T12:00" for month in range(1, 13)]
+           + ["2025-01-06T24:00", "2025-01-06T23:60", "2025-00-10T12:00", "2025-13-10T12:00",
+              "0000-01-06T12:00", "0000-12-31T23:59", "0001-01-01T00:00"])
+    minutes, ok = _canonical_minutes(odd)
+    want = [_strptime_minute(s) for s in odd]
+    assert ok.tolist() == [m is not None for m in want]
+    assert minutes[ok].tolist() == [m for m in want if m is not None]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("text, line_no, error", [
+    ("R2,Joes," + "1" * 140_000 + ",2025-01-06T12:00,C1,1,1\n", 3, "field larger than field limit"),
+    ("R2,Jo\0es,12345,2025-01-06T12:00,C1,1,1\n", 3, "NUL byte"),
+    ('R2,"Joes\n\0",12345,2025-01-06T12:00,C1,1,1\n', 4, "NUL byte"),
+], ids=["long field", "NUL", "NUL in a quoted field's second line"])
+def test_unreadable_row_is_an_ingest_error(tmp_path, strict, text, line_no, error):
+    """A row csv.reader cannot read and a NUL byte raise IngestError naming
+    the file and the reader's line, in lenient and strict mode alike."""
+    p = tmp_path / "t.csv"
+    write_csv(p, [GOOD_ROW])
+    with open(p, "a", encoding="utf-8") as fh:
+        fh.write(text + ",".join(GOOD_ROW) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{p}:{line_no}: {error}")):
+        parse_transactions(p, strict=strict)

@@ -234,11 +234,6 @@ def test_bootstrap_report_bad_line_names_file_and_line(tmp_path, line, reason):
         read_bootstrap_report(path)
 
 
-def test_taxonomy_rejects_overlap():
-    with pytest.raises(ValueError):
-        Taxonomy({CuisineClass.Bar: {"PUB"}, CuisineClass.Dessert: {"PUB"}})
-
-
 def test_taxonomy_file_loader(tmp_path):
     p = tmp_path / "tax.txt"
     p.write_text("Bar\tPUB,TAVERN\nDessert\tCAFE\n")
