@@ -5,9 +5,11 @@ from __future__ import annotations
 import os
 import sys
 
+from . import BLAS_THREAD_VARS
+
 # One BLAS thread unless the caller chose otherwise, set before numpy loads:
 # the GEMMs are small, and extra threads on a busy host slow them tenfold.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import click  # noqa: E402

@@ -4,8 +4,6 @@ per-cuisine summary report."""
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,10 +97,8 @@ def evaluate(probs: np.ndarray, truth: np.ndarray,
     return MetricsReport(accuracy, balanced, topk_acc, per_class, normalized, counts)
 
 
-def ablation_workers(spec: NetworkSpec) -> int:
-    """Worker processes of `ablation`: one per usable CPU, at most one per
-    block."""
-    return min(len(spec.branches), len(os.sched_getaffinity(0)))
+# worker processes of `ablation`
+ablation_workers = nnet.usable_workers
 
 
 # What every reduced-model training of an ablation reads: the standardized
@@ -117,9 +113,8 @@ _ablation_job: tuple = ()
 def _init_ablation_worker(*job) -> None:
     global _ablation_job
     _ablation_job = job
-    # a fork inherits the caller's SIGTERM handler, which may catch the
-    # signal and carry on; the pool's terminate() must stop the worker
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # the pool's terminate() must stop the worker
+    nnet.restore_default_sigterm()
 
 
 def _reduced_accuracy(name: str) -> float:

@@ -10,7 +10,8 @@ layer), deep (the same without the skip), shallow (one hidden layer per
 branch, one trunk layer) and logistic (no hidden layer: affine + softmax on
 the raw features). init_params, forward and backward each walk the same
 layer list. Trained with plain minibatch SGD; all math in numpy with
-analytic gradients.
+analytic gradients. With two usable CPUs `train` computes about half of the
+branches in a forked helper process, and gives the bytes of one process.
 
 `forward` and `backward` compute in the dtype of the parameters. `train`
 works in float32 (DTYPE) and returns float32 parameters; `init_params`
@@ -20,12 +21,16 @@ draws in float64, which the gradient checks use as it is.
 from __future__ import annotations
 
 import itertools
+import os
+import signal
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .txn_core import N_CLASSES, derive_seed, write_records
 
 # variant -> (hidden layers per branch, h1 added to the branch output,
@@ -171,6 +176,57 @@ def _dropout_mask(rng, shape, dropout: float, dtype) -> np.ndarray:
     return ((rng.random(shape) >= dropout) / (1 - dropout)).astype(dtype, copy=False)
 
 
+def _product(params, branch, h: np.ndarray, skip: bool, cache) -> np.ndarray:
+    """One branch's hidden layers on its block's features `h`, then its join
+    product `out @ W_join.T`, in the dtype of `params`. With a `cache` it
+    keeps each layer's input and pre-activation and the branch output for
+    `_branch_grads`."""
+    name, join_weight, hidden = branch
+    h = h.astype(params[join_weight].dtype, copy=False)
+    for weight, bias, h_key, a_key in hidden:
+        a = h @ params[weight].T + params[bias]
+        if cache is not None:
+            cache[h_key], cache[a_key] = h, a
+        h_in, h = h, np.maximum(a, 0.0)
+    # the skip adds h1, the second (last) hidden layer's input
+    out = h + h_in if skip else h
+    if cache is not None:
+        cache["branch_out"][name] = out
+    return out @ params[join_weight].T
+
+
+def _join(params, spec: NetworkSpec, branches, features, n: int, cache) -> np.ndarray:
+    """The join's bias plus the products of `branches`, a run of
+    `spec.keys.joined` starting at its first entry, in that order."""
+    keys, skip = spec.keys, LAYOUT[spec.variant][1]
+    t = np.zeros((n, keys.join_width), params[keys.join_bias].dtype) + params[keys.join_bias]
+    for branch in branches:
+        t += _product(params, branch, features[branch[0]], skip, cache)
+    return t
+
+
+def _trunk(params, spec: NetworkSpec, t: np.ndarray, cache, dropout: float, rng) -> np.ndarray:
+    """The class probabilities from the join's output `t`: the trunk layers
+    with ReLU and, when `dropout` > 0, a dropout mask each, then the output
+    layer and the softmax. With a `cache` it keeps what `_trunk_grads` reads."""
+    for weight, bias, pre_key, mask_key, drop_key in spec.keys.layers:
+        if cache is not None:
+            cache[pre_key] = t
+        t = np.maximum(t, 0.0)
+        if dropout > 0:
+            mask = _dropout_mask(rng, t.shape, dropout, t.dtype)
+            if cache is not None:
+                cache[mask_key] = mask
+            t *= mask
+        if cache is not None:
+            cache[drop_key] = t
+        t = t @ params[weight].T + params[bias]
+    probs = _softmax(t)
+    if cache is not None:
+        cache["probs"] = probs
+    return probs
+
+
 def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
             train_mode: bool = False, dropout: float = 0.0,
             rng: np.random.Generator | None = None, keep_cache: bool = True):
@@ -184,46 +240,15 @@ def forward(params, spec: NetworkSpec, features: dict[str, np.ndarray],
         if features[name].shape != (n, dim):
             raise ValueError(
                 f"branch {name}: expected shape {(n, dim)}, got {features[name].shape}")
-    dtype = params["out/b"].dtype
-    skip = LAYOUT[spec.variant][1]
-    keys = spec.keys
     use_dropout = train_mode and dropout > 0
     if use_dropout and rng is None:
         raise ValueError("dropout in train mode requires an rng")
-    cache = {"dropout": dropout if use_dropout else 0.0, "branch_out": {}} if keep_cache else None
-
-    t = np.zeros((n, keys.join_width), dtype) + params[keys.join_bias]
-    # walk the branches in sorted name order, the join's summation order, so
+    dropout = dropout if use_dropout else 0.0
+    cache = {"dropout": dropout, "branch_out": {}} if keep_cache else None
+    # the branches in sorted name order, the join's summation order, so
     # branch declaration order cannot perturb floating-point summation
-    for name, join_weight, hidden in keys.joined:
-        h = features[name].astype(dtype, copy=False)
-        for weight, bias, h_key, a_key in hidden:
-            a = h @ params[weight].T + params[bias]
-            if keep_cache:
-                cache[h_key], cache[a_key] = h, a
-            h_in, h = h, np.maximum(a, 0.0)
-        # the skip adds h1, the second (last) hidden layer's input
-        out = h + h_in if skip else h
-        if keep_cache:
-            cache["branch_out"][name] = out
-        t += out @ params[join_weight].T
-    for weight, bias, pre_key, mask_key, drop_key in keys.layers:
-        if keep_cache:
-            cache[pre_key] = t
-        t = np.maximum(t, 0.0)
-        if use_dropout:
-            mask = _dropout_mask(rng, t.shape, dropout, dtype)
-            if keep_cache:
-                cache[mask_key] = mask
-            t *= mask
-        if keep_cache:
-            cache[drop_key] = t
-        t = t @ params[weight].T + params[bias]
-
-    probs = _softmax(t)
-    if keep_cache:
-        cache["probs"] = probs
-    return probs, cache
+    t = _join(params, spec, spec.keys.joined, features, n, cache)
+    return _trunk(params, spec, t, cache, dropout, rng), cache
 
 
 def cross_entropy(probs: np.ndarray, onehot: np.ndarray,
@@ -235,19 +260,14 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray,
     return float(losses.mean())
 
 
-def backward(params, spec: NetworkSpec, cache, onehot: np.ndarray,
-             sample_weights: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean cross-entropy loss w.r.t. all params, in
-    the dtype of the forward pass."""
+def _trunk_grads(params, spec: NetworkSpec, cache, onehot, sample_weights, grads) -> np.ndarray:
+    """Put the gradients of the trunk, the output layer and the join's bias
+    in `grads`; returns `dt`, the gradient at the join's output."""
     probs = cache["probs"]
-    n = probs.shape[0]
-    dlogits = (probs - onehot.astype(probs.dtype, copy=False)) / n
+    dlogits = (probs - onehot.astype(probs.dtype, copy=False)) / probs.shape[0]
     if sample_weights is not None:
         dlogits = dlogits * sample_weights.astype(probs.dtype, copy=False)[:, None]
-    grads: dict[str, np.ndarray] = {}
-    skip = LAYOUT[spec.variant][1]
     keys = spec.keys
-
     dt = dlogits
     for weight, bias, pre_key, mask_key, drop_key in reversed(keys.layers):
         grads[weight] = dt.T @ cache[drop_key]
@@ -257,21 +277,36 @@ def backward(params, spec: NetworkSpec, cache, onehot: np.ndarray,
             dt = dt * cache[mask_key]
         dt = dt * (cache[pre_key] > 0)
     grads[keys.join_bias] = dt.sum(axis=0)
+    return dt
 
-    for name, join_weight, hidden in keys.branches:
-        grads[join_weight] = dt.T @ cache["branch_out"][name]
-        if not hidden:
-            continue
-        dout = dh = dt @ params[join_weight]
-        for j in range(len(hidden) - 1, -1, -1):
-            weight, bias, h_key, a_key = hidden[j]
-            da = dh * (cache[a_key] > 0)
-            grads[weight] = da.T @ cache[h_key]
-            grads[bias] = da.sum(axis=0)
-            if j:
-                dh = da @ params[weight]
-                if skip and j == 1:
-                    dh = dh + dout
+
+def _branch_grads(params, branch, skip: bool, dt: np.ndarray, cache, grads) -> None:
+    """Put the gradients of one branch and its join block in `grads`, from
+    `dt` and the branch's cached activations."""
+    name, join_weight, hidden = branch
+    grads[join_weight] = dt.T @ cache["branch_out"][name]
+    if not hidden:
+        return
+    dout = dh = dt @ params[join_weight]
+    for j in range(len(hidden) - 1, -1, -1):
+        weight, bias, h_key, a_key = hidden[j]
+        da = dh * (cache[a_key] > 0)
+        grads[weight] = da.T @ cache[h_key]
+        grads[bias] = da.sum(axis=0)
+        if j:
+            dh = da @ params[weight]
+            if skip and j == 1:
+                dh = dh + dout
+
+
+def backward(params, spec: NetworkSpec, cache, onehot: np.ndarray,
+             sample_weights: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Exact gradients of the mean cross-entropy loss w.r.t. all params, in
+    the dtype of the forward pass."""
+    grads: dict[str, np.ndarray] = {}
+    dt = _trunk_grads(params, spec, cache, onehot, sample_weights, grads)
+    for branch in spec.keys.branches:
+        _branch_grads(params, branch, LAYOUT[spec.variant][1], dt, cache, grads)
     return grads
 
 
@@ -328,6 +363,174 @@ def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def usable_workers(spec: NetworkSpec) -> int:
+    """Processes that can share work over `spec`'s branches: one per usable
+    CPU, at most one per block."""
+    return min(len(spec.branches), len(os.sched_getaffinity(0)))
+
+
+def restore_default_sigterm() -> None:
+    """Make SIGTERM stop this process. A fork inherits the caller's handler,
+    which may catch the signal and carry on, or unwind into the caller's
+    frames."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def train_procs(spec: NetworkSpec) -> int:
+    """Processes `train` computes the branches in: 2, this one and a forked
+    helper, when two usable CPUs and two blocks allow it, BLAS runs on one
+    thread (each of `BLAS_THREAD_VARS` is 1, as the command line sets them:
+    two processes with a BLAS thread pool each would oversubscribe the CPUs),
+    and this process is neither a worker of another process nor running a
+    second thread (a fork copies only the calling thread); 1 otherwise."""
+    # here, so that the scoring stages do not pay for them
+    import multiprocessing
+    import threading
+
+    if (any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARS)
+            or multiprocessing.parent_process() is not None or threading.active_count() > 1):
+        return 1
+    return min(2, usable_workers(spec))
+
+
+def _split(params, spec: NetworkSpec) -> int:
+    """How many of `spec.keys.joined` the training process computes when a
+    helper computes the rest: the count that best balances the two sides'
+    branch weights, which set their multiply-adds per row. The trunk counts
+    on neither side: the helper waits for `dt` while it runs."""
+    costs = np.cumsum([params[join_weight].size + sum(params[w].size for w, *_ in hidden)
+                       for _, join_weight, hidden in spec.keys.joined])
+    here = costs[:-1]
+    return 1 + int(np.argmin(np.maximum(here, costs[-1] - here)))
+
+
+def _apply(params, grads, learning_rate: float) -> None:
+    for key, g in grads.items():
+        params[key] -= learning_rate * g
+
+
+class _Helper:
+    """A forked process that computes the branches `branches` of every
+    training step and val pass, for `train` in the process that made it.
+
+    It holds those branches' parameters from the fork on and returns them
+    once, from `finish`. For each pass the pipe carries the batch's row
+    indices; the helper writes its branches' join products into a shared
+    anonymous map, and reads from it the gradient at the join's output,
+    `dt`, from which it takes its own gradient step. Every wait on the
+    helper raises a RuntimeError if it failed or died, and `close` joins it
+    on every path.
+    """
+
+    def __init__(self, params, spec: NetworkSpec, branches, sets: dict,
+                 learning_rate: float, rows: int):
+        import mmap
+        import multiprocessing
+
+        shape = (len(branches) + 1, rows, spec.keys.join_width)
+        shared = np.ndarray(shape, DTYPE, mmap.mmap(-1, int(np.prod(shape)) * DTYPE(0).nbytes))
+        self._products, self._dt = shared[:-1], shared[-1]
+        context = multiprocessing.get_context("fork")
+        self.conn, child = context.Pipe()
+        # a fork under multiprocessing leaves by os._exit, so the helper never
+        # unwinds into the caller's frames and their `finally` blocks
+        self.process = context.Process(
+            target=_serve, daemon=True,
+            args=(child, self.conn, params, spec, branches, sets, learning_rate,
+                  self._products, self._dt))
+        self.process.start()
+        child.close()
+
+    def request(self, rows) -> None:
+        """Start the helper's pass over rows `rows` of the training set, or
+        over the val set when `rows` is None."""
+        self._send(("join", rows))
+
+    def products(self, n: int) -> np.ndarray:
+        """The requested pass's join products, (branch, n, join width)."""
+        self._reply()
+        return self._products[:, :n]
+
+    def step(self, dt: np.ndarray) -> None:
+        """Have the helper take its gradient step from `dt`."""
+        self._dt[:len(dt)] = dt
+        self._send(("step", len(dt)))
+
+    def finish(self) -> dict[str, np.ndarray]:
+        """The helper's parameters; it leaves after sending them."""
+        self._send(("finish", None))
+        return self._reply()
+
+    def close(self) -> None:
+        # on the end of its pipe the helper leaves, if it has not already
+        self.conn.close()
+        self.process.join()
+
+    def _send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:  # the helper is gone: its last words say why
+            self._reply()
+            raise
+
+    def _reply(self):
+        try:
+            status, payload = self.conn.recv()
+        except (EOFError, OSError):
+            status, payload = "exited", None
+        if status == "ok":
+            return payload
+        self.process.join()
+        raise RuntimeError(f"training helper failed: {payload}" if status == "error"
+                           else f"training helper exited with code {self.process.exitcode}")
+
+
+def _serve(conn, parent_end, params, spec: NetworkSpec, branches, sets: dict,
+           learning_rate: float, products: np.ndarray, dt: np.ndarray) -> None:
+    """The helper's loop: answer `_Helper`'s requests until it sends
+    "finish" or closes its end of the pipe."""
+    restore_default_sigterm()
+    parent_end.close()
+    skip = LAYOUT[spec.variant][1]
+    cache = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                try:
+                    kind, arg = conn.recv()
+                except EOFError:
+                    return
+                if kind == "join":
+                    data = sets["val"] if arg is None else sets["train"]
+                    cache = None if arg is None else {"branch_out": {}}
+                    for out, branch in zip(products, branches):
+                        h = data[branch[0]] if arg is None else data[branch[0]][arg]
+                        out[:len(h)] = _product(params, branch, h, skip, cache)
+                    conn.send(("ok", None))
+                elif kind == "step":
+                    grads: dict[str, np.ndarray] = {}
+                    for branch in branches:
+                        _branch_grads(params, branch, skip, dt[:arg], cache, grads)
+                    _apply(params, grads, learning_rate)
+                    cache = None
+                else:
+                    conn.send(("ok", {key: params[key] for key in _branch_keys(branches)}))
+                    return
+    except Exception:
+        import traceback
+
+        conn.send(("error", traceback.format_exc()))
+        sys.exit(1)
+
+
+def _branch_keys(branches):
+    for _, join_weight, hidden in branches:
+        yield join_weight
+        for weight, bias, *_ in hidden:
+            yield weight
+            yield bias
+
+
 def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
           val: FeatureDataset | None = None):
     """Seeded shuffled minibatch SGD in DTYPE; returns (params, loss curve).
@@ -339,11 +542,17 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
     before its step; the val loss is that of the parameters after the epoch.
     A non-finite minibatch loss is a ValueError naming its epoch, its step
     within the epoch and the learning rate.
+
+    With `train_procs` 2, a forked helper computes the branches after the
+    first `_split` of `spec.keys.joined` in every pass, beside this process.
+    Every matrix product keeps its operands and the join its summation
+    order, and dropout masks and shuffles come from this process's one RNG,
+    so the parameters and the curve are those of one process, bit for bit.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     params = {key: p.astype(DTYPE) for key, p in init_params(spec, cfg.seed).items()}
-    features = {k: v.astype(DTYPE) for k, v in dataset.features.items()}
+    sets = {"train": {k: v.astype(DTYPE) for k, v in dataset.features.items()}}
     rng = np.random.default_rng((cfg.seed << 32) ^ 0x5EED)
     onehot = _onehot(dataset.labels, spec.n_classes)
     weights = None
@@ -352,47 +561,83 @@ def train(dataset: FeatureDataset, spec: NetworkSpec, cfg: TrainConfig,
         inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
         inv = inv / inv[counts > 0].mean() if (counts > 0).any() else inv
         weights = inv[dataset.labels].astype(DTYPE)
-    if val is not None and len(val) > 0:
-        val_features = {k: v.astype(DTYPE) for k, v in val.features.items()}
+    has_val = val is not None and len(val) > 0
+    if has_val:
+        sets["val"] = {k: v.astype(DTYPE) for k, v in val.features.items()}
         val_onehot = _onehot(val.labels, spec.n_classes)
     curve = []
     n = len(dataset)
-    # an overflow on the way to a non-finite loss is reported by the loss
-    # check below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                loss = _sgd_step(params, spec, cfg, rng, {k: v[idx] for k, v in features.items()},
-                                 onehot[idx], None if weights is None else weights[idx])
-                if not np.isfinite(loss):
-                    raise ValueError(
-                        f"training diverged: loss {loss} at epoch {epoch}, step "
-                        f"{start // cfg.batch_size}, learning_rate {cfg.learning_rate}")
-                loss_sum += loss * len(idx)
-            tr_loss = loss_sum / n
-            if val is not None and len(val) > 0:
-                vp, _ = forward(params, spec, val_features, keep_cache=False)
-                v_loss = cross_entropy(vp, val_onehot)
-            else:
-                v_loss = float("nan")
-            curve.append((epoch, tr_loss, v_loss))
+    joined = spec.keys.joined
+    split = _split(params, spec) if train_procs(spec) == 2 else len(joined)
+    local = joined[:split]  # the branches this process computes
+    helper = None
+    try:
+        if split < len(joined):
+            helper = _Helper(params, spec, joined[split:], sets, cfg.learning_rate,
+                             max(min(cfg.batch_size, n), len(val) if has_val else 0))
+        # an overflow on the way to a non-finite loss is reported by the loss
+        # check below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(n)
+                loss_sum = 0.0
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
+                    loss = _sgd_step(params, spec, cfg, rng, local, helper, sets["train"], idx,
+                                     onehot[idx], None if weights is None else weights[idx])
+                    if not np.isfinite(loss):
+                        raise ValueError(
+                            f"training diverged: loss {loss} at epoch {epoch}, step "
+                            f"{start // cfg.batch_size}, learning_rate {cfg.learning_rate}")
+                    loss_sum += loss * len(idx)
+                tr_loss = loss_sum / n
+                if has_val:
+                    t = _joined(params, spec, local, helper, sets["val"], None, None)
+                    v_loss = cross_entropy(_trunk(params, spec, t, None, 0.0, None), val_onehot)
+                else:
+                    v_loss = float("nan")
+                curve.append((epoch, tr_loss, v_loss))
+        if helper is not None:
+            params.update(helper.finish())
+    finally:
+        if helper is not None:
+            helper.close()
     return params, curve
 
 
-def _sgd_step(params, spec: NetworkSpec, cfg: TrainConfig, rng, batch, onehot,
-              weights) -> float:
-    """One SGD step on a minibatch, updating `params` in place; returns the
-    minibatch loss, taken before the step. A non-finite loss leaves `params`
-    as they are. The step's activations and gradients are freed when it
-    returns."""
-    probs, cache = forward(params, spec, batch, train_mode=True, dropout=cfg.dropout, rng=rng)
-    loss = cross_entropy(probs, onehot, weights)
+def _joined(params, spec: NetworkSpec, local, helper: _Helper | None, data, rows, cache):
+    """The join's output for rows `rows` of the block features `data`, or all
+    of them when `rows` is None: the products of the `local` branches, a
+    leading run of `spec.keys.joined`, computed here while the helper
+    computes the rest, then the helper's added in that order."""
+    if helper is not None:
+        helper.request(rows)
+    n = len(next(iter(data.values()))) if rows is None else len(rows)
+    t = _join(params, spec, local, data if rows is None else
+              {name: data[name][rows] for name, *_ in local}, n, cache)
+    if helper is not None:
+        for product in helper.products(n):
+            t += product
+    return t
+
+
+def _sgd_step(params, spec: NetworkSpec, cfg: TrainConfig, rng, local, helper, data, rows,
+              onehot, weights) -> float:
+    """One SGD step on rows `rows` of `data`, updating `params` in place (the
+    helper updates its own); returns the minibatch loss, taken before the
+    step. A non-finite loss leaves every parameter as it is. The step's
+    activations and gradients are freed when it returns."""
+    cache = {"dropout": cfg.dropout, "branch_out": {}}
+    t = _joined(params, spec, local, helper, data, rows, cache)
+    loss = cross_entropy(_trunk(params, spec, t, cache, cfg.dropout, rng), onehot, weights)
     if np.isfinite(loss):
-        for key, g in backward(params, spec, cache, onehot, weights).items():
-            params[key] -= cfg.learning_rate * g
+        grads: dict[str, np.ndarray] = {}
+        dt = _trunk_grads(params, spec, cache, onehot, weights, grads)
+        if helper is not None:
+            helper.step(dt)
+        for branch in local:
+            _branch_grads(params, branch, LAYOUT[spec.variant][1], dt, cache, grads)
+        _apply(params, grads, cfg.learning_rate)
     return loss
 
 

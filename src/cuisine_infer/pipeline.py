@@ -474,6 +474,7 @@ def run_train(cfg: dict) -> dict:
     # the unstandardized features are not needed past this point
     ids, zero_filled = labeled.ids, dataset.zero_filled
     del dataset, labeled
+    procs = nnet.train_procs(spec)
     fit_started = time.perf_counter()
     params, curve = nnet.train(train_ds, spec, tcfg, val=test_ds)
     fitted = time.perf_counter()
@@ -493,6 +494,7 @@ def run_train(cfg: dict) -> dict:
                      "n_params": sum(p.size for p in params.values()),
                      "final_train_loss": repr(final_train_loss),
                      "final_val_loss": repr(final_val_loss),
+                     "train_procs": procs,
                      "fit_s": f"{fitted - fit_started:.3f}",
                      "save_s": f"{saved - fitted:.3f}",
                      **_zero_filled_counts(zero_filled)})

@@ -91,8 +91,10 @@ def to_minute(ts: datetime) -> int:
     return (ts - datetime(1970, 1, 1)) // timedelta(minutes=1)
 
 
-def _validate_row(row: list[str]) -> tuple | str:
-    """Turn a CSV row into a table row, or return a rejection reason."""
+def _validate_row(row: list[str], zip_ok: bool) -> tuple | str:
+    """Turn a CSV row into a table row, or return a rejection reason.
+    `zip_ok` is `zip5_mask`'s verdict on the row's zip5 field, which the
+    caller takes for a whole column at once."""
     if len(row) != len(CSV_HEADER):
         return f"expected {len(CSV_HEADER)} fields, got {len(row)}"
     mid, name, zip5, ts_raw, chid, auth_raw, settle_raw = row
@@ -101,7 +103,7 @@ def _validate_row(row: list[str]) -> tuple | str:
             return f"empty {field}"
         if _WHITESPACE.search(value):  # ids are space-separated tokens downstream
             return f"whitespace in {field}"
-    if not zip5_mask([zip5])[0]:
+    if not zip_ok:
         return f"bad zip5 {zip5!r}"
     try:
         ts = datetime.strptime(ts_raw, TIMESTAMP_FMT)
@@ -193,10 +195,24 @@ def _nul_free(lines, path):
         yield line
 
 
+def _undecodable_line(path) -> int | None:
+    """The number of the first line of `path`, counted as `_nul_free` counts
+    them, that holds bytes that are not UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        # surrogateescape reads each such byte as a lone surrogate, which
+        # UTF-8 itself cannot encode
+        return next((line_no for line_no, line in enumerate(fh, start=1)
+                     if _ESCAPED_BYTE.search(line)), None)
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _row_chunks(path):
     """The rows after the header, `_CHUNK_ROWS` at a time. A wrong header, a NUL
-    byte and a row `csv.reader` cannot read (a field over `csv.field_size_limit()`)
-    are an IngestError naming the file, and the line when there is one."""
+    byte, bytes that are not UTF-8 and a row `csv.reader` cannot read (a field
+    over `csv.field_size_limit()`) are an IngestError naming the file, and
+    the line when there is one."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(_nul_free(fh, path))
         try:
@@ -209,6 +225,10 @@ def _row_chunks(path):
                 yield chunk
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead of the rows, so its position names no line
+            raise IngestError(f"{path}:{_undecodable_line(path)}: not UTF-8: {exc.reason}") \
+                from None
 
 
 def parse_transactions(path, strict: bool = False) -> ParseResult:
@@ -238,12 +258,14 @@ def parse_transactions(path, strict: bool = False) -> ParseResult:
         minutes, ok = _canonical_minutes(stamp)
         auths, auth_ok = _parse(auth_raw, np.int64)
         settles, settle_ok = _parse(settle_raw, np.int64)
-        ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip5_mask(zip5) & auth_ok
+        zip_ok = np.zeros(len(chunk), dtype=bool)  # per row of the chunk
+        zip_ok[sized] = zip5_mask(zip5)
+        ok &= (_plain_tokens(mid) & _plain_tokens(chid) & zip_ok[sized] & auth_ok
                & settle_ok & (auths >= 0) & (settles >= auths))
         retry = n_fields > 0  # a blank line is skipped
         retry[sized[ok]] = False
         for j in np.flatnonzero(retry).tolist():
-            result = _validate_row(chunk[j])
+            result = _validate_row(chunk[j], zip_ok[j])
             if isinstance(result, str):
                 if strict:
                     raise IngestError(f"{path}:{line_no + j}: {result}")

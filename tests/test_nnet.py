@@ -1,7 +1,13 @@
+import multiprocessing
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
+from conftest import logged_pids, pid_logged
 
-from cuisine_infer import nnet
+from cuisine_infer import BLAS_THREAD_VARS, nnet
 from cuisine_infer.nnet import (
     FeatureDataset,
     NetworkSpec,
@@ -324,9 +330,11 @@ class TestLossCurve:
 
     @pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
     def test_forward_calls(self, monkeypatch, with_val):
-        """One forward pass per SGD step, plus one per epoch on `val`."""
-        calls, real = [], nnet.forward
-        monkeypatch.setattr(nnet, "forward", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        """One forward pass per SGD step, plus one per epoch on `val`: train
+        runs each pass's join once, in this process whether or not a helper
+        computes some of its branches."""
+        calls, real = [], nnet._joined
+        monkeypatch.setattr(nnet, "_joined", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         val = _toy_dataset(n=10, seed=4) if with_val else None
         train(_toy_dataset(n=50), _spec(), TrainConfig(batch_size=16, epochs=3), val=val)
         assert len(calls) == 3 * 4 + (3 if with_val else 0)
@@ -364,6 +372,175 @@ class TestDivergence:
         with pytest.raises(ValueError, match="trunk/W1: non-finite"):
             save_params(path, spec, params)
         assert not path.exists()
+
+
+def _blocks_dataset(n, seed=0, n_blocks=4, n_classes=3):
+    """`n_blocks` feature blocks of widths 2, 3, ...; the class shifts the
+    first component of each."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, size=n)
+    feats = {}
+    for i in range(n_blocks):
+        block = rng.normal(0, 0.1, size=(n, 2 + i))
+        block[:, 0] += labels * (1 if i % 2 else -0.5)
+        feats[f"b{i}"] = block
+    return FeatureDataset([f"r{i}" for i in range(n)], feats, labels)
+
+
+def _blocks_spec(ds, variant="residual_deep"):
+    return NetworkSpec(branches=ds.spec_branches(), branch_hidden=8, trunk_hidden=(16, 8),
+                       n_classes=3, variant=variant)
+
+
+def _train_with(monkeypatch, procs, *args, **kwargs):
+    monkeypatch.setattr(nnet, "train_procs", lambda spec: procs)
+    return train(*args, **kwargs)
+
+
+def _assert_same_bytes(a, b):
+    (params_a, curve_a), (params_b, curve_b) = a, b
+    assert list(params_a) == list(params_b)
+    for key in params_a:
+        assert params_a[key].dtype == params_b[key].dtype
+        assert params_a[key].tobytes() == params_b[key].tobytes(), key
+    assert repr(curve_a) == repr(curve_b)  # nan == nan here
+
+
+class TestHelper:
+    """`train` with a forked helper computing some of the branches gives the
+    bytes of training in one process."""
+
+    @pytest.mark.parametrize("n", [10, 50], ids=["under-one-batch", "remainder-batch"])
+    @pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
+    @pytest.mark.parametrize("class_weights", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("variant", nnet.VARIANTS)
+    def test_helper_gives_the_bytes_of_one_process(self, monkeypatch, variant, dropout,
+                                                   class_weights, with_val, n):
+        ds = _blocks_dataset(n)
+        spec = _blocks_spec(ds, variant)
+        cfg = TrainConfig(batch_size=16, epochs=3, seed=5, dropout=dropout,
+                          class_weights=class_weights)
+        val = _blocks_dataset(7, seed=1) if with_val else None
+        one = _train_with(monkeypatch, 1, ds, spec, cfg, val=val)
+        _assert_same_bytes(_train_with(monkeypatch, 2, ds, spec, cfg, val=val), one)
+        assert multiprocessing.active_children() == []
+
+    def test_the_helper_computes_the_branches_after_the_split(self, tmp_path, monkeypatch):
+        ds = _blocks_dataset(50)
+        spec = _blocks_spec(ds)
+        log = tmp_path / "pids.txt"
+        names = []
+
+        def product(params, branch, *args):
+            names.append(branch[0])  # in this process only
+            return real(params, branch, *args)
+
+        real = nnet._product
+        monkeypatch.setattr(nnet, "_product", pid_logged(product, log))
+        _train_with(monkeypatch, 2, ds, spec, TrainConfig(batch_size=16, epochs=2), val=ds)
+        split = nnet._split(init_params(spec), spec)
+        here = [name for name, *_ in spec.keys.joined[:split]]
+        passes = 2 * 4 + 2  # steps and val passes
+        assert 0 < split < len(spec.branches) and names == here * passes
+        pids = logged_pids(log)
+        helper = set(pids) - {os.getpid()}
+        assert len(helper) == 1
+        assert pids.count(helper.pop()) == (len(spec.branches) - split) * passes
+
+    def test_divergence_raises_and_leaves_no_helper(self, monkeypatch):
+        ds = _blocks_dataset(50)
+        spec = _blocks_spec(ds)
+        cfg = TrainConfig(batch_size=16, epochs=20, learning_rate=1e6)
+        messages = []
+        for procs in (1, 2):
+            with pytest.raises(ValueError, match="^training diverged: ") as err:
+                _train_with(monkeypatch, procs, ds, spec, cfg, val=ds)
+            messages.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("how", ["raises", "dies"])
+    def test_a_helper_failure_reaches_the_caller(self, monkeypatch, how):
+        parent, real = os.getpid(), nnet._branch_grads
+
+        def failing_grads(*args):
+            if os.getpid() != parent:
+                if how == "dies":
+                    os._exit(3)
+                raise ArithmeticError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(nnet, "_branch_grads", failing_grads)
+        ds = _blocks_dataset(50)
+        want = r"(?s)helper failed: .*ArithmeticError: boom" if how == "raises" else \
+            "helper exited with code 3"
+        with pytest.raises(RuntimeError, match=want):
+            _train_with(monkeypatch, 2, ds, _blocks_spec(ds), TrainConfig(batch_size=16, epochs=3))
+        assert multiprocessing.active_children() == []
+
+    def test_the_helper_stops_on_sigterm(self, tmp_path, monkeypatch):
+        """A helper forked from a process whose SIGTERM handler carries on
+        takes the default action."""
+        parent, real, seen = os.getpid(), nnet._product, tmp_path / "sigterm.txt"
+
+        def recording_product(*args):
+            if os.getpid() != parent:
+                seen.write_text(repr(signal.getsignal(signal.SIGTERM)))
+            return real(*args)
+
+        monkeypatch.setattr(nnet, "_product", recording_product)
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            ds = _blocks_dataset(20)
+            _train_with(monkeypatch, 2, ds, _blocks_spec(ds), TrainConfig(epochs=1))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert seen.read_text() == repr(signal.SIG_DFL)
+
+    def test_train_procs(self, monkeypatch):
+        ds = _blocks_dataset(10)
+        spec = _blocks_spec(ds)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert nnet.train_procs(spec) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert nnet.train_procs(spec) == (2 if threading.active_count() == 1 else 1)
+        one_block = NetworkSpec(branches=spec.branches[:1])
+        assert nnet.train_procs(one_block) == 1
+        for var in BLAS_THREAD_VARS:  # a BLAS thread pool in each process
+            monkeypatch.setenv(var, "2")
+            assert nnet.train_procs(spec) == 1
+            monkeypatch.delenv(var)
+            assert nnet.train_procs(spec) == 1
+            monkeypatch.setenv(var, "1")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert nnet.train_procs(spec) == 1  # a fork would copy one thread of two
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_a_pool_worker_trains_in_process(self, tmp_path, monkeypatch):
+        ds = _blocks_dataset(20)
+        log = tmp_path / "pids.txt"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(nnet, "_product", pid_logged(nnet._product, log))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            procs, worker = pool.apply(_train_in_worker, (ds, _blocks_spec(ds)))
+            pool.close()
+            pool.join()
+        assert procs == 1 and set(logged_pids(log)) == {worker}
+        assert multiprocessing.active_children() == []
+
+
+def _train_in_worker(ds, spec):
+    train(ds, spec, TrainConfig(epochs=1))
+    return nnet.train_procs(spec), os.getpid()
 
 
 class TestPrediction:

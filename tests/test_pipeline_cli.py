@@ -19,7 +19,16 @@ from hypothesis import strategies as st
 from conftest import corrupt_file, count_skipgram_pairs, logged_pids, pid_logged
 
 import cuisine_infer
-from cuisine_infer import btm, embed, eval_harness, nnet, pipeline, synthgen, weak_label
+from cuisine_infer import (
+    BLAS_THREAD_VARS,
+    btm,
+    embed,
+    eval_harness,
+    nnet,
+    pipeline,
+    synthgen,
+    weak_label,
+)
 from cuisine_infer.cli import _parse_overrides, main
 from cuisine_infer.eval_harness import CUISINE_SUMMARY_COLUMNS, cuisine_summary
 from cuisine_infer.pipeline import (
@@ -292,8 +301,9 @@ class TestPipeline:
         cfg, artifacts, _ = pipeline_run
         out = artifacts["metrics"].parent
         train = _manifest(out / "manifest_train.txt")
-        _, params = nnet.load_params(out / "model.txt")
+        spec, params = nnet.load_params(out / "model.txt")
         assert train["dtype"] == "float32"
+        assert train["train_procs"] == str(nnet.train_procs(spec)) in ("1", "2")
         assert int(train["n_params"]) == sum(p.size for p in params.values())
         last = (out / "loss_curve.tsv").read_text().splitlines()[-1].split("\t")
         assert [train["final_train_loss"], train["final_val_loss"]] == last[1:]
@@ -872,9 +882,6 @@ def test_mutated_transactions_exit_0_or_4(tmp_path_factory, edits):
     assert result.exit_code in (0, 4), (result.output, result.exception)
     assert isinstance(result.exception, (SystemExit, type(None))), result.exception
     assert "Traceback" not in result.output
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])

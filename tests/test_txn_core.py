@@ -25,6 +25,7 @@ from cuisine_infer.txn_core import (
     write_records,
     write_reject_report,
     write_transactions,
+    zip5_mask,
 )
 
 
@@ -246,7 +247,7 @@ def _reference_parse(path, strict=False) -> ParseResult:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            result = _validate_row(row)
+            result = _validate_row(row, len(row) == len(CSV_HEADER) and zip5_mask([row[2]])[0])
             if isinstance(result, tuple):
                 rows.append(result)
             elif strict:
@@ -406,3 +407,46 @@ def test_unreadable_row_is_an_ingest_error(tmp_path, strict, text, line_no, erro
         fh.write(text + ",".join(GOOD_ROW) + "\n")
     with pytest.raises(IngestError, match=re.escape(f"{p}:{line_no}: {error}")):
         parse_transactions(p, strict=strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("good_rows, bad", [
+    (1, b"R2,Jo\xffes,12345,2025-01-06T12:00,C1,1,1\n"),
+    (2000, b"R2,Caf\xc3,12345,2025-01-06T12:00,C1,1,1\n"),
+    (3, b"R2,\"Joes\r\n\xed\xa0\x80\",12345,2025-01-06T12:00,C1,1,1\n"),
+], ids=["invalid start byte", "invalid continuation byte past the first read",
+        "encoded surrogate on a quoted field's second line"])
+def test_invalid_utf8_is_an_ingest_error(tmp_path, strict, good_rows, bad):
+    """Bytes that are not UTF-8 raise IngestError naming the file and the
+    line that holds them, counted as csv.reader counts lines, in lenient and
+    strict mode alike."""
+    p = tmp_path / "t.csv"
+    write_csv(p, [GOOD_ROW] * good_rows)
+    with open(p, "ab") as fh:
+        fh.write(bad + ",".join(GOOD_ROW).encode() + b"\n")
+    line_no = good_rows + 2 + bad.count(b"\r\n")
+    with pytest.raises(IngestError, match=re.escape(f"{p}:{line_no}: not UTF-8: ")):
+        parse_transactions(p, strict=strict)
+
+
+def test_one_zip_check_per_chunk(tmp_path):
+    """Rows that take the per-row path, here every row of a log with
+    unpadded stamps, reuse their chunk's one `zip5_mask` verdict: two
+    `_form_mask` calls per chunk, the zip codes' and the stamps', and the
+    same table and reject reasons as the per-row reader."""
+    from unittest import mock
+
+    from cuisine_infer import txn_core
+
+    rows = [[f"R{i % 7}", "Joes", "1234" if i % 5 == 0 else "12345", "2025-1-6T9:5",
+             f"C{i}", "1000", "1200"] for i in range(2 * txn_core._CHUNK_ROWS + 1)]
+    p = tmp_path / "t.csv"
+    write_csv(p, rows)
+    with mock.patch.object(txn_core, "_form_mask", wraps=txn_core._form_mask) as form_mask:
+        got = parse_transactions(p)
+    assert form_mask.call_count == 2 * 3
+    want = _reference_parse(p)
+    assert got.rejects == want.rejects and len(got.rejects) == len(rows[::5])
+    for f in fields(Transactions):
+        assert getattr(got.transactions, f.name).tolist() == \
+            getattr(want.transactions, f.name).tolist(), f.name

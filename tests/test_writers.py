@@ -110,5 +110,5 @@ def test_manifest_line_order(tmp_path, monkeypatch):
         *(f"output\t{tmp_path / name}" for name in ("model.txt", "loss_curve.tsv", "split.tsv")),
         "n_train\t2", "n_test\t2", "dtype\tfloat32", "n_params\t30",
         "final_train_loss\t0.1", "final_val_loss\t0.30000000000000004",
-        "fit_s\tT", "save_s\tT", "duration_s\tT",
+        "train_procs\t1", "fit_s\tT", "save_s\tT", "duration_s\tT",
     ]
