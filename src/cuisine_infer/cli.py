@@ -31,7 +31,7 @@ def _parse_overrides(pairs: tuple[str, ...], seed, out_dir) -> dict:
         key, raw = pair.split("=", 1)
         try:
             overrides[key] = yaml.safe_load(raw)
-        except yaml.YAMLError:
+        except (yaml.YAMLError, ValueError):  # ValueError: a date like 2025-02-30
             overrides[key] = raw
     if seed is not None:
         overrides["seed"] = seed

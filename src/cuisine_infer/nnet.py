@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import BLAS_THREAD_VARS
-from .txn_core import N_CLASSES, derive_seed, write_records
+from .txn_core import N_CLASSES, derive_seed, text_lines, write_records
 
 # variant -> (hidden layers per branch, h1 added to the branch output,
 # trunk layers used: None = all of trunk_hidden)
@@ -691,56 +691,56 @@ def load_params(path):
     Raises ValueError naming the header field or parameter key when the
     file's fields, keys, shapes or byte counts differ from those init_params
     gives the recorded spec, or a value is not finite."""
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: model file magic {magic!r}, expected {MODEL_MAGIC!r}")
-        meta = dict(kv.partition("=")[::2] for kv in fh.readline().rstrip("\n").split("\t"))
-        for field in HEADER_FIELDS:
-            if field not in meta:
-                raise ValueError(f"{path}: model header lacks field {field}")
-        for field in meta:
-            if field not in HEADER_FIELDS:
-                raise ValueError(f"{path}: unknown model header field {field!r}")
-        if meta["dtype"] not in DTYPES:
-            raise ValueError(f"{path}: dtype must be one of {DTYPES}, got {meta['dtype']!r}")
-        le = np.dtype(meta["dtype"]).newbyteorder("<")
+    lines = text_lines(path)
+    magic = next(lines, "").strip()
+    if magic != MODEL_MAGIC:
+        raise ValueError(f"{path}: model file magic {magic!r}, expected {MODEL_MAGIC!r}")
+    meta = dict(kv.partition("=")[::2] for kv in next(lines, "").rstrip("\n").split("\t"))
+    for field in HEADER_FIELDS:
+        if field not in meta:
+            raise ValueError(f"{path}: model header lacks field {field}")
+    for field in meta:
+        if field not in HEADER_FIELDS:
+            raise ValueError(f"{path}: unknown model header field {field!r}")
+    if meta["dtype"] not in DTYPES:
+        raise ValueError(f"{path}: dtype must be one of {DTYPES}, got {meta['dtype']!r}")
+    le = np.dtype(meta["dtype"]).newbyteorder("<")
+    try:
+        spec = NetworkSpec(
+            branches=tuple((n, int(d)) for n, d in
+                           (b.split(":") for b in meta["branches"].split(";"))),
+            branch_hidden=int(meta["branch_hidden"]),
+            trunk_hidden=tuple(int(x) for x in meta["trunk_hidden"].split(",")),
+            n_classes=int(meta["n_classes"]),
+            variant=meta["variant"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad model header: {exc}") from None
+    shapes = {key: p.shape for key, p in init_params(spec).items()}
+    params = {}
+    for line in lines:
+        key, _, rest = line.rstrip("\n").partition("\t")
+        if key not in shapes:
+            raise ValueError(f"{path}: unexpected parameter {key!r}")
+        if key in params:
+            raise ValueError(f"{path}: parameter {key} appears twice")
         try:
-            spec = NetworkSpec(
-                branches=tuple((n, int(d)) for n, d in
-                               (b.split(":") for b in meta["branches"].split(";"))),
-                branch_hidden=int(meta["branch_hidden"]),
-                trunk_hidden=tuple(int(x) for x in meta["trunk_hidden"].split(",")),
-                n_classes=int(meta["n_classes"]),
-                variant=meta["variant"],
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad model header: {exc}") from None
-        shapes = {key: p.shape for key, p in init_params(spec).items()}
-        params = {}
-        for line in fh:
-            key, _, rest = line.rstrip("\n").partition("\t")
-            if key not in shapes:
-                raise ValueError(f"{path}: unexpected parameter {key!r}")
-            if key in params:
-                raise ValueError(f"{path}: parameter {key} appears twice")
-            try:
-                shape_text, hex_text = rest.split("\t")
-                shape = tuple(int(s) for s in shape_text.split(","))
-                raw = bytes.fromhex(hex_text)
-            except ValueError:
-                raise ValueError(f"{path}: parameter {key}: malformed line") from None
-            n_bytes = int(np.prod(shape)) * le.itemsize
-            if len(raw) != n_bytes:
-                raise ValueError(f"{path}: parameter {key}: {len(raw)} bytes, expected "
-                                 f"{n_bytes} for shape {shape} of {meta['dtype']}")
-            if shape != shapes[key]:
-                raise ValueError(f"{path}: parameter {key}: shape {shape}, "
-                                 f"expected {shapes[key]}")
-            arr = np.frombuffer(raw, le).reshape(shape).astype(meta["dtype"])
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: parameter {key}: non-finite value")
-            params[key] = arr
+            shape_text, hex_text = rest.split("\t")
+            shape = tuple(int(s) for s in shape_text.split(","))
+            raw = bytes.fromhex(hex_text)
+        except ValueError:
+            raise ValueError(f"{path}: parameter {key}: malformed line") from None
+        n_bytes = int(np.prod(shape)) * le.itemsize
+        if len(raw) != n_bytes:
+            raise ValueError(f"{path}: parameter {key}: {len(raw)} bytes, expected "
+                             f"{n_bytes} for shape {shape} of {meta['dtype']}")
+        if shape != shapes[key]:
+            raise ValueError(f"{path}: parameter {key}: shape {shape}, "
+                             f"expected {shapes[key]}")
+        arr = np.frombuffer(raw, le).reshape(shape).astype(meta["dtype"])
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {key}: non-finite value")
+        params[key] = arr
     for key in shapes:
         if key not in params:
             raise ValueError(f"{path}: missing parameter {key}")

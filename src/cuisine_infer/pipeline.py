@@ -19,8 +19,8 @@ import numpy as np
 import yaml
 
 from . import btm, embed, eval_harness, nnet, stat_features, synthgen, weak_label
-from .txn_core import (build_index, derive_seed, merchant_names, parse_transactions,
-                       read_keyed_records, write_records, write_reject_report)
+from .txn_core import (IngestError, build_index, derive_seed, merchant_names, parse_transactions,
+                       read_keyed_records, text_lines, write_records, write_reject_report)
 
 DEFAULT_CONFIG: dict = {
     "seed": 7,
@@ -124,11 +124,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                user = yaml.safe_load(fh) or {}
+            user = yaml.safe_load("".join(text_lines(path))) or {}
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: a refused line, a bad date
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
@@ -204,6 +203,16 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _parse_log(path: Path):
+    """`parse_transactions(path)`; a log with no accepted row is an IngestError."""
+    parsed = parse_transactions(path)
+    if not len(parsed.transactions):
+        first = "".join(f", the first on line {n}: {why}" for n, why in parsed.rejects[:1])
+        raise IngestError(f"{path}: no valid transactions; {len(parsed.rejects)} rows rejected"
+                          + first)
+    return parsed
+
+
 def _load_taxonomy(cfg: dict) -> tuple[weak_label.Taxonomy, list[Path]]:
     """The taxonomy and, as manifest inputs, the file it was read from (none
     for the bundled seed list)."""
@@ -270,7 +279,7 @@ def run_label(cfg: dict) -> dict:
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
     taxonomy, tax_inputs = _load_taxonomy(cfg)
-    parsed = parse_transactions(txn_path)
+    parsed = _parse_log(txn_path)
     names = merchant_names(parsed.transactions)
     labels, bootstrapped = weak_label.label_names(
         names, taxonomy, _thresholds(cfg), rounds=cfg["label"]["rounds"])
@@ -314,7 +323,7 @@ def run_features(cfg: dict) -> dict:
     out = _out(cfg)
     txn_path = _require(_txn_path(cfg), "transactions")
     marks = [time.perf_counter()]
-    parsed = parse_transactions(txn_path)
+    parsed = _parse_log(txn_path)
     marks.append(time.perf_counter())
     index = build_index(parsed.transactions)
     marks.append(time.perf_counter())
@@ -351,7 +360,7 @@ def run_embed(cfg: dict) -> dict:
     labeling_words.update(bw.word for bw in weak_label.read_bootstrap_report(boot_path))
     pretrained = embed.load_pretrained_vectors(vec_path)
     marks = [time.perf_counter()]
-    parsed = parse_transactions(txn_path)
+    parsed = _parse_log(txn_path)
     marks.append(time.perf_counter())
     index = build_index(parsed.transactions)
     marks.append(time.perf_counter())

@@ -1,5 +1,6 @@
-"""Columnar transaction table, CSV ingest and serialisation, and one sort
-into restaurant and cardholder order."""
+"""The one line reader of every text input, the columnar transaction table,
+CSV ingest and serialisation, and one sort into restaurant and cardholder
+order."""
 
 from __future__ import annotations
 
@@ -187,48 +188,40 @@ def _canonical_minutes(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_ROWS = 1 << 9
 
 
-def _nul_free(lines, path):
-    """The lines; a NUL byte, which csv.reader refuses or keeps by version, is refused."""
-    for line_no, line in enumerate(lines, start=1):
-        if "\0" in line:
-            raise IngestError(f"{path}:{line_no}: NUL byte")
-        yield line
-
-
-def _undecodable_line(path) -> int | None:
-    """The number of the first line of `path`, counted as `_nul_free` counts
-    them, that holds bytes that are not UTF-8."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        # surrogateescape reads each such byte as a lone surrogate, which
-        # UTF-8 itself cannot encode
-        return next((line_no for line_no, line in enumerate(fh, start=1)
-                     if _ESCAPED_BYTE.search(line)), None)
-
-
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+def text_lines(path, newline: str | None = None):
+    """The lines of the UTF-8 text file `path`, split as `open` splits them
+    with `newline`: the one decoder of every input file. A line holding a
+    byte that is not UTF-8 or a NUL byte is a ValueError naming the file and
+    line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            # surrogateescape reads a byte that is not UTF-8 as a lone surrogate
+            if not line.isascii() and (byte := re.search("[\udc80-\udcff]", line)):
+                raise ValueError(f"{path}:{line_no}: not UTF-8: byte "
+                                 f"0x{ord(byte[0]) - 0xdc00:02x}")
+            if "\0" in line:
+                raise ValueError(f"{path}:{line_no}: NUL byte")
+            yield line
 
 
 def _row_chunks(path):
-    """The rows after the header, `_CHUNK_ROWS` at a time. A wrong header, a NUL
-    byte, bytes that are not UTF-8 and a row `csv.reader` cannot read (a field
+    """The rows after the header, `_CHUNK_ROWS` at a time. A wrong header, a
+    line `text_lines` refuses and a row `csv.reader` cannot read (a field
     over `csv.field_size_limit()`) are an IngestError naming the file, and
     the line when there is one."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(_nul_free(fh, path))
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path}: empty file, missing header")
-            if header != CSV_HEADER:
-                raise IngestError(f"{path}: bad header {header!r}")
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                yield chunk
-        except csv.Error as exc:
-            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            # the decoder reads ahead of the rows, so its position names no line
-            raise IngestError(f"{path}:{_undecodable_line(path)}: not UTF-8: {exc.reason}") \
-                from None
+    reader = csv.reader(text_lines(path, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file, missing header")
+        if header != CSV_HEADER:
+            raise IngestError(f"{path}: bad header {header!r}")
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            yield chunk
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+    except ValueError as exc:  # from text_lines, naming the line
+        raise IngestError(str(exc)) from None
 
 
 def parse_transactions(path, strict: bool = False) -> ParseResult:
@@ -312,17 +305,17 @@ def _numbered_records(path, parse, sep: str, header: list[str] | None):
     `sep`-separated text file, after a first line of fields equal to
     `header` when one is given. A ValueError from `parse`, or another first
     line, is raised naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if header is not None and fh.readline().rstrip("\n").split(sep) != header:
-            raise ValueError(f"{path}:1: bad header: expected the {len(header)} fields "
-                             f"{header[0]} .. {header[-1]}")
-        for line_no, line in enumerate(fh, start=1 if header is None else 2):
-            if line := line.rstrip("\n"):
-                try:
-                    record = parse(line.split(sep))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-                yield line_no, record
+    lines = text_lines(path)
+    if header is not None and next(lines, "").rstrip("\n").split(sep) != header:
+        raise ValueError(f"{path}:1: bad header: expected the {len(header)} fields "
+                         f"{header[0]} .. {header[-1]}")
+    for line_no, line in enumerate(lines, start=1 if header is None else 2):
+        if line := line.rstrip("\n"):
+            try:
+                record = parse(line.split(sep))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            yield line_no, record
 
 
 def read_records(path, parse, sep: str = "\t", header: list[str] | None = None) -> list:
@@ -372,17 +365,17 @@ def _loadtxt_vectors(path, sep: str, header: list[str] | None, dim: int | None):
             ids.append(rid)
             yield rest
 
+    lines = text_lines(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if header is not None and fh.readline().rstrip("\n").split(sep) != header:
-                return None
-            lines = filter(None, (line.rstrip("\n") for line in fh))
-            first = next(lines, None)
-            if first is None:
-                return {}
-            table = np.loadtxt(fields(chain([first], lines)), delimiter=sep, comments=None,
-                               ndmin=2)
-    except ValueError:  # a bad line, or not UTF-8
+        if header is not None and next(lines, "").rstrip("\n").split(sep) != header:
+            return None
+        lines = filter(None, (line.rstrip("\n") for line in lines))
+        first = next(lines, None)
+        if first is None:
+            return {}
+        table = np.loadtxt(fields(chain([first], lines)), delimiter=sep, comments=None,
+                           ndmin=2)
+    except ValueError:  # a bad line, which the slow path names
         return None
     if (len(set(ids)) < len(ids) or table.shape != (len(ids), dim or table.shape[1])
             or not np.isfinite(table).all()):

@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .txn_core import CuisineClass, read_keyed_records, read_records, write_records
+from .txn_core import CuisineClass, read_keyed_records, read_records, text_lines, write_records
 
 CORPORATE_SUFFIXES = {"LLC", "INC", "CO", "CORP"}
 
@@ -49,21 +49,18 @@ class Taxonomy:
         return set(self._by_word)
 
 
-def load_taxonomy(path=None) -> Taxonomy:
+SEED_TAXONOMY = resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt")
+
+
+def load_taxonomy(path=SEED_TAXONOMY) -> Taxonomy:
     """Load a taxonomy file (CUISINE<TAB>kw1,kw2,...); default: bundled list.
 
     An unknown cuisine, a cuisine on two lines, a line with no keywords or
     a keyword under two cuisines is a ValueError naming the file and line."""
-    if path is None:
-        path = resources.files("cuisine_infer.data").joinpath("seed_taxonomy.txt")
-        text = path.read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     keywords: dict[CuisineClass, set[str]] = {}
     first_line: dict[CuisineClass, int] = {}
     owner: dict[str, CuisineClass] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

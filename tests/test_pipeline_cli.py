@@ -884,6 +884,72 @@ def test_mutated_transactions_exit_0_or_4(tmp_path_factory, edits):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("stage", ["label", "features", "embed"])
+@pytest.mark.parametrize("rows, error", [
+    ([], "0 rows rejected"),
+    (["R1,Joes,1234,2025-01-06T12:00,C1,100,120", "R2,Cafe,12345,2025-01-06T12:00,C1,100,90"],
+     "2 rows rejected, the first on line 2: bad zip5 '1234'"),
+], ids=["header only", "all rejected"])
+def test_log_without_valid_rows_exit_code(tmp_path, stage, rows, error):
+    """A log with no accepted row is a data error in each stage that reads
+    it, raised before the stage writes a file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    txn_path = out / "transactions.csv"
+    txn_path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n", encoding="utf-8")
+    (out / "bootstrap_report.tsv").write_text("")
+    (out / "pretrained_vectors.txt").write_text("pizza 1 0\n")
+    before = sorted(out.iterdir())
+    result = CliRunner().invoke(main, [stage, "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"data error: {txn_path}: no valid transactions; {error}\n" in result.output
+    assert sorted(out.iterdir()) == before
+
+
+# Each artifact a stage reads, and the stage that reads it: the pipeline's
+# own files and a taxonomy file, which label reads as paths.taxonomy.
+_READERS = {"labels.tsv": "train", "features_stat.tsv": "train", "micro.txt": "train",
+            "macro.txt": "train", "name_embed.txt": "train", "split.tsv": "eval",
+            "model.txt": "eval", "truth_party.tsv": "eval", "bootstrap_report.tsv": "embed",
+            "pretrained_vectors.txt": "embed", "taxonomy.txt": "label"}
+
+
+@pytest.fixture(scope="module")
+def readable_artifacts(pipeline_run, tmp_path_factory):
+    """The config file and a copy of the pipeline's output holding a copy of
+    the bundled taxonomy."""
+    _, artifacts, run_dir = pipeline_run
+    out = tmp_path_factory.mktemp("readers") / "out"
+    shutil.copytree(artifacts["metrics"].parent, out)
+    shutil.copy(weak_label.SEED_TAXONOMY, out / "taxonomy.txt")
+    return run_dir / "config.yaml", out
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@given(line=st.integers(0, 10**6), at=st.integers(0, 10**6),
+       bad=st.sampled_from([b"\xff", b"\xed\xa0\x80", b"\0"]))
+@settings(max_examples=20, deadline=None)
+def test_bad_byte_in_an_artifact_exit_code(readable_artifacts, name, line, at, bad):
+    """A byte that is not UTF-8, an encoded surrogate or a NUL put into line k
+    of an artifact makes the stage that reads it exit 4 naming file and k."""
+    config, out = readable_artifacts
+    path = out / name
+    original = path.read_bytes()
+    lines = original.splitlines(keepends=True)
+    k = line % len(lines)
+    at %= len(lines[k].rstrip(b"\n")) + 1
+    lines[k] = lines[k][:at] + bad + lines[k][at:]
+    path.write_bytes(b"".join(lines))
+    try:
+        result = CliRunner().invoke(main, [
+            _READERS[name], "--config", str(config), "--out-dir", str(out),
+            "--set", f"paths.taxonomy={out / 'taxonomy.txt'}"])
+    finally:
+        path.write_bytes(original)
+    assert result.exit_code == 4, result.output
+    assert f"data error: {path}:{k + 1}: " in result.output
+
+
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
 def test_cli_pins_blas_threads_unless_set(preset, expected):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
@@ -1058,16 +1124,22 @@ class TestCli:
         result = CliRunner().invoke(main, ["synth", "--set", "nope=1"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("text", [None, "train: {epochs: [1\n"],
-                             ids=["missing", "invalid YAML"])
-    def test_config_file_error_exit_code(self, tmp_path, text):
+    @pytest.mark.parametrize("data, error", [
+        (None, ": cannot read config file"),
+        (b"train: {epochs: [1\n", ": not valid YAML"),
+        (b'seed: 3\nout_dir: "x\xff"\n', ":2: not UTF-8: byte 0xff"),
+        (b"seed: 3\n\0\n", ":2: NUL byte"),
+        (b"seed: 2025-02-30\n", ": not valid YAML: day is out of range for month"),
+    ], ids=["missing", "invalid YAML", "not UTF-8", "NUL", "impossible date"])
+    def test_config_file_error_exit_code(self, tmp_path, data, error):
         path = tmp_path / "config.yaml"
-        if text is not None:
-            path.write_text(text)
+        if data is not None:
+            path.write_bytes(data)
         result = CliRunner().invoke(main, [
             "label", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"config error: {path}: " in result.output
+        assert f"{path}{error}" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("override", ["features.gmm_kmax=2", "eval.folds=3"])
@@ -1085,7 +1157,7 @@ class TestCli:
         pytest.param(("label.btm.k=0", "label.topic_augment=true"),
                      id="label.btm.k=0,label.topic_augment=true"),
         "train.train_frac=2", "train.class_weights=2", "label.btm=3",
-        "train.trunk_hidden=5", "label.rounds=-1"])
+        "train.trunk_hidden=5", "label.rounds=-1", "seed=2025-02-30"])
     def test_bad_count_exit_code(self, override, tmp_path):
         overrides = (override,) if isinstance(override, str) else override
         args = ["synth", "--out-dir", str(tmp_path / "out")]

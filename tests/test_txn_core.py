@@ -21,6 +21,7 @@ from cuisine_infer.txn_core import (
     build_index,
     parse_transactions,
     read_records,
+    text_lines,
     to_minute,
     write_records,
     write_reject_report,
@@ -427,6 +428,37 @@ def test_invalid_utf8_is_an_ingest_error(tmp_path, strict, good_rows, bad):
     line_no = good_rows + 2 + bad.count(b"\r\n")
     with pytest.raises(IngestError, match=re.escape(f"{p}:{line_no}: not UTF-8: ")):
         parse_transactions(p, strict=strict)
+
+
+@pytest.mark.parametrize("newline, lines", [
+    (None, ["a\n", "b\n", "c\n", "\n", "caf\u00e9 d"]),
+    ("", ["a\r\n", "b\r", "c\n", "\n", "caf\u00e9 d"]),
+])
+def test_text_lines_split_as_open_splits(tmp_path, newline, lines):
+    p = tmp_path / "t.txt"
+    p.write_bytes("a\r\nb\rc\n\ncaf\u00e9 d".encode())
+    with open(p, encoding="utf-8", newline=newline) as fh:
+        assert list(text_lines(p, newline=newline)) == fh.readlines() == lines
+
+
+@pytest.mark.parametrize("data, error", [
+    (b"ok\nx\xffy\nz\n", "2: not UTF-8: byte 0xff"),
+    (b"caf\xc3\xa9\ncaf\xc3(\n", "2: not UTF-8: byte 0xc3"),
+    (b"ok\r\nok\n\xed\xa0\x80\n", "3: not UTF-8: byte 0xed"),
+    (b"R\x002\tBar\tseed\n", "1: NUL byte"),
+    (b"ok\nok\r\0\n", "3: NUL byte"),
+], ids=["invalid start byte", "invalid continuation byte", "encoded surrogate", "NUL",
+        "NUL after a CR"])
+def test_text_lines_name_a_bad_line(tmp_path, data, error):
+    """A line holding a byte that is not UTF-8 or a NUL is a ValueError naming
+    the file and the line; the lines before it are yielded."""
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    yielded = []
+    with pytest.raises(ValueError, match=re.escape(f"{p}:{error}")):
+        for line in text_lines(p):
+            yielded.append(line)
+    assert len(yielded) == int(error.split(":")[0]) - 1
 
 
 def test_one_zip_check_per_chunk(tmp_path):
