@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .txn_core import RestaurantIndex, read_keyed_vectors, write_records
+from .txn_core import RestaurantIndex, read_keyed_vectors, write_vectors
 from .weak_label import tokenize_name
 
 
@@ -78,9 +78,8 @@ class EmbeddingMatrix:
         return len(next(iter(self.vectors.values()))) if self.vectors else 0
 
     def write(self, path) -> None:
-        line = "%s" + " %.6f" * self.dim
-        write_records(path, ((line % (key, *self.vectors[key].tolist()),)
-                             for key in sorted(self.vectors)), sep=" ")
+        write_vectors(path, ((key, self.vectors[key]) for key in sorted(self.vectors)),
+                      "%.6f", sep=" ")
 
 
 class NegativeTable:
@@ -286,28 +285,8 @@ def pv_train(corpus: Corpus, cfg: EmbedConfig) -> EmbeddingMatrix:
 
 def load_pretrained_vectors(path) -> EmbeddingMatrix:
     """Parse a text vector file of one or more `token v1 v2 ... vd` lines, single
-    spaces. A malformed or non-finite component, or an empty or repeated
-    token, is a ValueError naming file and line."""
-    dim = None
-
-    def row(parts):
-        nonlocal dim
-        if not parts[0]:
-            raise ValueError("empty token")
-        try:
-            vec = np.array([float(x) for x in parts[1:]])
-        except ValueError:
-            raise ValueError("non-numeric vector component") from None
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{parts[0]}: non-finite vector component")
-        dim = len(vec) if dim is None else dim
-        if dim == 0:
-            raise ValueError("no vector components")
-        if len(vec) != dim:
-            raise ValueError(f"expected {dim} components, got {len(vec)}")
-        return parts[0], vec
-
-    vectors = read_keyed_vectors(path, row, sep=" ")
+    spaces; a bad line is a ValueError naming it (see `read_keyed_vectors`)."""
+    vectors = read_keyed_vectors(path, sep=" ")
     if not vectors:
         raise ValueError(f"{path}: no vectors")
     return EmbeddingMatrix(vectors, {"source": str(path)})

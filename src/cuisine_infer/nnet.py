@@ -688,22 +688,22 @@ def save_params(path, spec: NetworkSpec, params: dict[str, np.ndarray]) -> None:
 def load_params(path):
     """Read a save_params file; returns (spec, params in the recorded dtype).
 
-    Raises ValueError naming the header field or parameter key when the
-    file's fields, keys, shapes or byte counts differ from those init_params
-    gives the recorded spec, or a value is not finite."""
+    Raises ValueError naming the line, and the header field or parameter
+    key, when the file's fields, keys, shapes or byte counts differ from
+    those init_params gives the recorded spec, or a value is not finite."""
     lines = text_lines(path)
     magic = next(lines, "").strip()
     if magic != MODEL_MAGIC:
-        raise ValueError(f"{path}: model file magic {magic!r}, expected {MODEL_MAGIC!r}")
+        raise ValueError(f"{path}:1: model file magic {magic!r}, expected {MODEL_MAGIC!r}")
     meta = dict(kv.partition("=")[::2] for kv in next(lines, "").rstrip("\n").split("\t"))
     for field in HEADER_FIELDS:
         if field not in meta:
-            raise ValueError(f"{path}: model header lacks field {field}")
+            raise ValueError(f"{path}:2: model header lacks field {field}")
     for field in meta:
         if field not in HEADER_FIELDS:
-            raise ValueError(f"{path}: unknown model header field {field!r}")
+            raise ValueError(f"{path}:2: unknown model header field {field!r}")
     if meta["dtype"] not in DTYPES:
-        raise ValueError(f"{path}: dtype must be one of {DTYPES}, got {meta['dtype']!r}")
+        raise ValueError(f"{path}:2: dtype must be one of {DTYPES}, got {meta['dtype']!r}")
     le = np.dtype(meta["dtype"]).newbyteorder("<")
     try:
         spec = NetworkSpec(
@@ -715,31 +715,32 @@ def load_params(path):
             variant=meta["variant"],
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: bad model header: {exc}") from None
+        raise ValueError(f"{path}:2: bad model header: {exc}") from None
     shapes = {key: p.shape for key, p in init_params(spec).items()}
     params = {}
-    for line in lines:
+    for line_no, line in enumerate(lines, start=3):
+        at = f"{path}:{line_no}"
         key, _, rest = line.rstrip("\n").partition("\t")
         if key not in shapes:
-            raise ValueError(f"{path}: unexpected parameter {key!r}")
+            raise ValueError(f"{at}: unexpected parameter {key!r}")
         if key in params:
-            raise ValueError(f"{path}: parameter {key} appears twice")
+            raise ValueError(f"{at}: parameter {key} appears twice")
         try:
             shape_text, hex_text = rest.split("\t")
             shape = tuple(int(s) for s in shape_text.split(","))
             raw = bytes.fromhex(hex_text)
         except ValueError:
-            raise ValueError(f"{path}: parameter {key}: malformed line") from None
+            raise ValueError(f"{at}: parameter {key}: malformed line") from None
         n_bytes = int(np.prod(shape)) * le.itemsize
         if len(raw) != n_bytes:
-            raise ValueError(f"{path}: parameter {key}: {len(raw)} bytes, expected "
+            raise ValueError(f"{at}: parameter {key}: {len(raw)} bytes, expected "
                              f"{n_bytes} for shape {shape} of {meta['dtype']}")
         if shape != shapes[key]:
-            raise ValueError(f"{path}: parameter {key}: shape {shape}, "
+            raise ValueError(f"{at}: parameter {key}: shape {shape}, "
                              f"expected {shapes[key]}")
         arr = np.frombuffer(raw, le).reshape(shape).astype(meta["dtype"])
         if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: parameter {key}: non-finite value")
+            raise ValueError(f"{at}: parameter {key}: non-finite value")
         params[key] = arr
     for key in shapes:
         if key not in params:

@@ -538,7 +538,7 @@ def run_eval(cfg: dict) -> dict:
     truth = weak_label.LabelSet()
     if truth_path.exists():
         inputs.append(truth_path)
-        truth = weak_label.LabelSet.read_tsv(truth_path)
+        truth = weak_label.LabelSet.read_tsv(truth_path, default_source="truth")
     unlabeled_idx = [i for i, rid in enumerate(dataset.ids)
                      if dataset.labels[i] < 0 and rid in truth]
     _, test_ds, un_ds = nnet.standardize(

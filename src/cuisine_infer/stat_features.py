@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .txn_core import (RestaurantIndex, derive_seed, read_keyed_vectors, write_records,
+from .txn_core import (RestaurantIndex, derive_seed, read_keyed_vectors, write_vectors,
                        zip5_mask)
 
 STAT_BLOCK_DIMS = {
@@ -445,25 +445,10 @@ def feature_header() -> list[str]:
 
 def write_features(path, ids: list[str], table: np.ndarray) -> None:
     """One line per restaurant: its id and its row of `table`."""
-    # one row's floats at a time: the whole table as Python floats would
-    # take several times its own size
-    line = "%s" + "\t%.9g" * table.shape[1]
-    write_records(path, ((line % (rid, *vec.tolist()),) for rid, vec in zip(ids, table)),
-                  header=feature_header())
+    write_vectors(path, zip(ids, table), "%.9g", header=feature_header())
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    """The vectors of a file written by `write_features`, by restaurant id.
-    A malformed or non-finite value, or an empty or repeated id, is a
-    ValueError naming file and line."""
-    def row(parts):
-        if not parts[0]:
-            raise ValueError("empty restaurant id")
-        if len(parts) != 1 + STAT_DIM:
-            raise ValueError(f"{parts[0]}: {len(parts) - 1} values, not {STAT_DIM}")
-        vec = np.array([float(x) for x in parts[1:]])
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{parts[0]}: non-finite value")
-        return parts[0], vec
-
-    return read_keyed_vectors(path, row, header=feature_header(), dim=STAT_DIM)
+    """The vectors of a file written by `write_features`, by restaurant id;
+    a bad line is a ValueError naming it (see `read_keyed_vectors`)."""
+    return read_keyed_vectors(path, header=feature_header(), dim=STAT_DIM)

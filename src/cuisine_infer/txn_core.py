@@ -8,6 +8,7 @@ import csv
 import enum
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from itertools import chain, compress, islice
@@ -336,18 +337,38 @@ def read_keyed_records(path, parse, sep: str = "\t",
     return out
 
 
-def read_keyed_vectors(path, parse, sep: str = "\t", header: list[str] | None = None,
+def read_keyed_vectors(path, sep: str = "\t", header: list[str] | None = None,
                        dim: int | None = None) -> dict[str, np.ndarray]:
-    """`read_keyed_records` of a file whose lines are an id and `sep`-separated
-    floats, where `parse` is the per-line reader that checks a line and
-    returns its id and vector: the rows of one float matrix by id, in file
-    order. `dim`, when given, is the number of floats a line must have.
-
-    The floats of all lines are read by one `np.loadtxt`. The file is read
-    again line by line with `parse`, which names the bad line, only when
-    that read fails or a line or the result is not one `parse` would take."""
+    """The rows of one float matrix by id, in file order, from a file of
+    `sep`-separated lines of an id and its floats, after a first line of
+    fields equal to `header` when one is given. Each line has `dim` floats,
+    or as many as most lines, at least one; an empty or repeated id, another
+    width, or a value float() refuses or that is not finite is a ValueError
+    naming the file, the line and, when it has one, the id. One `np.loadtxt`
+    reads the floats of all lines; the file is read again line by line, to
+    name the bad line, only when that read fails or breaks a rule."""
     table = _loadtxt_vectors(path, sep, header, dim)
-    return table if table is not None else read_keyed_records(path, parse, sep, header)
+    if table is not None:
+        return table
+    if dim is None:  # ties go to the earlier line: a short first line is the one named
+        widths = Counter(line.count(sep) for line in text_lines(path) if line.rstrip("\n"))
+        dim = max(widths, key=widths.__getitem__, default=0)
+
+    def row(fields):
+        rid, values = fields[0], fields[1:]
+        if not rid:
+            raise ValueError("empty id")
+        if len(values) != dim or not values:
+            raise ValueError(f"{rid}: {len(values)} values, expected {dim or 'at least 1'}")
+        try:
+            vec = np.array([float(value) for value in values])
+        except ValueError as exc:  # naming the value
+            raise ValueError(f"{rid}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{rid}: non-finite value")
+        return rid, vec
+
+    return read_keyed_records(path, row, sep, header)
 
 
 def _loadtxt_vectors(path, sep: str, header: list[str] | None, dim: int | None):
@@ -390,6 +411,17 @@ def write_records(path, records, sep: str = "\t", header: list[str] | None = Non
         if header is not None:
             fh.write(sep.join(header) + "\n")
         fh.writelines(sep.join(record) + "\n" for record in records)
+
+
+def write_vectors(path, rows, fmt: str, sep: str = "\t",
+                  header: list[str] | None = None) -> None:
+    """One line per (id, vector) of `rows`: the id and the vector's floats,
+    each formatted by `fmt`, joined by `sep`, after a line of `header` when
+    one is given: the files `read_keyed_vectors` reads. One row's floats at
+    a time: the whole table as Python floats would take several times its
+    own size."""
+    write_records(path, ((("%s" + (sep + fmt) * len(vec)) % (rid, *vec.tolist()),)
+                         for rid, vec in rows), sep, header)
 
 
 def write_reject_report(path, rejects: list[tuple[int, str]]) -> None:

@@ -140,17 +140,18 @@ class LabelSet:
                              for rid, (cuisine, source) in sorted(self.labels.items())))
 
     @classmethod
-    def read_tsv(cls, path) -> "LabelSet":
-        """A file of id<TAB>cuisine<TAB>source lines; a line without the
-        source field is a "truth" label. A line of another shape, an empty id
-        or a source outside SOURCES is a ValueError naming file and line."""
+    def read_tsv(cls, path, default_source: str | None = None) -> "LabelSet":
+        """A file of id<TAB>cuisine<TAB>source lines, where a line may omit the
+        source when `default_source` is given. A line of another shape, an empty
+        id or a source outside SOURCES is a ValueError naming file and line."""
         def row(parts):
-            if not 2 <= len(parts) <= 3:
-                raise ValueError("expected id<TAB>cuisine[<TAB>source], "
-                                 f"got {len(parts)} fields")
+            if len(parts) == 2 and default_source:
+                parts = [*parts, default_source]
+            if len(parts) != 3:
+                raise ValueError(f"expected id<TAB>cuisine<TAB>source, got {len(parts)} fields")
             if not parts[0]:
                 raise ValueError("empty restaurant id")
-            source = parts[2] if len(parts) > 2 else "truth"
+            source = parts[2]
             if source not in SOURCES:
                 raise ValueError(f"unknown label source {source!r}; "
                                  f"expected one of {', '.join(SOURCES)}")

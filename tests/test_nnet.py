@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import signal
 import threading
 
@@ -655,13 +656,16 @@ class TestSerialization:
     ], ids=["extra key", "wrong shape", "bad value", "bad dtype", "shape mismatch",
             "odd-length hex", "non-hex character", "nan", "inf"])
     def test_corrupt_file_names_the_field(self, tmp_path, edit, named):
+        """The error names the file, the edited line and the field."""
         spec = _spec()
         path = tmp_path / "model.txt"
         save_params(path, spec, {k: v.astype(np.float32)
                                  for k, v in init_params(spec, 0).items()})
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(edit(lines)))
-        with pytest.raises(ValueError, match=named):
+        edited = edit(lines)
+        k = next(i for i, line in enumerate(edited, start=1) if line not in lines)
+        path.write_text("".join(edited))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{k}: ") + ".*" + named):
             load_params(path)
 
     def test_lines_are_little_endian_hex(self, tmp_path):
@@ -676,7 +680,7 @@ class TestSerialization:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("something else\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{p}:1: model file magic")):
             load_params(p)
 
 

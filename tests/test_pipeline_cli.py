@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt_file, count_skipgram_pairs, logged_pids, pid_logged
@@ -433,22 +433,23 @@ def _set_field(line: str, sep: str, i: int, value: str) -> str:
 
 class TestCorruptModel:
     def _eval(self, pipeline_run, tmp_path, edit):
-        return _run_on_edited_copy(pipeline_run, tmp_path, "eval", "model.txt", edit)[0]
+        return _run_on_edited_copy(pipeline_run, tmp_path, "eval", "model.txt", edit)
 
     def test_missing_parameter_exit_code(self, pipeline_run, tmp_path):
-        result = self._eval(pipeline_run, tmp_path, lambda lines: [
+        """A missing parameter has no line: the message names the file."""
+        result, path = self._eval(pipeline_run, tmp_path, lambda lines: [
             line for line in lines if not line.startswith("trunk/b0\t")])
         assert result.exit_code == 4, result.output
-        assert "missing parameter trunk/b0" in result.output
+        assert f"{path}: missing parameter trunk/b0" in result.output
 
     def test_missing_header_field_exit_code(self, pipeline_run, tmp_path):
         def drop_n_classes(lines):
             header = [f for f in lines[1].split("\t") if not f.startswith("n_classes=")]
             return [lines[0], "\t".join(header), *lines[2:]]
 
-        result = self._eval(pipeline_run, tmp_path, drop_n_classes)
+        result, path = self._eval(pipeline_run, tmp_path, drop_n_classes)
         assert result.exit_code == 4, result.output
-        assert "lacks field n_classes" in result.output
+        assert f"{path}:2: model header lacks field n_classes" in result.output
 
     def test_v2_model_exit_code(self, pipeline_run, tmp_path):
         """A model.txt in the v2 format, decimal values, fails on its magic."""
@@ -460,9 +461,9 @@ class TestCorruptModel:
                 v2.append(f"{key}\t{shape}\t{' '.join(map(repr, values))}\n")
             return v2
 
-        result = self._eval(pipeline_run, tmp_path, to_v2)
+        result, path = self._eval(pipeline_run, tmp_path, to_v2)
         assert result.exit_code == 4, result.output
-        assert "model file magic 'cuisine-infer-model v2'" in result.output
+        assert f"{path}:1: model file magic 'cuisine-infer-model v2'" in result.output
 
     def test_diverging_training_exit_code(self, pipeline_run, tmp_path):
         """`train` whose loss turns non-finite exits 4 naming the epoch, the
@@ -501,10 +502,12 @@ class TestCorruptModel:
         def nan_first_bias(line):
             return _set_field(line, "\t", 2, "0000c07f" + line.split("\t")[2][8:])
 
-        result = self._eval(pipeline_run, tmp_path, lambda lines: [
+        result, path = self._eval(pipeline_run, tmp_path, lambda lines: [
             nan_first_bias(line) if line.startswith("out/b\t") else line for line in lines])
         assert result.exit_code == 4, result.output
-        assert "parameter out/b: non-finite value" in result.output
+        k = next(i for i, line in enumerate(path.read_text().splitlines(), start=1)
+                 if line.startswith("out/b\t"))
+        assert f"{path}:{k}: parameter out/b: non-finite value" in result.output
 
 
 def test_non_finite_feature_exit_code(pipeline_run, tmp_path):
@@ -522,15 +525,13 @@ def test_non_finite_pretrained_vector_exit_code(pipeline_run, tmp_path):
         lambda lines: [lines[0], _set_field(lines[1], " ", 2, "-inf"), *lines[2:]])
     assert result.exit_code == 4, result.output
     token = path.read_text().splitlines()[1].split(" ")[0]
-    assert f"{path}:2: {token}: non-finite vector component" in result.output
+    assert f"{path}:2: {token}: non-finite value" in result.output
 
 
-@pytest.mark.parametrize("name, sep, line_no, error", [
-    ("features_stat.tsv", "\t", 3, "empty restaurant id"),
-    ("micro.txt", " ", 2, "empty token"),
-    ("name_embed.txt", " ", 4, "empty token"),
+@pytest.mark.parametrize("name, sep, line_no", [
+    ("features_stat.tsv", "\t", 3), ("micro.txt", " ", 2), ("name_embed.txt", " ", 4),
 ])
-def test_empty_id_exit_code(pipeline_run, tmp_path, name, sep, line_no, error):
+def test_empty_id_exit_code(pipeline_run, tmp_path, name, sep, line_no):
     """A line that starts with its separator, an empty id, stops train with
     exit 4 naming the file and line."""
     def drop_id(lines):
@@ -539,7 +540,7 @@ def test_empty_id_exit_code(pipeline_run, tmp_path, name, sep, line_no, error):
 
     result, path = _run_on_edited_copy(pipeline_run, tmp_path, "train", name, drop_id)
     assert result.exit_code == 4, result.output
-    assert f"{path}:{line_no}: {error}" in result.output
+    assert f"{path}:{line_no}: empty id" in result.output
 
 
 @pytest.mark.parametrize("bad_line", ["R000001\tvalidate\n", "R000001\ttrain\textra\n"])
@@ -581,7 +582,7 @@ def test_stale_split_exit_code(pipeline_run, tmp_path, drop_from):
     (lambda lines: [lines[0].replace("restaurant_id", "rid", 1), *lines[1:]],
      ":1: bad header"),
     (lambda lines: [*lines[:2], lines[2].replace("\t", "\tx", 1), *lines[3:]],
-     ":3: could not convert string to float: 'x"),
+     ":3: {rid}: could not convert string to float: 'x"),
 ], ids=["header", "non-numeric value"])
 def test_malformed_features_exit_code(pipeline_run, tmp_path, stage, edit, message):
     _, artifacts, run_dir = pipeline_run
@@ -592,7 +593,8 @@ def test_malformed_features_exit_code(pipeline_run, tmp_path, stage, edit, messa
     result = CliRunner().invoke(main, [
         stage, "--config", str(run_dir / "config.yaml"), "--out-dir", str(out)])
     assert result.exit_code == 4, result.output
-    assert f"{path}{message}" in result.output
+    rid = path.read_text().splitlines()[2].split("\t")[0]
+    assert f"{path}{message.format(rid=rid)}" in result.output
 
 
 @pytest.mark.parametrize("stage", ["train", "eval", "report"])
@@ -948,6 +950,99 @@ def test_bad_byte_in_an_artifact_exit_code(readable_artifacts, name, line, at, b
         path.write_bytes(original)
     assert result.exit_code == 4, result.output
     assert f"data error: {path}:{k + 1}: " in result.output
+
+
+def _edit_line(lines: list[str], sep: str, kind: str, k: int, i: int) -> tuple[str, bool]:
+    """Line k of `lines` (0-based, without its newline) edited by `kind`:
+    "drop" field i, "double" separator i, replace field i by "abc", or
+    "truncate" the line to its first i characters; `i` is taken modulo the
+    choices. Returns the line and whether the edit may leave the file valid:
+    an id replaced, or a cut that keeps every field and leaves a number
+    last."""
+    fields = lines[k].split(sep)
+    if kind == "drop":
+        del fields[i % len(fields)]
+    elif kind == "double":
+        assume(len(fields) > 1)
+        fields[i % (len(fields) - 1)] += sep
+    elif kind == "abc":
+        fields[i % len(fields)] = "abc"
+        return sep.join(fields), i % len(fields) == 0
+    else:
+        cut = lines[k][:1 + i % (len(lines[k]) - 1)]
+        try:
+            float(cut.split(sep)[-1])
+        except ValueError:
+            return cut, False
+        return cut, cut.count(sep) == len(fields) - 1
+    return sep.join(fields), False
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@given(kind=st.sampled_from(["drop", "double", "abc", "truncate"]),
+       line=st.integers(0, 10**6), i=st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_malformed_line_in_an_artifact_exit_code(readable_artifacts, tmp_path_factory, name,
+                                                 kind, line, i):
+    """A field dropped, a separator doubled or a field replaced by `abc` in
+    line k of an artifact, or the file cut inside its last line k, makes the
+    stage that reads it exit 4 naming file and k. The stage may exit 0 where
+    the edit leaves the file valid (see `_edit_line`; a taxonomy line with
+    its cuisine name and a keyword, as keywords are trimmed of whitespace),
+    and may refuse an id replaced by `abc` naming the file only, as one
+    that does not match the other files (a stale `split.tsv`)."""
+    config, original = readable_artifacts
+    out = tmp_path_factory.mktemp("edited") / "out"
+    shutil.copytree(original, out)
+    path = out / name
+    sep = " " if name in ("micro.txt", "macro.txt", "name_embed.txt",
+                          "pretrained_vectors.txt") else "\t"
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    k = len(lines) - 1 if kind == "truncate" else line % len(lines)
+    edited, valid = _edit_line(lines, sep, kind, k, i)
+    unknown_id = valid and kind == "abc"
+    if name == "taxonomy.txt":
+        cuisine, _, words = edited.partition("\t")
+        valid = cuisine == lines[k].partition("\t")[0] and words.strip(" \t,") != ""
+    lines[k] = edited
+    path.write_text("\n".join(lines) + ("" if kind == "truncate" else "\n"), encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        _READERS[name], "--config", str(config), "--out-dir", str(out),
+        "--set", f"paths.taxonomy={out / 'taxonomy.txt'}"])
+    if result.exit_code == 0:
+        assert valid, (edited, result.output)
+    else:
+        assert result.exit_code == 4, result.output
+        assert (f"data error: {path}:{k + 1}: " in result.output
+                or unknown_id and f"data error: {path}: " in result.output), result.output
+
+
+@pytest.mark.parametrize("name, stage, k, edit, code, message", [
+    ("labels.tsv", "train", 4, lambda f: f[:2], 4,
+     ":4: expected id<TAB>cuisine<TAB>source, got 2 fields"),
+    ("truth_labels.tsv", "eval", 4, lambda f: f[:2], 0, None),
+    ("model.txt", "eval", 4, lambda f: f[:2], 4, ":4: parameter {0}: malformed line"),
+    ("model.txt", "eval", 4, lambda f: [f[0], "", *f[1:]], 4,
+     ":4: parameter {0}: malformed line"),
+    ("model.txt", "eval", 4, lambda f: [f[0], f[1], "abc"], 4,
+     ":4: parameter {0}: malformed line"),
+    ("model.txt", "eval", 5, lambda f: [f[0], f[1], f[2][:-8]], 4,
+     ":5: parameter {0}: "),
+    ("model.txt", "eval", 2, lambda f: f[1:], 4, ":2: model header lacks field"),
+], ids=["labels without source", "truth labels without source", "model field dropped",
+        "model tab doubled", "model abc", "model bytes", "model header"])
+def test_edited_line_exit_code(pipeline_run, tmp_path, name, stage, k, edit, code, message):
+    """A labels.tsv line must name its source, where a truth_labels.tsv line
+    may omit it; a model.txt line refused names its line."""
+    def edit_line(lines):
+        lines[k - 1] = "\t".join(edit(lines[k - 1].rstrip("\n").split("\t"))) + "\n"
+        return lines
+
+    result, path = _run_on_edited_copy(pipeline_run, tmp_path, stage, name, edit_line)
+    assert result.exit_code == code, result.output
+    if message:
+        key = path.read_text().splitlines()[k - 1].split("\t")[0]
+        assert f"data error: {path}{message.format(key)}" in result.output
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])

@@ -534,8 +534,8 @@ def test_read_features_equals_the_per_line_reader(tmp_path_factory, edits, line_
 
 
 @pytest.mark.parametrize("ids, error", [
-    (["", "R2"], ":2: empty restaurant id"),
-    (["R0", "", "R2"], ":3: empty restaurant id"),
+    (["", "R2"], ":2: empty id"),
+    (["R0", "", "R2"], ":3: empty id"),
     (["R0", "R1", "R1"], ":4: R1 already listed on line 3"),
 ])
 @pytest.mark.parametrize("slow", [False, True], ids=["fast", "per-line"])

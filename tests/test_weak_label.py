@@ -190,18 +190,19 @@ def test_labelset_tsv_round_trip(tmp_path):
 def test_labelset_reads_the_two_field_form_as_truth(tmp_path):
     path = tmp_path / "truth_labels.tsv"
     path.write_text("r1\tBar\nr2\tDessert\ttruth\n")
-    assert LabelSet.read_tsv(path).labels == {"r1": (CuisineClass.Bar, "truth"),
-                                              "r2": (CuisineClass.Dessert, "truth")}
+    assert LabelSet.read_tsv(path, default_source="truth").labels == {
+        "r1": (CuisineClass.Bar, "truth"), "r2": (CuisineClass.Dessert, "truth")}
 
 
 @pytest.mark.parametrize("line,reason", [
-    ("r2\n", "expected id<TAB>cuisine\\[<TAB>source\\], got 1 fields"),
-    ("r2\tBar\tseed\textra\n", "expected id<TAB>cuisine\\[<TAB>source\\], got 4 fields"),
+    ("r2\n", "expected id<TAB>cuisine<TAB>source, got 1 fields"),
+    ("r2\tBar\n", "expected id<TAB>cuisine<TAB>source, got 2 fields"),
+    ("r2\tBar\tseed\textra\n", "expected id<TAB>cuisine<TAB>source, got 4 fields"),
     ("\tBar\tseed\n", "empty restaurant id"),
     ("r2\tBar\tbogus\n", "unknown label source 'bogus'"),
     ("r2\tBar\ttopic\n", "unknown label source 'topic'"),
     ("r2\tThai\tseed\n", "unknown cuisine class"),
-], ids=["one field", "four fields", "empty id", "bogus source", "topic source",
+], ids=["one field", "two fields", "four fields", "empty id", "bogus source", "topic source",
         "unknown cuisine"])
 def test_labelset_bad_line_names_file_and_line(tmp_path, line, reason):
     path = tmp_path / "labels.tsv"
